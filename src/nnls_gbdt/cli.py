@@ -21,24 +21,13 @@ import argparse
 import importlib.resources
 import json
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import jsonschema
 import numpy as np
 
 from . import ag_theta, gbdt_core, oracles, verify
-from .errors import (
-    AsymmetricGrid,
-    BadTau,
-    DegenerateS,
-    DimensionMismatch,
-    GridTooSmall,
-    InvalidParams,
-    InvalidRange,
-    SchemaError,
-    SingularPoint,
-    SpectralClash,
-)
+from .errors import DegenerateS, NnlsGbdtError, SchemaError
 from .gbdt_core import GbdtTriple, Grid, SolutionField
 
 #: Checks each scenario kind supports, in their default running order.
@@ -107,7 +96,33 @@ def _cmatrix(value) -> np.ndarray:
     )
 
 
-OracleFn = Callable[[float, float], np.ndarray]
+#: Grid oracle: (x, t) arrays to the closed-form u, shaped (..., m1, m2),
+#: and the boolean mask of nodes where the closed form is singular.
+OracleFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+ClosedFormParams = Union[
+    oracles.Example1Params, oracles.Example2Params, oracles.Example3Params
+]
+
+
+def _as_matrix(
+    result: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Scalar-family values on a grid as 1x1 matrices per node."""
+    values, singular = result
+    return values[..., None, None], singular
+
+
+def closed_form_oracle(p: ClosedFormParams) -> OracleFn:
+    """Grid oracle of the closed-form family that ``p`` parametrises.
+
+    The module attributes ``oracles.ex*_u`` are looked up at call time.
+    """
+    if isinstance(p, oracles.Example1Params):
+        return lambda x, t: _as_matrix(oracles.ex1_u(p, x, t))
+    if isinstance(p, oracles.Example2Params):
+        return lambda x, t: _as_matrix(oracles.ex2_u(p, x, t))
+    return lambda x, t: oracles.ex3_u(p, x, t)
 
 
 def _build_construction(
@@ -144,7 +159,7 @@ def _build_construction(
         triple = gbdt_core.complete_triple(
             1 - 2 * p.kappa, [[p.a]], [[p.theta1]], [[p.theta2]]
         )
-        return triple, lambda x, t: np.array([[oracles.ex1_u(p, x, t)]])
+        return triple, closed_form_oracle(p)
 
     if kind == "example2":
         p = oracles.Example2Params(
@@ -157,7 +172,7 @@ def _build_construction(
             [[0.0], [p.b]],
             [[0.0], [p.c]],
         )
-        return triple, lambda x, t: np.array([[oracles.ex2_u(p, x, t)]])
+        return triple, closed_form_oracle(p)
 
     if kind == "example3":
         p = oracles.Example3Params(
@@ -168,7 +183,7 @@ def _build_construction(
         triple = gbdt_core.complete_triple(
             1 - 2 * p.kappa, [[p.a]], [[p.b1, p.b2]], [[p.c]]
         )
-        return triple, lambda x, t: oracles.ex3_u(p, x, t)
+        return triple, closed_form_oracle(p)
 
     raise SchemaError(f"unknown construction kind {kind!r}")
 
@@ -224,34 +239,24 @@ def _oracle_report(
 ) -> verify.ResidualReport:
     """Largest relative deviation of the field from its closed form.
 
-    The comparison scale at each point is the oracle magnitude, floored
-    at a small fraction of its maximum over the grid so that zeros of the
-    solution do not inflate the relative error.
+    Nodes masked in the field or singular in the closed form are skipped.
+    The comparison scale at each node is the largest oracle entry there,
+    floored at a small fraction of its maximum over the nodes used so that
+    zeros of the solution do not inflate the relative error.
     """
     grid = field.grid
-    values: Dict[Tuple[int, int], np.ndarray] = {}
-    skipped = 0
-    for k in range(grid.nx):
-        for l in range(grid.nt):
-            if field.singular_mask[k, l]:
-                skipped += 1
-                continue
-            try:
-                values[(k, l)] = np.asarray(
-                    oracle(float(grid.x_values[k]), float(grid.t_values[l]))
-                )
-            except SingularPoint:
-                skipped += 1
-    if not values:
+    x, t = np.meshgrid(grid.x_values, grid.t_values, indexing="ij")
+    expected, singular = oracle(x, t)
+    used = ~(field.singular_mask | singular)
+    points_used = int(np.count_nonzero(used))
+    if points_used == 0:
         residual = float("inf")
     else:
-        peak = max(float(np.max(np.abs(v))) for v in values.values())
-        floor = max(ORACLE_FLOOR * peak, 1e-300)
-        residual = 0.0
-        for (k, l), expected in values.items():
-            diff = float(np.max(np.abs(field.u[k, l] - expected)))
-            scale = max(float(np.max(np.abs(expected))), floor)
-            residual = max(residual, diff / scale)
+        expected = expected[used]
+        scale = np.max(np.abs(expected), axis=(-2, -1))
+        diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
+        floor = max(ORACLE_FLOOR * float(np.max(scale)), 1e-300)
+        residual = float(np.max(diff / np.maximum(scale, floor)))
     return verify.ResidualReport(
         name="oracle",
         hx=grid.hx,
@@ -260,8 +265,8 @@ def _oracle_report(
         order=None,
         passed=bool(residual <= ORACLE_TOL),
         tolerance=ORACLE_TOL,
-        points_used=len(values),
-        points_skipped=skipped,
+        points_used=points_used,
+        points_skipped=used.size - points_used,
     )
 
 
@@ -460,24 +465,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         scenario = load_scenario(args.scenario)
     except SchemaError as exc:
         print(f"error: {exc}")
-        return 3
+        return exc.exit_code
 
     try:
         exit_code, report = run_scenario(scenario, args.out, args.refine)
-    except (SchemaError, BadTau, AsymmetricGrid, GridTooSmall, InvalidRange) as exc:
+    except (NnlsGbdtError, ValueError) as exc:
+        code = exc.exit_code if isinstance(exc, NnlsGbdtError) else 2
         print(f"error: {exc}")
-        _write_error_report(args.out, exc, 3)
-        return 3
-    except (
-        DegenerateS,
-        SpectralClash,
-        InvalidParams,
-        DimensionMismatch,
-        ValueError,
-    ) as exc:
-        print(f"error: {exc}")
-        _write_error_report(args.out, exc, 2)
-        return 2
+        _write_error_report(args.out, exc, code)
+        return code
 
     for record in report["checks"]:
         state = "pass" if record["passed"] else "FAIL"

@@ -2,10 +2,18 @@
 
 Each family below is an explicit formula for a small transformation datum:
 a single eigenvalue with scalar columns, a 2x2 Jordan block, and a single
-eigenvalue with a wide first column block.  The formulas are written out in
-scalar arithmetic on purpose, with no matrix exponentials, no Sylvester
-solves, and no shared helpers, so that agreement with the solver pipeline
-is evidence rather than tautology.
+eigenvalue with a wide first column block.  Each formula is written out
+once, in elementwise numpy arithmetic on the complex scalars of the datum:
+no matrix exponentials, no Sylvester solves, and nothing imported from
+``gbdt_core`` or ``numkit``, so that agreement with the solver pipeline is
+evidence rather than tautology.
+
+The evaluators broadcast over ``x`` and ``t``.  At a scalar point
+``ex1_u``, ``ex2_u`` and ``ex3_u`` return the value and raise SingularPoint
+on the singular set.  On array input they raise nothing and return
+``(values, singular)``: the values on the broadcast grid, nan where the
+boolean ``singular`` mask is set.  A node is singular when its rescaled
+denominator satisfies ``|denom| <= DENOMINATOR_FLOOR * modulus``.
 
 Conventions shared by all three families: ``kappa`` is 0 in the defocusing
 case (sigma = +1) and 1 in the focusing case (sigma = -1), and the
@@ -14,13 +22,15 @@ eigenvalue ``a`` must satisfy a + conj(a) != 0.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import InvalidParams, SingularPoint
+
+#: A coordinate: a float for one point, or a numpy array of grid values.
+Coord = Union[float, np.ndarray]
 
 # Relative threshold under which a closed-form denominator counts as zero.
 DENOMINATOR_FLOOR = 1e-12
@@ -95,45 +105,74 @@ class Example3Params:
             raise InvalidParams("b1, b2 and c cannot all be zero")
 
 
-def _phase(a: complex, x: float, t: float) -> complex:
+def _phase(a: complex, x: Coord, t: Coord):
     """Exponent phi with e^{i phi} carrying the x and t dependence of S."""
     return (a + a.conjugate()) * x - 2.0 * (a * a - a.conjugate() ** 2) * t
 
 
-def ex1_S(p: Example1Params, x: float, t: float) -> complex:
+def _sign(kappa: int) -> float:
+    return -1.0 if kappa == 1 else 1.0
+
+
+def _is_point(x: Coord, t: Coord) -> bool:
+    return np.ndim(x) == 0 and np.ndim(t) == 0
+
+
+def _finish(
+    x: Coord,
+    t: Coord,
+    values: np.ndarray,
+    singular: np.ndarray,
+    det_abs: Callable[[], float],
+):
+    """Scalar contract at a point, (values, singular) on a grid.
+
+    At a point the value is returned, or SingularPoint raised with
+    ``det_abs()``.  On a grid, values at singular nodes become nan.
+    """
+    if _is_point(x, t):
+        if singular:
+            raise SingularPoint(x, t, float(det_abs()))
+        return complex(values) if values.ndim == 0 else values
+    trailing = (1,) * (values.ndim - singular.ndim)
+    flagged = singular.reshape(singular.shape + trailing)
+    return np.where(flagged, np.nan, values), singular
+
+
+def ex1_S(p: Example1Params, x: Coord, t: Coord):
     """Closed form of the 1x1 identity solution S(x, t)."""
-    a = complex(p.a)
-    two_re = a + a.conjugate()
+    a = p.a
     phi = _phase(a, x, t)
-    sgn = -1.0 if p.kappa == 1 else 1.0
-    return (
-        cmath.exp(1j * phi) * abs(p.theta1) ** 2
-        + sgn * cmath.exp(-1j * phi) * abs(p.theta2) ** 2
-    ) / two_re
+    with np.errstate(all="ignore"):
+        s = (
+            np.exp(1j * phi) * abs(p.theta1) ** 2
+            + _sign(p.kappa) * np.exp(-1j * phi) * abs(p.theta2) ** 2
+        ) / (a + a.conjugate())
+    return complex(s) if _is_point(x, t) else s
 
 
-def ex1_u(p: Example1Params, x: float, t: float) -> complex:
+def ex1_u(p: Example1Params, x: Coord, t: Coord):
     """Closed form of the constructed solution for the scalar datum.
 
-    Raises SingularPoint when the evaluation point sits on the singular
-    set of S, detected through the rescaled denominator.
+    At a point, raises SingularPoint when it sits on the singular set of S,
+    detected through the rescaled denominator.
     """
-    a = complex(p.a)
+    a = p.a
     two_re = a + a.conjugate()
-    phi = _phase(a, x, t)
-    sgn = -1.0 if p.kappa == 1 else 1.0
-    modulus = abs(p.theta1) ** 2 + abs(cmath.exp(-2j * phi)) * abs(p.theta2) ** 2
-    denom = abs(p.theta1) ** 2 + sgn * cmath.exp(-2j * phi) * abs(p.theta2) ** 2
-    if abs(denom) <= DENOMINATOR_FLOOR * modulus:
-        raise SingularPoint(x, t, abs(ex1_S(p, x, t)))
-    numer = (
-        -2j
-        * two_re
-        * cmath.exp(-2j * a * (x - 2.0 * a * t))
-        * p.theta1.conjugate()
-        * p.theta2
-    )
-    return numer / denom
+    with np.errstate(all="ignore"):
+        wave = np.exp(-2j * _phase(a, x, t))
+        modulus = abs(p.theta1) ** 2 + np.abs(wave) * abs(p.theta2) ** 2
+        denom = abs(p.theta1) ** 2 + _sign(p.kappa) * wave * abs(p.theta2) ** 2
+        singular = np.abs(denom) <= DENOMINATOR_FLOOR * modulus
+        numer = (
+            -2j
+            * two_re
+            * np.exp(-2j * a * (x - 2.0 * a * t))
+            * p.theta1.conjugate()
+            * p.theta2
+        )
+        values = numer / denom
+    return _finish(x, t, values, singular, lambda: abs(ex1_S(p, x, t)))
 
 
 def ex1_blowup_time(p: Example1Params) -> Optional[float]:
@@ -151,14 +190,14 @@ def ex1_blowup_time(p: Example1Params) -> Optional[float]:
     return float(np.log(ratio) / (-8.0 * im_a2))
 
 
-def _ex2_pieces(p: Example2Params, x: float, t: float):
+def _ex2_pieces(p: Example2Params, x: Coord, t: Coord):
     """Shared exponent, weights and denominator of the Jordan-block forms."""
-    a = complex(p.a)
+    a = p.a
     two_re = a + a.conjugate()
-    sgn = -1.0 if p.kappa == 1 else 1.0
+    sgn = _sign(p.kappa)
     big_p = 1j * (two_re * x + 2.0 * (a.conjugate() ** 2 - a * a) * t)
-    eb = abs(p.b) ** 2 * cmath.exp(big_p)
-    ec = abs(p.c) ** 2 * cmath.exp(-big_p)
+    eb = abs(p.b) ** 2 * np.exp(big_p)
+    ec = abs(p.c) ** 2 * np.exp(-big_p)
     poly = (
         4.0
         * abs(p.b * p.c) ** 2
@@ -166,55 +205,67 @@ def _ex2_pieces(p: Example2Params, x: float, t: float):
         * (x - 4.0 * a * t)
         * (x + 4.0 * a.conjugate() * t)
     )
+    grow = np.exp(2.0 * big_p)
+    decay = np.exp(-2.0 * big_p)
     denom = (
-        abs(p.b) ** 4 * cmath.exp(2.0 * big_p)
-        + abs(p.c) ** 4 * cmath.exp(-2.0 * big_p)
+        abs(p.b) ** 4 * grow
+        + abs(p.c) ** 4 * decay
         + 2.0 * sgn * abs(p.b * p.c) ** 2
         - sgn * poly
     )
     modulus = (
-        abs(p.b) ** 4 * abs(cmath.exp(2.0 * big_p))
-        + abs(p.c) ** 4 * abs(cmath.exp(-2.0 * big_p))
+        abs(p.b) ** 4 * np.abs(grow)
+        + abs(p.c) ** 4 * np.abs(decay)
         + 2.0 * abs(p.b * p.c) ** 2
-        + abs(poly)
+        + np.abs(poly)
     )
-    return a, two_re, sgn, big_p, eb, ec, denom, modulus
+    return a, two_re, sgn, eb, ec, denom, modulus
 
 
-def ex2_detS(p: Example2Params, x: float, t: float) -> complex:
+def ex2_detS(p: Example2Params, x: Coord, t: Coord):
     """Determinant of S for the Jordan-block datum."""
-    _, two_re, _, _, _, _, denom, _ = _ex2_pieces(p, x, t)
-    return denom / two_re**4
+    with np.errstate(all="ignore"):
+        _, two_re, _, _, _, denom, _ = _ex2_pieces(p, x, t)
+        det = denom / two_re**4
+    return complex(det) if _is_point(x, t) else det
 
 
-def ex2_u(p: Example2Params, x: float, t: float) -> complex:
+def ex2_u(p: Example2Params, x: Coord, t: Coord):
     """Constructed solution for the Jordan-block datum."""
-    a, two_re, sgn, _, eb, ec, denom, modulus = _ex2_pieces(p, x, t)
-    if abs(denom) <= DENOMINATOR_FLOOR * modulus:
-        raise SingularPoint(x, t, abs(denom) / abs(two_re) ** 4)
-    phase = cmath.exp(
-        1j * ((a.conjugate() - a) * x + 2.0 * (a * a + a.conjugate() ** 2) * t)
+    with np.errstate(all="ignore"):
+        a, two_re, sgn, eb, ec, denom, modulus = _ex2_pieces(p, x, t)
+        singular = np.abs(denom) <= DENOMINATOR_FLOOR * modulus
+        phase = np.exp(
+            1j * ((a.conjugate() - a) * x + 2.0 * (a * a + a.conjugate() ** 2) * t)
+        )
+        bracket = eb * (
+            8j * a * two_re * t - 2j * two_re * x + 2.0
+        ) + sgn * ec * (8j * a.conjugate() * two_re * t + 2j * two_re * x + 2.0)
+        values = -2j * p.b.conjugate() * p.c * two_re * phase * bracket / denom
+    return _finish(
+        x, t, values, singular, lambda: abs(denom) / abs(two_re) ** 4
     )
-    bracket = eb * (
-        8j * a * two_re * t - 2j * two_re * x + 2.0
-    ) + sgn * ec * (8j * a.conjugate() * two_re * t + 2j * two_re * x + 2.0)
-    return -2j * p.b.conjugate() * p.c * two_re * phase * bracket / denom
 
 
-def ex3_u(p: Example3Params, x: float, t: float) -> np.ndarray:
-    """Constructed 2x1 solution for the rectangular datum."""
-    a = complex(p.a)
+def ex3_u(p: Example3Params, x: Coord, t: Coord):
+    """Constructed 2x1 solution for the rectangular datum.
+
+    The value has shape (2, 1) at a point and (..., 2, 1) on a grid.
+    """
+    a = p.a
     two_re = a + a.conjugate()
     phi = _phase(a, x, t)
-    sgn = -1.0 if p.kappa == 1 else 1.0
-    width = abs(p.b1) ** 2 + abs(p.b2) ** 2
-    modulus = width + abs(cmath.exp(-2j * phi)) * abs(p.c) ** 2
-    denom = width + sgn * cmath.exp(-2j * phi) * abs(p.c) ** 2
-    if abs(denom) <= DENOMINATOR_FLOOR * modulus:
-        det_abs = abs(cmath.exp(1j * phi) * denom / two_re)
-        raise SingularPoint(x, t, det_abs)
-    front = -2j * p.c * two_re * cmath.exp(-2j * a * (x - 2.0 * a * t)) / denom
-    return np.array(
-        [[front * p.b1.conjugate()], [front * p.b2.conjugate()]],
-        dtype=np.complex128,
+    with np.errstate(all="ignore"):
+        wave = np.exp(-2j * phi)
+        width = abs(p.b1) ** 2 + abs(p.b2) ** 2
+        modulus = width + np.abs(wave) * abs(p.c) ** 2
+        denom = width + _sign(p.kappa) * wave * abs(p.c) ** 2
+        singular = np.abs(denom) <= DENOMINATOR_FLOOR * modulus
+        front = -2j * p.c * two_re * np.exp(-2j * a * (x - 2.0 * a * t)) / denom
+        values = np.stack(
+            [front * p.b1.conjugate(), front * p.b2.conjugate()], axis=-1
+        )[..., None]
+    return _finish(
+        x, t, values, singular,
+        lambda: abs(np.exp(1j * phi) * denom / two_re),
     )

@@ -62,6 +62,9 @@ class ResidualReport:
             "residual": _num(self.residual),
             "order": _num(self.order),
             "passed": bool(self.passed),
+            "tolerance": _num(self.tolerance),
+            "points_used": int(self.points_used),
+            "points_skipped": int(self.points_skipped),
         }
 
     def with_order(self, order: float) -> "ResidualReport":

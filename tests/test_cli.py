@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nnls_gbdt import cli, oracles
+from nnls_gbdt import cli, errors, gbdt_core, oracles
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -291,3 +291,76 @@ def test_outputs_are_deterministic(tmp_path):
             }
         )
     assert outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------- error exit codes
+
+
+def test_overflow_exits_3_with_error_report(tmp_path):
+    """An x-range beyond the exponential's operating range is a range error."""
+    document = small_example1()
+    document["grid"]["x_max"] = 800.0
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == 3
+    assert report["passed"] is False
+    assert report["error"]["type"] == "Overflow"
+
+
+def test_every_error_class_names_its_exit_code():
+    classes = errors.NnlsGbdtError.__subclasses__()
+    for cls in classes:
+        assert "exit_code" in vars(cls), cls.__name__
+        assert cls.exit_code in (2, 3), cls.__name__
+    assert errors.Overflow.exit_code == 3
+    assert errors.SchemaError.exit_code == 3
+    assert errors.DegenerateS.exit_code == 2
+
+
+# ------------------------------------------------------------ oracle check
+
+
+def _shipped_field(name):
+    scenario = cli.load_scenario(SCENARIO_DIR / name)
+    triple, oracle = cli._build_construction(
+        scenario["kind"], scenario["parameters"]
+    )
+    g = scenario["grid"]
+    grid = gbdt_core.Grid.build(
+        x_max=g["x_max"], nx=g["nx"], t_min=g["t_min"], t_max=g["t_max"],
+        nt=g["nt"],
+    )
+    return gbdt_core.solution_field(triple, grid), oracle
+
+
+def test_oracle_report_fails_one_perturbed_node():
+    field, oracle = _shipped_field("example2.json")
+    clean = cli._oracle_report(field, oracle)
+    assert clean.passed
+    k, l = field.grid.nx // 3, field.grid.nt // 4
+    assert not field.singular_mask[k, l]
+    field.u[k, l] *= 1.0 + 1e-8
+    perturbed = cli._oracle_report(field, oracle)
+    assert not perturbed.passed
+    assert perturbed.residual > cli.ORACLE_TOL
+    assert perturbed.points_used == clean.points_used
+
+
+def test_oracle_report_counts_every_node_on_blowup_grid():
+    params = oracles.Example1Params(
+        a=1.0 + 1.0j, theta1=2.0, theta2=1.0, kappa=1
+    )
+    t_star = oracles.ex1_blowup_time(params)
+    triple = gbdt_core.complete_triple(
+        -1, [[params.a]], [[params.theta1]], [[params.theta2]]
+    )
+    grid = gbdt_core.Grid.build(
+        x_max=2.0, nx=41, t_min=2.0 * t_star, t_max=0.0, nt=3
+    )
+    field = gbdt_core.solution_field(triple, grid)
+    report = cli._oracle_report(field, cli.closed_form_oracle(params))
+    assert report.passed
+    assert report.points_used + report.points_skipped == grid.nx * grid.nt
+    assert report.points_skipped > 0

@@ -1,5 +1,6 @@
 """Tests of the residual checks: positive cases, corrupted data, convergence."""
 
+import json
 import math
 
 import numpy as np
@@ -148,10 +149,15 @@ def test_residual_report_json_round_trip():
     report = verify.ResidualReport(
         name="demo", hx=0.1, ht=0.05, residual=float("inf"),
         order=None, passed=False, tolerance=0.05,
+        points_used=12, points_skipped=3,
     )
     encoded = report.to_json_dict()
     assert encoded["residual"] == repr(float("inf"))
     assert encoded["order"] is None
+    assert encoded["tolerance"] == 0.05
+    assert encoded["points_used"] == 12
+    assert encoded["points_skipped"] == 3
+    assert json.loads(json.dumps(encoded)) == encoded
     finite = report.with_order(2.0)
     assert finite.order == 2.0
     assert math.isinf(finite.residual)
