@@ -18,6 +18,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 from pathlib import Path
@@ -66,7 +67,7 @@ def load_scenario(path: Path) -> dict:
             document = json.load(handle)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
         raise SchemaError(f"scenario {path} is not valid JSON: {exc}") from exc
 
     validator = jsonschema.Draft202012Validator(_load_schema())
@@ -103,6 +104,13 @@ OracleFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
 ClosedFormParams = Union[
     oracles.Example1Params, oracles.Example2Params, oracles.Example3Params
 ]
+
+#: Parameter class of each closed-form kind.
+CLOSED_FORMS = {
+    "example1": oracles.Example1Params,
+    "example2": oracles.Example2Params,
+    "example3": oracles.Example3Params,
+}
 
 
 def _as_matrix(
@@ -149,89 +157,58 @@ def _build_construction(
             triple = gbdt_core.complete_triple(sigma, a, theta1, theta2)
         return triple, None
 
-    if kind == "example1":
-        p = oracles.Example1Params(
-            a=_cnum(params["a"]),
-            theta1=_cnum(params["theta1"]),
-            theta2=_cnum(params["theta2"]),
-            kappa=int(params["kappa"]),
-        )
-        triple = gbdt_core.complete_triple(
-            1 - 2 * p.kappa, [[p.a]], [[p.theta1]], [[p.theta2]]
-        )
-        return triple, closed_form_oracle(p)
-
-    if kind == "example2":
-        p = oracles.Example2Params(
-            a=_cnum(params["a"]), b=_cnum(params["b"]),
-            c=_cnum(params["c"]), kappa=int(params["kappa"]),
-        )
-        triple = gbdt_core.complete_triple(
-            1 - 2 * p.kappa,
-            [[p.a, 1.0], [0.0, p.a]],
-            [[0.0], [p.b]],
-            [[0.0], [p.c]],
-        )
-        return triple, closed_form_oracle(p)
-
-    if kind == "example3":
-        p = oracles.Example3Params(
-            a=_cnum(params["a"]), b1=_cnum(params["b1"]),
-            b2=_cnum(params["b2"]), c=_cnum(params["c"]),
-            kappa=int(params["kappa"]),
-        )
-        triple = gbdt_core.complete_triple(
-            1 - 2 * p.kappa, [[p.a]], [[p.b1, p.b2]], [[p.c]]
-        )
-        return triple, closed_form_oracle(p)
-
-    raise SchemaError(f"unknown construction kind {kind!r}")
+    family = CLOSED_FORMS.get(kind)
+    if family is None:
+        raise SchemaError(f"unknown construction kind {kind!r}")
+    values = {
+        f.name: int(params[f.name]) if f.name == "kappa" else _cnum(params[f.name])
+        for f in dataclasses.fields(family)
+    }
+    p = family(**values)
+    return gbdt_core.complete_triple(*p.datum()), closed_form_oracle(p)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]) -> None:
+    """One row per entry of the equal-length columns, below ``header``.
+
+    Integer columns are written with %d, all others with %.17g so floats
+    round-trip exactly.
+    """
+    fmt = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [",".join(header)] + [fmt % row for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _node_columns(grid: Grid) -> List[np.ndarray]:
+    """x and t of every grid node, in x-major order."""
+    return [np.repeat(grid.x_values, grid.nt), np.tile(grid.t_values, grid.nx)]
 
 
 def write_u_csv(path: Path, field: SolutionField) -> None:
     """Field entries in x-major order, one row per grid point."""
-    m1 = field.u.shape[2]
-    m2 = field.u.shape[3]
     header = ["x", "t"]
-    for i in range(1, m1 + 1):
-        for k in range(1, m2 + 1):
-            header.append(f"re_{i}_{k}")
-            header.append(f"im_{i}_{k}")
-    lines = [",".join(header)]
-    for k in range(field.grid.nx):
-        for l in range(field.grid.nt):
-            row = [_fmt(field.grid.x_values[k]), _fmt(field.grid.t_values[l])]
-            for i in range(m1):
-                for j in range(m2):
-                    value = field.u[k, l, i, j]
-                    row.append(_fmt(value.real))
-                    row.append(_fmt(value.imag))
-            lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = _node_columns(field.grid)
+    _, _, m1, m2 = field.u.shape
+    for i in range(m1):
+        for k in range(m2):
+            entry = field.u[:, :, i, k].ravel()
+            header += [f"re_{i + 1}_{k + 1}", f"im_{i + 1}_{k + 1}"]
+            columns += [entry.real, entry.imag]
+    _write_csv(path, header, columns)
 
 
 def write_dets_csv(path: Path, field: SolutionField) -> None:
     """Determinant of S with the singular flag, in x-major order."""
-    lines = ["x,t,re,im,singular"]
-    for k in range(field.grid.nx):
-        for l in range(field.grid.nt):
-            det = field.detS[k, l]
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(field.grid.x_values[k]),
-                        _fmt(field.grid.t_values[l]),
-                        _fmt(det.real),
-                        _fmt(det.imag),
-                        "1" if field.singular_mask[k, l] else "0",
-                    ]
-                )
-            )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    det = field.detS.ravel()
+    flag = field.singular_mask.ravel().astype(np.int64)
+    _write_csv(
+        path,
+        ["x", "t", "re", "im", "singular"],
+        _node_columns(field.grid) + [det.real, det.imag, flag],
+    )
 
 
 def _oracle_report(
@@ -457,17 +434,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.refine < 0:
-        print("error: --refine must be nonnegative")
-        return 3
-
     try:
+        if args.refine < 0:
+            raise SchemaError(f"--refine must be nonnegative, got {args.refine}")
         scenario = load_scenario(args.scenario)
-    except SchemaError as exc:
-        print(f"error: {exc}")
-        return exc.exit_code
-
-    try:
         exit_code, report = run_scenario(scenario, args.out, args.refine)
     except (NnlsGbdtError, ValueError) as exc:
         code = exc.exit_code if isinstance(exc, NnlsGbdtError) else 2

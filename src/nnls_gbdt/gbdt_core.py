@@ -27,7 +27,6 @@ Darboux matrix, and the wave function, pointwise and on grids.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +49,20 @@ _POINT_DET_FACTOR = 1e-12
 
 
 def _h(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def coupling_term(kappa: int, p1, p2, q1, q2) -> np.ndarray:
+    """p1 q1* + (-1)^kappa p2 q2*, broadcast over leading axes.
+
+    With p = Pi(x, t) and q = Pi(-x, t) split into their m1 and m2 column
+    blocks this is Pi(x, t) j^kappa Pi(-x, t)*, the right side of the
+    coupling identity; with p = q = (theta1, theta2) it is its value at the
+    origin.
+    """
+    sgn = -1.0 if kappa == 1 else 1.0
+    return p1 @ _h(q1) + sgn * (p2 @ _h(q2))
 
 
 @dataclass(frozen=True)
@@ -119,8 +131,7 @@ class GbdtTriple:
 
     def coupling_rhs(self) -> np.ndarray:
         """theta1 theta1* + (-1)^kappa theta2 theta2*."""
-        sgn = (-1.0) ** self.kappa
-        return self.theta1 @ _h(self.theta1) + sgn * self.theta2 @ _h(self.theta2)
+        return coupling_term(self.kappa, self.theta1, self.theta2, self.theta1, self.theta2)
 
 
 @dataclass(frozen=True)
@@ -211,8 +222,7 @@ def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     A = numkit.as_cmatrix(A, "A")
     theta1 = numkit.as_cmatrix(theta1, "theta1")
     theta2 = numkit.as_cmatrix(theta2, "theta2")
-    kappa = (1 - sigma) // 2
-    rhs = theta1 @ _h(theta1) + ((-1.0) ** kappa) * theta2 @ _h(theta2)
+    rhs = coupling_term((1 - sigma) // 2, theta1, theta2, theta1, theta2)
     s0 = numkit.solve_sylvester(A, _h(A), rhs)
     s0 = 0.5 * (s0 + _h(s0))
     triple = GbdtTriple(sigma=sigma, A=A, S0=s0, theta1=theta1, theta2=theta2)
@@ -254,6 +264,13 @@ def pi_via_blocks(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return selector @ numkit.expm(-2j * t * cal_b) @ numkit.expm(1j * x * cal_a) @ th
 
 
+def _solve_s(triple: GbdtTriple, p: np.ndarray, pm: np.ndarray) -> np.ndarray:
+    """S from A S + S A* = p j^kappa pm*, with p = Pi(x, t), pm = Pi(-x, t)."""
+    m1 = triple.m1
+    rhs = coupling_term(triple.kappa, p[:, :m1], p[:, m1:], pm[:, :m1], pm[:, m1:])
+    return numkit.solve_sylvester(triple.A, _h(triple.A), rhs)
+
+
 def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     """S(x, t) from the pointwise coupling identity.
 
@@ -261,12 +278,7 @@ def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     S(-x, t) = S(x, t)* to 1e-10. Raises SpectralClash when the spectra of
     A and -A* meet; callers should fall back to s_via_integration.
     """
-    p = pi_at(triple, x, t)
-    pm = pi_at(triple, -x, t)
-    sgn = (-1.0) ** triple.kappa
-    m1 = triple.m1
-    rhs = p[:, :m1] @ _h(pm[:, :m1]) + sgn * p[:, m1:] @ _h(pm[:, m1:])
-    return numkit.solve_sylvester(triple.A, _h(triple.A), rhs)
+    return _solve_s(triple, pi_at(triple, x, t), pi_at(triple, -x, t))
 
 
 def _mixed_exponentials(triple: GbdtTriple, x: float, t: float):
@@ -315,17 +327,29 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
     return triple.S0 + leg_t + leg_x
 
 
-def _s_for_eval(triple: GbdtTriple, x: float, t: float, steps: int = 400) -> np.ndarray:
+def _s_or_integral(
+    triple: GbdtTriple, x: float, t: float, p: np.ndarray, pm: np.ndarray
+) -> np.ndarray:
+    """S(x, t) from Pi(x, t) = p and Pi(-x, t) = pm, or by integration
+    when the spectra of A and -A* meet."""
     try:
-        return s_at(triple, x, t)
+        return _solve_s(triple, p, pm)
     except SpectralClash:
-        return s_via_integration(triple, x, t, steps)
+        return s_via_integration(triple, x, t)
 
 
-def _point_det_check(s: np.ndarray, x: float, t: float) -> None:
+def _point(triple: GbdtTriple, x: float, t: float):
+    """(S(x, t), Pi(x, t), Pi(-x, t)) at one point, each computed once.
+
+    Raises SingularPoint when det S(x, t) is numerically zero.
+    """
+    p = pi_at(triple, x, t)
+    pm = pi_at(triple, -x, t)
+    s = _s_or_integral(triple, x, t, p, pm)
     det_abs = float(abs(np.linalg.det(s)))
     if det_abs <= _POINT_DET_FACTOR * max(1.0, float(np.linalg.norm(s))) ** s.shape[0]:
         raise SingularPoint(x, t, det_abs)
+    return s, p, pm
 
 
 def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -333,10 +357,7 @@ def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
     Raises SingularPoint when det S(x, t) is numerically zero.
     """
-    s = _s_for_eval(triple, x, t)
-    _point_det_check(s, x, t)
-    p = pi_at(triple, x, t)
-    pm = pi_at(triple, -x, t)
+    s, p, pm = _point(triple, x, t)
     m1 = triple.m1
     return -2j * _h(pm[:, :m1]) @ np.linalg.solve(s, p[:, m1:])
 
@@ -348,10 +369,7 @@ def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     exactly; the top-right block is u_tilde_at and the bottom-left block is
     -sigma times the conjugate transpose of u at (-x, t).
     """
-    s = _s_for_eval(triple, x, t)
-    _point_det_check(s, x, t)
-    p = pi_at(triple, x, t)
-    pm = pi_at(triple, -x, t)
+    s, p, pm = _point(triple, x, t)
     x0 = triple.jk @ _h(pm) @ np.linalg.solve(s, p)
     j = triple.j
     return 1j * (j @ x0 @ j - x0)
@@ -390,10 +408,7 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     if np.min(np.abs(eigs + np.conj(z))) < 1e-9 * scale:
         raise SpectralPole(f"-conj(z) = {-np.conj(z)!r} is numerically an eigenvalue of A")
 
-    s = _s_for_eval(triple, x, t)
-    _point_det_check(s, x, t)
-    p = pi_at(triple, x, t)
-    pm = pi_at(triple, -x, t)
+    s, p, pm = _point(triple, x, t)
     n = triple.n
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(triple.m, dtype=np.complex128)
@@ -409,8 +424,9 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
             f"Darboux pair failed the inverse check: ||wa wb - I|| = {prod_res:.3e}"
         )
 
-    # reduction: wB(x,t,z) equals j^kappa wA(-x,t,-conj(z))* j^kappa
-    s_m = _s_for_eval(triple, -x, t)
+    # reduction: wB(x,t,z) equals j^kappa wA(-x,t,-conj(z))* j^kappa, with
+    # S(-x,t) solved on its own from the swapped pair rather than taken as S*
+    s_m = _s_or_integral(triple, -x, t, pm, p)
     wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
         s_m, np.linalg.solve(a + np.conj(z) * eye_n, pm)
     )
@@ -528,8 +544,9 @@ class SolutionField:
     """Grid samples of the constructed solution and its determinant data.
 
     u has shape (nx, nt, m1, m2) with NaN entries at masked points; S has
-    shape (nx, nt, n, n). pi1 and pi2 keep the generating-matrix blocks so
-    verification passes never recompute exponentials.
+    shape (nx, nt, n, n). pi1 and pi2, shapes (nx, nt, n, m1) and
+    (nx, nt, n, m2), are the generating-matrix blocks Pi(x, t) splits into;
+    they are required, so verification passes never recompute exponentials.
     """
 
     grid: Grid
@@ -537,8 +554,8 @@ class SolutionField:
     S: np.ndarray
     detS: np.ndarray
     singular_mask: np.ndarray
-    pi1: np.ndarray = field(repr=False, default=None)
-    pi2: np.ndarray = field(repr=False, default=None)
+    pi1: np.ndarray = field(repr=False)
+    pi2: np.ndarray = field(repr=False)
 
 
 def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
@@ -580,10 +597,7 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti_th2, optimize=True)
 
     pi1_m = pi1[mirror]
-    pi2_m = pi2[mirror]
-    sgn = (-1.0) ** triple.kappa
-    rhs = np.einsum("klac,klbc->klab", pi1, pi1_m.conj(), optimize=True)
-    rhs += sgn * np.einsum("klac,klbc->klab", pi2, pi2_m.conj(), optimize=True)
+    rhs = coupling_term(triple.kappa, pi1, pi2, pi1_m, pi2[mirror])
 
     s = solver(rhs)
     det = np.linalg.det(s)
@@ -593,11 +607,8 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     u = np.full((nx, nt, m1, m2), np.nan + 1j * np.nan, dtype=np.complex128)
     keep = ~mask
     if np.any(keep):
-        s_keep = s[keep]
-        rhs_u = pi2[keep]
-        sol = np.linalg.solve(s_keep, rhs_u)
-        left = np.swapaxes(pi1_m[keep].conj(), -1, -2)
-        u[keep] = -2j * (left @ sol)
+        sol = np.linalg.solve(s[keep], pi2[keep])
+        u[keep] = -2j * (_h(pi1_m[keep]) @ sol)
 
     return SolutionField(
         grid=grid, u=u, S=s, detS=det, singular_mask=mask, pi1=pi1, pi2=pi2

@@ -63,6 +63,10 @@ class Example1Params:
         if self.theta1 == 0 or self.theta2 == 0:
             raise InvalidParams("theta1 and theta2 must both be nonzero")
 
+    def datum(self):
+        """(sigma, A, theta1, theta2) of the family, as nested lists."""
+        return 1 - 2 * self.kappa, [[self.a]], [[self.theta1]], [[self.theta2]]
+
 
 @dataclass(frozen=True)
 class Example2Params:
@@ -85,6 +89,11 @@ class Example2Params:
         if self.b == 0 and self.c == 0:
             raise InvalidParams("b and c cannot both be zero")
 
+    def datum(self):
+        """(sigma, A, theta1, theta2) of the family, as nested lists."""
+        a = self.a
+        return 1 - 2 * self.kappa, [[a, 1.0], [0.0, a]], [[0.0], [self.b]], [[0.0], [self.c]]
+
 
 @dataclass(frozen=True)
 class Example3Params:
@@ -103,6 +112,10 @@ class Example3Params:
         _check_eigenvalue(self.a)
         if self.b1 == 0 and self.b2 == 0 and self.c == 0:
             raise InvalidParams("b1, b2 and c cannot all be zero")
+
+    def datum(self):
+        """(sigma, A, theta1, theta2) of the family, as nested lists."""
+        return 1 - 2 * self.kappa, [[self.a]], [[self.b1, self.b2]], [[self.c]]
 
 
 def _phase(a: complex, x: Coord, t: Coord):

@@ -145,15 +145,6 @@ def nnls_residual(
     )
 
 
-def _field_projections(
-    triple: GbdtTriple, field: SolutionField
-) -> Tuple[np.ndarray, np.ndarray]:
-    if field.pi1 is not None and field.pi2 is not None:
-        return field.pi1, field.pi2
-    rebuilt = gbdt_core.solution_field(triple, field.grid)
-    return rebuilt.pi1, rebuilt.pi2
-
-
 def identity_residual(
     triple: GbdtTriple, field: SolutionField, tol: float = DEFAULT_IDENTITY_TOL
 ) -> ResidualReport:
@@ -162,13 +153,10 @@ def identity_residual(
     Purely algebraic, so every grid point participates regardless of the
     singular mask.
     """
-    pi1, pi2 = _field_projections(triple, field)
+    pi1, pi2 = field.pi1, field.pi2
     a = triple.A
     s = field.S
-    sgn = -1.0 if triple.kappa == 1 else 1.0
-    rhs = np.einsum("klac,klbc->klab", pi1, np.conj(pi1[::-1])) + sgn * np.einsum(
-        "klac,klbc->klab", pi2, np.conj(pi2[::-1])
-    )
+    rhs = gbdt_core.coupling_term(triple.kappa, pi1, pi2, pi1[::-1], pi2[::-1])
     lhs = np.matmul(a, s) + np.matmul(s, a.conj().T)
     diff = np.linalg.norm(lhs - rhs, axis=(-2, -1))
     scale = (
@@ -211,28 +199,17 @@ def hermitian_mirror_residual(
 
 
 def reduction_residual(
-    field: SolutionField,
-    sigma: int,
-    triple: Optional[GbdtTriple] = None,
-    tol: float = DEFAULT_IDENTITY_TOL,
+    field: SolutionField, sigma: int, tol: float = DEFAULT_IDENTITY_TOL
 ) -> ResidualReport:
     """Deviation of the lower coupling block from -sigma u(-x, t)^*.
 
-    The lower block is assembled from the stored projections exactly as in
-    the off-diagonal potential, then compared against the reflected adjoint
-    of the field itself.
+    The lower block is assembled from the field's stored projections pi1
+    and pi2 exactly as in the off-diagonal potential, then compared against
+    the reflected adjoint of the field itself.  Raises ValueError for a
+    sigma other than -1 or +1.
     """
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be -1 or +1, got {sigma!r}")
-    if field.pi1 is None or field.pi2 is None:
-        if triple is None:
-            raise ValueError("field lacks stored projections; pass the triple")
-        pi1, pi2 = _field_projections(triple, field)
-    else:
-        pi1, pi2 = field.pi1, field.pi2
-    kappa = (1 - sigma) // 2
-    sgn = -1.0 if kappa == 1 else 1.0
-
     mask = field.singular_mask
     keep = ~mask & ~mask[::-1, :]
     used = int(np.count_nonzero(keep))
@@ -240,9 +217,10 @@ def reduction_residual(
         residual = float("inf")
     else:
         s_keep = field.S[keep]
-        p1_keep = pi1[keep]
-        p2m_keep = pi2[::-1][keep]
-        v2 = -2j * sgn * np.matmul(
+        p1_keep = field.pi1[keep]
+        p2m_keep = field.pi2[::-1][keep]
+        # the m2 x m2 block of j^kappa is (-1)^kappa = sigma
+        v2 = -2j * sigma * np.matmul(
             np.conj(np.swapaxes(p2m_keep, -1, -2)),
             np.linalg.solve(s_keep, p1_keep),
         )

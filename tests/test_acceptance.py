@@ -145,24 +145,16 @@ def test_criterion_04_closed_forms_match_transform():
         done = 0
         while done < 5:
             kappa = int(rng.integers(0, 2))
-            sigma = 1 - 2 * kappa
             try:
                 if family == "one":
                     p = oracles.Example1Params(
                         a=draw_a(), theta1=draw_complex(0.5, 2.0),
                         theta2=draw_complex(0.5, 2.0), kappa=kappa,
                     )
-                    triple = gbdt_core.complete_triple(
-                        sigma, [[p.a]], [[p.theta1]], [[p.theta2]]
-                    )
                 elif family == "two":
                     p = oracles.Example2Params(
                         a=draw_a(), b=draw_complex(0.4, 1.5),
                         c=draw_complex(0.4, 1.5), kappa=kappa,
-                    )
-                    triple = gbdt_core.complete_triple(
-                        sigma, [[p.a, 1.0], [0.0, p.a]],
-                        [[0.0], [p.b]], [[0.0], [p.c]],
                     )
                 else:
                     p = oracles.Example3Params(
@@ -170,9 +162,7 @@ def test_criterion_04_closed_forms_match_transform():
                         b2=draw_complex(0.5, 1.5), c=draw_complex(0.5, 1.5),
                         kappa=kappa,
                     )
-                    triple = gbdt_core.complete_triple(
-                        sigma, [[p.a]], [[p.b1, p.b2]], [[p.c]]
-                    )
+                triple = gbdt_core.complete_triple(*p.datum())
             except (SpectralClash, DegenerateS):
                 continue
             deviation = _closed_form_deviation(

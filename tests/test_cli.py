@@ -112,11 +112,26 @@ def test_bad_tau_exits_3(tmp_path):
     assert report["error"]["type"] == "BadTau"
 
 
+def _error_report(out):
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["exit_code"] == 3
+    return report["error"]
+
+
 def test_unknown_kind_exits_3(tmp_path):
     scenario = write_scenario(tmp_path, small_example1(kind="example9"))
     out = tmp_path / "out"
     assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
-    assert not (out / "report.json").exists()
+    assert _error_report(out)["type"] == "SchemaError"
+
+
+def test_invalid_utf8_exits_3(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(b'{"kind": "\xff"}')
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
+    assert _error_report(out)["type"] == "SchemaError"
 
 
 def test_even_nx_exits_3(tmp_path):
@@ -155,10 +170,12 @@ def test_unsupported_check_exits_3(tmp_path):
 
 def test_negative_refine_exits_3(tmp_path):
     scenario = write_scenario(tmp_path, small_example1())
-    code = cli.main(
-        ["run", str(scenario), "--out", str(tmp_path), "--refine", "-1"]
-    )
+    out = tmp_path / "out"
+    code = cli.main(["run", str(scenario), "--out", str(out), "--refine", "-1"])
     assert code == 3
+    error = _error_report(out)
+    assert error["type"] == "SchemaError"
+    assert "--refine" in error["message"]
 
 
 # ------------------------------------------------------------ exit code 1

@@ -12,6 +12,7 @@ from nnls_gbdt.errors import (
     DegenerateS,
     DimensionMismatch,
     SingularPoint,
+    SpectralClash,
     SpectralPole,
     UnsupportedSeed,
 )
@@ -297,6 +298,65 @@ def test_wave_approaches_plain_phase(scalar_triple):
         phase = 1j * (z * x - 2.0 * z * z * t)
         bare = np.diag([cmath.exp(-phase), cmath.exp(phase)])
         assert np.linalg.norm(wave - bare) <= 5.0 / z
+
+
+# ------------------------------------------------------ one pointwise state
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda triple: gbdt_core.darboux_at(triple, 0.4, 0.1, 2.0 + 0.5j),
+        lambda triple: gbdt_core.u_tilde_at(triple, 0.4, 0.1),
+        lambda triple: gbdt_core.xi_tilde_at(triple, 0.4, 0.1),
+    ],
+    ids=["darboux_at", "u_tilde_at", "xi_tilde_at"],
+)
+def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, evaluate):
+    """Pi(x, t) and Pi(-x, t) once each: two exponentials apiece."""
+    calls = []
+    original = numkit.expm
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(numkit, "expm", counting)
+    evaluate(jordan_triple)
+    assert len(calls) == 4
+
+
+def _clash_triple():
+    """A = i, so A's spectrum meets -A*'s and no Sylvester route exists.
+
+    Both rates of S are constant here, which gives S(x, t) = 1 + 8t + 2ix.
+    """
+    return gbdt_core.GbdtTriple(
+        sigma=-1, A=[[1j]], S0=[[1.0]], theta1=[[1.0]], theta2=[[1.0]]
+    )
+
+
+def test_s_at_raises_on_spectral_clash():
+    with pytest.raises(SpectralClash):
+        gbdt_core.s_at(_clash_triple(), 0.3, 0.1)
+
+
+def test_u_tilde_falls_back_to_integration():
+    triple = _clash_triple()
+    x, t = 0.3, 0.1
+    s = gbdt_core.s_via_integration(triple, x, t)
+    assert s[0, 0] == pytest.approx(1.0 + 8.0 * t + 2j * x, abs=1e-12)
+    p = gbdt_core.pi_at(triple, x, t)
+    pm = gbdt_core.pi_at(triple, -x, t)
+    expected = -2j * _h(pm[:, :1]) @ np.linalg.inv(s) @ p[:, 1:]
+    got = gbdt_core.u_tilde_at(triple, x, t)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_darboux_at_passes_its_checks_on_spectral_clash():
+    triple = _clash_triple()
+    sample = gbdt_core.darboux_at(triple, 0.3, 0.1, 1.0 + 0.5j)
+    assert np.linalg.norm(sample.wa @ sample.wb - np.eye(2)) <= 1e-9
 
 
 # ------------------------------------------------------------------- grids

@@ -145,3 +145,18 @@ def test_params_coerce_to_complex():
     assert isinstance(p.a, complex) and isinstance(p.c, complex)
     out = oracles.ex2_u(p, 0.1, 0.0)
     assert np.isfinite(out.real) and np.isfinite(out.imag)
+
+
+def test_datum_is_plain_nested_lists():
+    cases = (
+        (oracles.Example1Params(a=1 + 0.5j, theta1=2.0, theta2=1.0, kappa=1), 1, 1, 1),
+        (oracles.Example2Params(a=1.0, b=2.0, c=0.3, kappa=0), 2, 1, 1),
+        (oracles.Example3Params(a=1.0, b1=2.0, b2=1.0, c=1.0, kappa=0), 1, 2, 1),
+    )
+    for p, n, m1, m2 in cases:
+        sigma, a, theta1, theta2 = p.datum()
+        assert sigma == 1 - 2 * p.kappa
+        for block, shape in ((a, (n, n)), (theta1, (n, m1)), (theta2, (n, m2))):
+            assert isinstance(block, list)
+            assert all(isinstance(row, list) for row in block)
+            assert np.shape(block) == shape

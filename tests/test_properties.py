@@ -1,0 +1,86 @@
+"""Invariants of the construction under changes of the datum, as properties.
+
+Examples are derandomized, so every run checks the same data.
+"""
+
+import cmath
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from nnls_gbdt import gbdt_core
+from nnls_gbdt.errors import DegenerateS, SingularPoint, SpectralClash
+from conftest import make_random_triple
+
+GRID = gbdt_core.Grid.build(1.0, 9, -0.2, 0.2, 5)
+POINTS = ((0.3, 0.1), (-0.7, -0.15))
+PROPERTY = settings(derandomize=True, database=None, max_examples=15, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+SIGMAS = st.sampled_from((1, -1))
+
+
+def _h(m):
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _close(got, expected, rtol=1e-8):
+    return np.linalg.norm(got - expected) <= rtol * max(1.0, np.linalg.norm(expected))
+
+
+def _completed(sigma, a, theta1, theta2):
+    try:
+        return gbdt_core.complete_triple(sigma, a, theta1, theta2)
+    except (SpectralClash, DegenerateS):
+        assume(False)
+
+
+def _assert_same_u(base, other):
+    """Same mask and u on GRID, same u at POINTS away from singular points."""
+    field0 = gbdt_core.solution_field(base, GRID)
+    field1 = gbdt_core.solution_field(other, GRID)
+    assert np.array_equal(field0.singular_mask, field1.singular_mask)
+    keep = ~field0.singular_mask
+    assert _close(field1.u[keep], field0.u[keep])
+    for x, t in POINTS:
+        try:
+            u0 = gbdt_core.u_tilde_at(base, x, t)
+        except SingularPoint:
+            continue
+        assert _close(gbdt_core.u_tilde_at(other, x, t), u0)
+    return field0, field1
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    sigma=SIGMAS,
+    modulus=st.floats(0.1, 10.0),
+    phase=st.floats(-math.pi, math.pi),
+)
+def test_common_theta_scaling_leaves_u_and_mask(seed, sigma, modulus, phase):
+    base = make_random_triple(np.random.default_rng(seed), sigma)
+    c = modulus * cmath.exp(1j * phase)
+    scaled = _completed(sigma, base.A, c * base.theta1, c * base.theta2)
+    _assert_same_u(base, scaled)
+
+
+@PROPERTY
+@given(seed=SEEDS, sigma=SIGMAS)
+def test_similarity_of_the_datum(seed, sigma):
+    """A -> P A P^-1, theta -> P theta: u is unchanged and S -> P S P*."""
+    rng = np.random.default_rng(seed)
+    base = make_random_triple(rng, sigma)
+    n = base.n
+    p = np.eye(n) + 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    assume(np.linalg.cond(p) < 1e2)
+    assume(np.linalg.norm(_h(p) @ p - np.eye(n)) > 0.1)
+    moved = _completed(
+        sigma, p @ base.A @ np.linalg.inv(p), p @ base.theta1, p @ base.theta2
+    )
+    field0, field1 = _assert_same_u(base, moved)
+    assert _close(field1.S, p @ field0.S @ _h(p))
+    for x, t in POINTS:
+        assert _close(
+            gbdt_core.s_at(moved, x, t), p @ gbdt_core.s_at(base, x, t) @ _h(p)
+        )

@@ -78,18 +78,6 @@ def test_identity_residual_detects_corruption(scalar_triple, scalar_field):
     assert not report.passed
 
 
-def test_identity_residual_rebuilds_projections(scalar_triple, scalar_field):
-    stripped = gbdt_core.SolutionField(
-        grid=scalar_field.grid,
-        u=scalar_field.u,
-        S=scalar_field.S,
-        detS=scalar_field.detS,
-        singular_mask=scalar_field.singular_mask,
-    )
-    report = verify.identity_residual(scalar_triple, stripped)
-    assert report.passed
-
-
 def test_mirror_residual(scalar_field):
     report = verify.hermitian_mirror_residual(scalar_field)
     assert report.passed and report.residual <= 1e-12
@@ -115,24 +103,6 @@ def test_reduction_residual_both_branches():
         report = verify.reduction_residual(field, sigma)
         assert report.passed
         assert report.residual <= 1e-10
-
-
-def test_reduction_residual_requires_projections_or_triple(
-    scalar_triple, scalar_field
-):
-    stripped = gbdt_core.SolutionField(
-        grid=scalar_field.grid,
-        u=scalar_field.u,
-        S=scalar_field.S,
-        detS=scalar_field.detS,
-        singular_mask=scalar_field.singular_mask,
-    )
-    with pytest.raises(ValueError):
-        verify.reduction_residual(stripped, scalar_triple.sigma)
-    report = verify.reduction_residual(
-        stripped, scalar_triple.sigma, triple=scalar_triple
-    )
-    assert report.passed
 
 
 def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
