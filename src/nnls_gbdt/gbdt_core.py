@@ -26,6 +26,7 @@ Darboux matrix, and the wave function, pointwise and on grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +73,10 @@ class GbdtTriple:
     sigma is -1 (focusing) or +1 (defocusing); kappa, the block sizes and j
     are derived. Construction checks shapes only; numerical admissibility is
     the job of validate_triple.
+
+    The Sylvester solver of A X + X A* = C and the eigenvalues of A are
+    computed on first use and cached on the instance, so A must not be
+    mutated in place after construction.
     """
 
     sigma: int
@@ -133,6 +138,20 @@ class GbdtTriple:
         """theta1 theta1* + (-1)^kappa theta2 theta2*."""
         return coupling_term(self.kappa, self.theta1, self.theta2, self.theta1, self.theta2)
 
+    @functools.cached_property
+    def sylvester(self):
+        """Solver of A X + X A* = C for stacks of C, factored once.
+
+        Raises SpectralClash when the spectra of A and -A* meet; the failure
+        is not cached, so every call raises again.
+        """
+        return numkit.sylvester_solver(self.A, _h(self.A))
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of A."""
+        return numkit.eigenvalues(self.A)
+
 
 @dataclass(frozen=True)
 class ValidationEntry:
@@ -164,10 +183,6 @@ class ValidationReport:
         integration fallback; consult the individual entries for that.
         """
         return all(e.passed for e in self.entries)
-
-    @property
-    def sylvester_route_available(self) -> bool:
-        return self.entry("sylvester_margin").passed
 
     def as_dict(self) -> dict:
         return {
@@ -268,7 +283,7 @@ def _solve_s(triple: GbdtTriple, p: np.ndarray, pm: np.ndarray) -> np.ndarray:
     """S from A S + S A* = p j^kappa pm*, with p = Pi(x, t), pm = Pi(-x, t)."""
     m1 = triple.m1
     rhs = coupling_term(triple.kappa, p[:, :m1], p[:, m1:], pm[:, :m1], pm[:, m1:])
-    return numkit.solve_sylvester(triple.A, _h(triple.A), rhs)
+    return triple.sylvester(rhs)
 
 
 def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -281,21 +296,35 @@ def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return _solve_s(triple, pi_at(triple, x, t), pi_at(triple, -x, t))
 
 
-def _mixed_exponentials(triple: GbdtTriple, x: float, t: float):
-    """e^{+-i(xA - 2tA^2)} and e^{+-i(xA* + 2t(A*)^2)} at one point."""
+def _mixed_exponentials(triple: GbdtTriple, x, t):
+    """e^{+-i(xA - 2tA^2)} and e^{+-i(xA* + 2t(A*)^2)} at each (x, t).
+
+    x and t are scalars or arrays that broadcast together; the results are
+    stacks with their broadcast shape in front. A and A^2 commute, so
+    e^{+-i(xA - 2tA^2)} = e^{+-ixA} e^{-+2itA^2}, and the A* factors are the
+    conjugate transposes of e^{-ixA} e^{-2itA^2} and e^{ixA} e^{2itA^2}.
+    """
     a = triple.A
     a2 = a @ a
-    ah = _h(a)
-    ah2 = ah @ ah
-    e_plus = numkit.expm(1j * (x * a - 2.0 * t * a2))
-    e_minus = numkit.expm(-1j * (x * a - 2.0 * t * a2))
-    m_plus = numkit.expm(1j * (x * ah + 2.0 * t * ah2))
-    m_minus = numkit.expm(-1j * (x * ah + 2.0 * t * ah2))
+    x = np.asarray(x, dtype=np.float64)[..., None, None]
+    t = np.asarray(t, dtype=np.float64)[..., None, None]
+    fx = numkit.expm(1j * x * a)
+    fxi = numkit.expm(-1j * x * a)
+    gt = numkit.expm(-2j * t * a2)
+    gti = numkit.expm(2j * t * a2)
+    e_plus = fx @ gt
+    e_minus = fxi @ gti
+    m_plus = _h(fxi @ gt)
+    m_minus = _h(fx @ gti)
     return e_plus, e_minus, m_plus, m_minus
 
 
-def s_x_rate(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
-    """x-derivative of S, i Pi(x,t) j^{kappa+1} Pi(-x,t)*."""
+def s_x_rate(triple: GbdtTriple, x, t) -> np.ndarray:
+    """x-derivative of S, i Pi(x,t) j^{kappa+1} Pi(-x,t)*, at each (x, t).
+
+    x and t broadcast as in _mixed_exponentials; the result is one n x n
+    matrix per point.
+    """
     e_plus, e_minus, m_plus, m_minus = _mixed_exponentials(triple, x, t)
     g1 = triple.theta1 @ _h(triple.theta1)
     g2 = triple.theta2 @ _h(triple.theta2)
@@ -303,8 +332,9 @@ def s_x_rate(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return 1j * (e_plus @ g1 @ m_plus + sgn * e_minus @ g2 @ m_minus)
 
 
-def s_t_rate(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
-    """t-derivative of S, the commutator form of the evolved coupling."""
+def s_t_rate(triple: GbdtTriple, x, t) -> np.ndarray:
+    """t-derivative of S, the commutator form of the evolved coupling, at
+    each (x, t); x and t broadcast as in _mixed_exponentials."""
     e_plus, e_minus, m_plus, m_minus = _mixed_exponentials(triple, x, t)
     a = triple.A
     ah = _h(a)
@@ -401,7 +431,7 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     """
     z = complex(z)
     a = triple.A
-    eigs = numkit.eigenvalues(a)
+    eigs = triple.eigenvalues
     scale = float(np.linalg.norm(a)) + abs(z) + 1.0
     if np.min(np.abs(eigs - z)) < 1e-9 * scale:
         raise SpectralPole(f"z = {z!r} is numerically an eigenvalue of A")
@@ -578,7 +608,7 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     n, m1, m2 = triple.n, triple.m1, triple.m2
     a = triple.A
     a2 = a @ a
-    solver = numkit.sylvester_solver(a, _h(a))
+    solver = triple.sylvester
 
     fx = np.empty((nx, n, n), dtype=np.complex128)
     for k in range(nx):

@@ -240,29 +240,27 @@ def reduction_residual(
 
 
 def _wave_x_residual(
-    triple: GbdtTriple, x: float, t: float, z: complex, h: float
+    triple: GbdtTriple, x: float, t: float, z: complex, h: float,
+    w0: np.ndarray, xi: np.ndarray,
 ) -> float:
     j = triple.j
-    w0 = gbdt_core.wave_at(triple, x, t, z)
     d_w = (
         gbdt_core.wave_at(triple, x + h, t, z)
         - gbdt_core.wave_at(triple, x - h, t, z)
     ) / (2.0 * h)
-    xi = gbdt_core.xi_tilde_at(triple, x, t)
     g = -1j * z * j - j @ xi
     return float(np.max(np.abs(d_w - g @ w0)))
 
 
 def _wave_t_residual(
-    triple: GbdtTriple, x: float, t: float, z: complex, h: float
+    triple: GbdtTriple, x: float, t: float, z: complex, h: float,
+    w0: np.ndarray, xi: np.ndarray,
 ) -> float:
     j = triple.j
-    w0 = gbdt_core.wave_at(triple, x, t, z)
     d_w = (
         gbdt_core.wave_at(triple, x, t + h, z)
         - gbdt_core.wave_at(triple, x, t - h, z)
     ) / (2.0 * h)
-    xi = gbdt_core.xi_tilde_at(triple, x, t)
     xi_x = (
         gbdt_core.xi_tilde_at(triple, x + h, t)
         - gbdt_core.xi_tilde_at(triple, x - h, t)
@@ -287,10 +285,13 @@ def wave_ode_residual(
     at steps h and h/2 so the pair of reports carries convergence orders.
     """
     z = complex(z)
-    rx_h = _wave_x_residual(triple, x, t, z, h)
-    rx_h2 = _wave_x_residual(triple, x, t, z, h / 2.0)
-    rt_h = _wave_t_residual(triple, x, t, z, h)
-    rt_h2 = _wave_t_residual(triple, x, t, z, h / 2.0)
+    # the wave function and the potential at (x, t) serve all four stencils
+    w0 = gbdt_core.wave_at(triple, x, t, z)
+    xi = gbdt_core.xi_tilde_at(triple, x, t)
+    rx_h = _wave_x_residual(triple, x, t, z, h, w0, xi)
+    rx_h2 = _wave_x_residual(triple, x, t, z, h / 2.0, w0, xi)
+    rt_h = _wave_t_residual(triple, x, t, z, h, w0, xi)
+    rt_h2 = _wave_t_residual(triple, x, t, z, h / 2.0, w0, xi)
     report_x = ResidualReport(
         name="wave_x",
         hx=h,

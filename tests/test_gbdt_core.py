@@ -69,7 +69,7 @@ def test_complete_triple_degenerate():
 def test_validate_triple_entries(scalar_triple):
     report = gbdt_core.validate_triple(scalar_triple)
     assert report.passed
-    assert report.sylvester_route_available
+    assert report.entry("sylvester_margin").passed
     names = {e.name for e in report.entries}
     assert names == {"hermiticity", "determinant", "identity", "sylvester_margin"}
     with pytest.raises(KeyError):
@@ -92,7 +92,6 @@ def test_validate_triple_flags_broken_data(scalar_triple):
     )
     clash_report = gbdt_core.validate_triple(clashing)
     assert not clash_report.entry("sylvester_margin").passed
-    assert not clash_report.sylvester_route_available
 
 
 # -------------------------------------------------------- generating matrix
@@ -326,6 +325,39 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
     assert len(calls) == 4
 
 
+def test_s_via_integration_takes_stacked_exponentials(jordan_triple, monkeypatch):
+    """Each leg: two stacked exponentials over its nodes, two single ones."""
+    calls = []
+    original = numkit.expm
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(numkit, "expm", counting)
+    gbdt_core.s_via_integration(jordan_triple, 0.7, 0.3, steps=400)
+    assert len(calls) <= 8
+
+
+def test_triple_factors_its_sylvester_map_once(monkeypatch):
+    triple = gbdt_core.complete_triple(
+        1, [[1.0, 1.0], [0.0, 1.0]], [[0.0], [2.0]], [[0.0], [0.3]]
+    )
+    calls = []
+    original = numkit.sylvester_solver
+
+    def counting(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(numkit, "sylvester_solver", counting)
+    for k in range(20):
+        gbdt_core.darboux_at(triple, 0.05 * k - 0.5, 0.1, 2.0 + 0.5j)
+    for k in range(5):
+        gbdt_core.s_at(triple, 0.1 * k, -0.1)
+    assert len(calls) == 1
+
+
 def _clash_triple():
     """A = i, so A's spectrum meets -A*'s and no Sylvester route exists.
 
@@ -337,8 +369,11 @@ def _clash_triple():
 
 
 def test_s_at_raises_on_spectral_clash():
-    with pytest.raises(SpectralClash):
-        gbdt_core.s_at(_clash_triple(), 0.3, 0.1)
+    triple = _clash_triple()
+    # the failed factorisation is not cached: the second call raises too
+    for _ in range(2):
+        with pytest.raises(SpectralClash):
+            gbdt_core.s_at(triple, 0.3, 0.1)
 
 
 def test_u_tilde_falls_back_to_integration():

@@ -49,8 +49,33 @@ def test_expm_similarity():
 def test_expm_rejects_nonsquare_and_overflow():
     with pytest.raises(NonSquare):
         numkit.expm(np.ones((2, 3)))
+    with pytest.raises(NonSquare):
+        numkit.expm(np.ones((3, 2, 3)))
     with pytest.raises(Overflow):
         numkit.expm(np.diag([800.0, 0.0]))
+    # one slice over the range fails the whole stack
+    stack = np.zeros((4, 2, 2), dtype=complex)
+    stack[2] = np.diag([800.0, 0.0])
+    with pytest.raises(Overflow):
+        numkit.expm(stack)
+
+
+def _expm_slices(n, rng):
+    diagonal = np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+    jordan = 0.7 * np.eye(n) + np.eye(n, k=1)
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return np.stack([diagonal, 3.0 * jordan, 1j * jordan, dense, 10.0 * dense])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_expm_stack_matches_per_matrix_loop(n):
+    stack = _expm_slices(n, np.random.default_rng(20 + n))
+    batched = numkit.expm(stack)
+    assert batched.shape == stack.shape
+    for k in range(stack.shape[0]):
+        assert np.array_equal(batched[k], numkit.expm(stack[k]))
+    nested = numkit.expm(stack.reshape(5, 1, n, n))
+    assert np.array_equal(nested.reshape(stack.shape), batched)
 
 
 def test_solve_sylvester_scalar_cases():
@@ -130,39 +155,47 @@ def test_eigenvalues_reflection_conjugation():
 
 def test_integrate_matrix_constant():
     c = np.array([[1.0 + 2j, 0.5], [0.0, -1j]])
-    out = numkit.integrate_matrix(lambda r: c, 0.0, 1.0, 10)
+    out = numkit.integrate_matrix(
+        lambda r: np.broadcast_to(c, r.shape + c.shape), 0.0, 1.0, 10
+    )
     assert np.allclose(out, c, atol=1e-14)
 
 
 def test_integrate_matrix_oscillatory():
     out = numkit.integrate_matrix(
-        lambda r: np.exp(1j * r) * np.eye(1), 0.0, math.pi, 200
+        lambda r: np.exp(1j * r)[:, None, None], 0.0, math.pi, 200
     )
     assert abs(out[0, 0] - 2j) <= 1e-8
 
 
 def test_integrate_matrix_orientation():
-    forward = numkit.integrate_matrix(lambda r: np.array([[r]]), 0.0, 1.0, 20)
-    backward = numkit.integrate_matrix(lambda r: np.array([[r]]), 1.0, 0.0, 20)
+    f = lambda r: r[:, None, None]
+    forward = numkit.integrate_matrix(f, 0.0, 1.0, 20)
+    backward = numkit.integrate_matrix(f, 1.0, 0.0, 20)
     assert np.allclose(forward, -backward, atol=1e-14)
 
 
 def test_integrate_matrix_rounds_odd_steps_up():
-    f = lambda r: np.array([[r * r]])
+    f = lambda r: (r * r)[:, None, None]
     odd = numkit.integrate_matrix(f, 0.0, 1.0, 3)
     even = numkit.integrate_matrix(f, 0.0, 1.0, 4)
     assert np.array_equal(odd, even)
 
 
 def test_integrate_matrix_rejects_bad_input():
-    f = lambda r: np.eye(1)
+    f = lambda r: np.ones((r.size, 1, 1))
     with pytest.raises(InvalidRange):
         numkit.integrate_matrix(f, 0.0, float("inf"), 10)
     with pytest.raises(InvalidRange):
         numkit.integrate_matrix(f, 0.0, 1.0, 0)
-    grow = lambda r: np.eye(1 if r < 0.5 else 2)
+    short = lambda r: np.ones((r.size - 1, 1, 1))
     with pytest.raises(InvalidRange):
-        numkit.integrate_matrix(grow, 0.0, 1.0, 10)
+        numkit.integrate_matrix(short, 0.0, 1.0, 10)
+    flat = lambda r: np.ones(r.size)
+    with pytest.raises(InvalidRange):
+        numkit.integrate_matrix(flat, 0.0, 1.0, 10)
+    with pytest.raises(ValueError):
+        numkit.integrate_matrix(lambda r: np.full((r.size, 1, 1), np.nan), 0.0, 1.0, 10)
 
 
 def test_spectral_margin_scalar():

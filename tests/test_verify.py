@@ -115,6 +115,22 @@ def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
         assert 1.7 <= report_t.order <= 2.3
 
 
+def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch):
+    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 Darboux and
+    1 + 2 * 2 potential evaluations over the two step sizes."""
+    counts = {"darboux_at": 0, "xi_tilde_at": 0}
+    for name in counts:
+        original = getattr(gbdt_core, name)
+
+        def counting(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(gbdt_core, name, counting)
+    verify.wave_ode_residual(jordan_triple, 0.4, 0.1, 0.5 - 0.3j)
+    assert counts == {"darboux_at": 9, "xi_tilde_at": 5}
+
+
 def test_residual_report_json_round_trip():
     report = verify.ResidualReport(
         name="demo", hx=0.1, ht=0.05, residual=float("inf"),
