@@ -17,6 +17,7 @@ four branch points are real.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -431,11 +432,21 @@ def check_nnls_constraints(p: ThetaParams) -> ValidationReport:
     return ValidationReport(entries=(entry_delta, entry_a, entry_ratio))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only because every
+    caller shares them; n only takes _gauss_adaptive's six orders."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_adaptive(f, lo: float, hi: float) -> float:
     """Gauss-Legendre quadrature doubled until two refinements agree."""
     previous = None
     for n in (32, 64, 128, 256, 512, 1024):
-        nodes, weights = np.polynomial.legendre.leggauss(n)
+        nodes, weights = _gauss_rule(n)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         value = float(half * np.sum(weights * f(mid + half * nodes)))

@@ -296,64 +296,62 @@ def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return _solve_s(triple, pi_at(triple, x, t), pi_at(triple, -x, t))
 
 
-def _mixed_exponentials(triple: GbdtTriple, x, t):
-    """e^{+-i(xA - 2tA^2)} and e^{+-i(xA* + 2t(A*)^2)} at each (x, t).
+def s_x_rate(triple: GbdtTriple, fx: np.ndarray, fxi: np.ndarray, t: float) -> np.ndarray:
+    """x-derivative of S, i Pi(x,t) j^{kappa+1} Pi(-x,t)*, at fixed t.
 
-    x and t are scalars or arrays that broadcast together; the results are
-    stacks with their broadcast shape in front. A and A^2 commute, so
-    e^{+-i(xA - 2tA^2)} = e^{+-ixA} e^{-+2itA^2}, and the A* factors are the
-    conjugate transposes of e^{-ixA} e^{-2itA^2} and e^{ixA} e^{2itA^2}.
+    fx and fxi are stacks of e^{ixA} and e^{-ixA} over the x values; the
+    result is one n x n matrix per slice. A and A^2 commute, so with
+    p1 = e^{-2itA^2} theta1 and p2 = e^{2itA^2} theta2 the rate is
+    i (fx p1 p1* fxi* + (-1)^{kappa+1} fxi p2 p2* fx*).
     """
-    a = triple.A
-    a2 = a @ a
-    x = np.asarray(x, dtype=np.float64)[..., None, None]
-    t = np.asarray(t, dtype=np.float64)[..., None, None]
-    fx = numkit.expm(1j * x * a)
-    fxi = numkit.expm(-1j * x * a)
-    gt = numkit.expm(-2j * t * a2)
-    gti = numkit.expm(2j * t * a2)
-    e_plus = fx @ gt
-    e_minus = fxi @ gti
-    m_plus = _h(fxi @ gt)
-    m_minus = _h(fx @ gti)
-    return e_plus, e_minus, m_plus, m_minus
-
-
-def s_x_rate(triple: GbdtTriple, x, t) -> np.ndarray:
-    """x-derivative of S, i Pi(x,t) j^{kappa+1} Pi(-x,t)*, at each (x, t).
-
-    x and t broadcast as in _mixed_exponentials; the result is one n x n
-    matrix per point.
-    """
-    e_plus, e_minus, m_plus, m_minus = _mixed_exponentials(triple, x, t)
-    g1 = triple.theta1 @ _h(triple.theta1)
-    g2 = triple.theta2 @ _h(triple.theta2)
+    a2 = triple.A @ triple.A
+    p1 = numkit.expm(-2j * t * a2) @ triple.theta1
+    p2 = numkit.expm(2j * t * a2) @ triple.theta2
     sgn = (-1.0) ** (triple.kappa + 1)
-    return 1j * (e_plus @ g1 @ m_plus + sgn * e_minus @ g2 @ m_minus)
+    return 1j * (fx @ (p1 @ _h(p1)) @ _h(fxi) + sgn * fxi @ (p2 @ _h(p2)) @ _h(fx))
 
 
-def s_t_rate(triple: GbdtTriple, x, t) -> np.ndarray:
-    """t-derivative of S, the commutator form of the evolved coupling, at
-    each (x, t); x and t broadcast as in _mixed_exponentials."""
-    e_plus, e_minus, m_plus, m_minus = _mixed_exponentials(triple, x, t)
+def s_t_rate(triple: GbdtTriple, gt: np.ndarray, gti: np.ndarray) -> np.ndarray:
+    """t-derivative of S along x = 0, the commutator form of the evolved
+    coupling.
+
+    gt and gti are stacks of e^{-2itA^2} and e^{2itA^2} over the t values;
+    with C_k = theta_k theta_k* A* - A theta_k theta_k* the rate is
+    2i (gt C1 gt* + (-1)^{kappa+1} gti C2 gti*).
+    """
     a = triple.A
     ah = _h(a)
     g1 = triple.theta1 @ _h(triple.theta1)
     g2 = triple.theta2 @ _h(triple.theta2)
     sgn = (-1.0) ** (triple.kappa + 1)
-    return 2j * (
-        e_plus @ (g1 @ ah - a @ g1) @ m_plus + sgn * e_minus @ (g2 @ ah - a @ g2) @ m_minus
-    )
+    return 2j * (gt @ (g1 @ ah - a @ g1) @ _h(gt) + sgn * gti @ (g2 @ ah - a @ g2) @ _h(gti))
 
 
 def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) -> np.ndarray:
     """S(x, t) by integrating its t-rate along x=0, then its x-rate at fixed t.
 
     Independent of the Sylvester solve; error decays like steps**-4. This is
-    the fallback route when A's spectrum is not disjoint from -A*'s.
+    the fallback route when A's spectrum is not disjoint from -A*'s. Both
+    legs start at 0, so their Simpson nodes are k h, and each leg's
+    exponentials come as numkit.expm_steps tables of the node spacing h.
     """
-    leg_t = numkit.integrate_matrix(lambda r: s_t_rate(triple, 0.0, r), 0.0, t, steps)
-    leg_x = numkit.integrate_matrix(lambda r: s_x_rate(triple, r, t), 0.0, x, steps)
+    a = triple.A
+    a2 = a @ a
+
+    def t_rate(r: np.ndarray) -> np.ndarray:
+        h = r[1] - r[0]
+        return s_t_rate(
+            triple, numkit.expm_steps(-2j * h * a2, r.size), numkit.expm_steps(2j * h * a2, r.size)
+        )
+
+    def x_rate(r: np.ndarray) -> np.ndarray:
+        h = r[1] - r[0]
+        return s_x_rate(
+            triple, numkit.expm_steps(1j * h * a, r.size), numkit.expm_steps(-1j * h * a, r.size), t
+        )
+
+    leg_t = numkit.integrate_matrix(t_rate, 0.0, t, steps)
+    leg_x = numkit.integrate_matrix(x_rate, 0.0, x, steps)
     return triple.S0 + leg_t + leg_x
 
 

@@ -9,10 +9,14 @@ for exactness of the residual contract over a Schur factorization.
 The exponential and the Sylvester solver work on whole stacks ``(..., n, n)``
 in one call, and the Simpson integrator hands its integrand every node at
 once, so callers that evaluate many points need no per-point Python loop.
+``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
+exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
+multiplied pairwise, so each entry is one product of two exponentials.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -91,11 +95,55 @@ def expm(m) -> np.ndarray:
         raise NonSquare(f"expm operand must be square, got shape {a.shape}")
     if a.size == 0:
         return a.copy()
-    # column-sum 1-norm of the worst matrix in the stack
+    _check_range(a, "m")
+    return scipy.linalg.expm(a)
+
+
+def _check_range(a: np.ndarray, name: str) -> None:
+    """Raise Overflow when the worst matrix of the stack ``a`` has a
+    column-sum 1-norm beyond the expm operating range."""
     norm1 = float(np.abs(a).sum(axis=-2).max())
     if norm1 > EXPM_NORM_LIMIT:
-        raise Overflow(f"||m||_1 = {norm1:.3e} exceeds expm operating range {EXPM_NORM_LIMIT:g}")
-    return scipy.linalg.expm(a)
+        raise Overflow(
+            f"||{name}||_1 = {norm1:.3e} exceeds expm operating range {EXPM_NORM_LIMIT:g}"
+        )
+
+
+def expm_steps(m, count: int) -> np.ndarray:
+    """The ``(count, n, n)`` table of ``e^{k m}`` for ``k = 0 .. count - 1``.
+
+    With stride ``b = isqrt(count - 1) + 1``, one ``expm`` call takes the
+    small steps ``e^{k m}`` (``k < b``) and the strides ``e^{j b m}``
+    (``j b <= count - 1``); entry ``j b + k`` is the product
+    ``e^{j b m} e^{k m}``. That is about ``2 sqrt(count)`` exponentials in
+    place of ``count``, and each entry carries the rounding of one product
+    of two exponentials, so the error does not grow with k.
+
+    Raises
+    ------
+    ValueError
+        If ``m`` is not 2-D or has non-finite entries.
+    NonSquare
+        If ``m`` is not square.
+    InvalidRange
+        If ``count < 1``.
+    Overflow
+        If ``||(count - 1) m||_1``, the largest exponent the table stands
+        for, exceeds the ``expm`` operating range (700); ``expm`` itself
+        only sees the smaller strides.
+    """
+    a = _square(m, "expm_steps operand")
+    if count < 1:
+        raise InvalidRange(f"count must be positive, got {count}")
+    last = count - 1
+    _check_range(last * a, "(count - 1) m")
+    b = math.isqrt(last) + 1
+    powers = np.concatenate([np.arange(b), b * np.arange(1, last // b + 1)])
+    table = expm(powers[:, None, None] * a)
+    steps = table[:b]
+    strides = np.concatenate([table[:1], table[b:]])
+    products = strides[:, None] @ steps[None, :]
+    return products.reshape(len(strides) * b, *a.shape)[:count]
 
 
 def spectral_margin(a, b) -> float:

@@ -441,6 +441,24 @@ def test_periods_affine_invariance():
     assert abs(delta0 - delta1) <= 1e-10
 
 
+def test_periods_reuse_their_gauss_legendre_rules(monkeypatch):
+    calls = []
+    original = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    ag_theta._gauss_rule.cache_clear()
+    for points in ([-2.0, -1.0, 1.0, 2.0], [-3.0, -0.5, 0.5, 4.0]):
+        ag_theta.periods_case_i(ag_theta.classify_branch_points(points))
+    assert calls and len(calls) == len(set(calls))
+    for n in set(calls):
+        nodes, weights = ag_theta._gauss_rule(n)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 def test_periods_input_validation():
     pair_case = ag_theta.classify_branch_points([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
     with pytest.raises(InvalidParams):

@@ -326,7 +326,8 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
 
 
 def test_s_via_integration_takes_stacked_exponentials(jordan_triple, monkeypatch):
-    """Each leg: two stacked exponentials over its nodes, two single ones."""
+    """Each leg: two exponential tables over its nodes, of 40 exponentials
+    each at 401 nodes, and the x-leg's two single ones."""
     calls = []
     original = numkit.expm
 
@@ -337,6 +338,51 @@ def test_s_via_integration_takes_stacked_exponentials(jordan_triple, monkeypatch
     monkeypatch.setattr(numkit, "expm", counting)
     gbdt_core.s_via_integration(jordan_triple, 0.7, 0.3, steps=400)
     assert len(calls) <= 8
+    assert sum(np.asarray(m)[..., 0, 0].size for m in calls) <= 162
+
+
+def _s_via_node_exponentials(triple, x, t, steps):
+    """S(x, t) from the same two Simpson legs, with every node's
+    exponentials e^{+-ixA}, e^{-+2itA^2} taken directly by numkit.expm."""
+    a = triple.A
+    a2 = a @ a
+    g1 = triple.theta1 @ _h(triple.theta1)
+    g2 = triple.theta2 @ _h(triple.theta2)
+    c1 = g1 @ _h(a) - a @ g1
+    c2 = g2 @ _h(a) - a @ g2
+    sgn = (-1.0) ** (triple.kappa + 1)
+
+    def stacked_h(m):
+        return np.swapaxes(m, -1, -2).conj()
+
+    def mixed(xs, ts):
+        xs = np.asarray(xs, dtype=float)[..., None, None]
+        ts = np.asarray(ts, dtype=float)[..., None, None]
+        fx, fxi = numkit.expm(1j * xs * a), numkit.expm(-1j * xs * a)
+        gt, gti = numkit.expm(-2j * ts * a2), numkit.expm(2j * ts * a2)
+        return fx @ gt, fxi @ gti, stacked_h(fxi @ gt), stacked_h(fx @ gti)
+
+    def t_rate(r):
+        e_plus, e_minus, m_plus, m_minus = mixed(0.0, r)
+        return 2j * (e_plus @ c1 @ m_plus + sgn * e_minus @ c2 @ m_minus)
+
+    def x_rate(r):
+        e_plus, e_minus, m_plus, m_minus = mixed(r, t)
+        return 1j * (e_plus @ g1 @ m_plus + sgn * e_minus @ g2 @ m_minus)
+
+    leg_t = numkit.integrate_matrix(t_rate, 0.0, t, steps)
+    leg_x = numkit.integrate_matrix(x_rate, 0.0, x, steps)
+    return triple.S0 + leg_t + leg_x
+
+
+def test_s_via_integration_matches_node_exponentials(jordan_triple):
+    """The exponential tables change the integrand only by rounding."""
+    random4 = make_random_triple(np.random.default_rng(31), -1, n=4, m1=2, m2=1)
+    for triple in (jordan_triple, random4):
+        for x, t in ((0.7, 0.3), (-0.5, -0.2), (1.1, 0.0)):
+            got = gbdt_core.s_via_integration(triple, x, t, steps=400)
+            expected = _s_via_node_exponentials(triple, x, t, steps=400)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_triple_factors_its_sylvester_map_once(monkeypatch):

@@ -58,6 +58,16 @@ def test_expm_rejects_nonsquare_and_overflow():
     stack[2] = np.diag([800.0, 0.0])
     with pytest.raises(Overflow):
         numkit.expm(stack)
+    # a table's range is that of its last entry, 419 m, although the largest
+    # exponential it takes is the stride 399 m, inside the range
+    with pytest.raises(Overflow):
+        numkit.expm_steps(np.diag([1.7, 0.0]), 420)
+    with pytest.raises(InvalidRange):
+        numkit.expm_steps(np.eye(2), 0)
+    with pytest.raises(NonSquare):
+        numkit.expm_steps(np.ones((2, 3)), 5)
+    with pytest.raises(ValueError):
+        numkit.expm_steps(np.diag([np.nan, 0.0]), 5)
 
 
 def _expm_slices(n, rng):
@@ -76,6 +86,20 @@ def test_expm_stack_matches_per_matrix_loop(n):
         assert np.array_equal(batched[k], numkit.expm(stack[k]))
     nested = numkit.expm(stack.reshape(5, 1, n, n))
     assert np.array_equal(nested.reshape(stack.shape), batched)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 17, 401])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_expm_steps_matches_per_step_exponentials(n, count):
+    """Each table entry e^{km} against expm(k m), with (count - 1) m of
+    1-norm 5, about the size of one Simpson leg's last exponent."""
+    for slice_ in _expm_slices(n, np.random.default_rng(30 + n)):
+        m = 5.0 * slice_ / (max(count - 1, 1) * np.linalg.norm(slice_, 1))
+        table = numkit.expm_steps(m, count)
+        assert table.shape == (count, n, n)
+        for k in range(count):
+            expected = numkit.expm(k * m)
+            assert np.linalg.norm(table[k] - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 def test_solve_sylvester_scalar_cases():
