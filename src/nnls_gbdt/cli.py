@@ -28,7 +28,7 @@ import jsonschema
 import numpy as np
 
 from . import ag_theta, gbdt_core, oracles, verify
-from .errors import DegenerateS, NnlsGbdtError, SchemaError
+from .errors import DegenerateS, NnlsGbdtError, RangeExceeded, SchemaError
 from .gbdt_core import GbdtTriple, Grid, SolutionField
 
 #: Checks each scenario kind supports, in their default running order.
@@ -50,6 +50,12 @@ ORDER_HIGH = 2.3
 
 #: Residual size under which the pde check passes without an order estimate.
 EXACT_FLOOR = 1e-9
+
+#: Largest grid work of one run: grid nodes summed over every level it
+#: builds, times n^2 for the n x n matrices each node carries. A run's peak
+#: memory grows by about 90 bytes per unit at n >= 4 and 160 at n = 1, so
+#: the budget holds a run below about 1.4 GB.
+NODE_BUDGET = 2**23
 
 
 def _load_schema() -> dict:
@@ -168,47 +174,47 @@ def _build_construction(
     return gbdt_core.complete_triple(*p.datum()), closed_form_oracle(p)
 
 
-def _write_csv(path: Path, header: List[str], columns: List[np.ndarray]) -> None:
-    """One row per entry of the equal-length columns, below ``header``.
+def _write_csv(
+    path: Path, header: List[str], grid: Grid, values: np.ndarray
+) -> None:
+    """``header``, then one row per grid node in x-major order: x, t and the
+    node's entries ``values[i, l]`` of the ``(nx, nt, k)`` array.
 
-    Integer columns are written with %d, all others with %.17g so floats
-    round-trip exactly.
+    Every number is written with %.17g so floats round-trip exactly. Each
+    x and each t is formatted once per axis, and the rows are streamed to
+    the file one x block of nt rows at a time, each block by a single %.
     """
-    fmt = ",".join(
-        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
-    )
-    rows = zip(*(c.tolist() for c in columns))
-    lines = [",".join(header)] + [fmt % row for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _node_columns(grid: Grid) -> List[np.ndarray]:
-    """x and t of every grid node, in x-major order."""
-    return [np.repeat(grid.x_values, grid.nt), np.tile(grid.t_values, grid.nx)]
+    nt, k = values.shape[1:]
+    row = ",%s," + ",".join(["%.17g"] * k) + "\n"
+    cells = np.empty((nt, k + 1), dtype=object)
+    cells[:, 0] = ["%.17g" % t for t in grid.t_values.tolist()]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for x, block in zip(grid.x_values.tolist(), values):
+            cells[:, 1:] = block
+            block_format = ("%.17g" % x + row) * nt
+            handle.write(block_format % tuple(cells.ravel().tolist()))
 
 
 def write_u_csv(path: Path, field: SolutionField) -> None:
     """Field entries in x-major order, one row per grid point."""
+    nx, nt, m1, m2 = field.u.shape
     header = ["x", "t"]
-    columns = _node_columns(field.grid)
-    _, _, m1, m2 = field.u.shape
     for i in range(m1):
         for k in range(m2):
-            entry = field.u[:, :, i, k].ravel()
             header += [f"re_{i + 1}_{k + 1}", f"im_{i + 1}_{k + 1}"]
-            columns += [entry.real, entry.imag]
-    _write_csv(path, header, columns)
+    # complex entries read as float pairs give re, im in header order
+    entries = np.ascontiguousarray(field.u).reshape(nx, nt, m1 * m2)
+    _write_csv(path, header, field.grid, entries.view(np.float64))
 
 
 def write_dets_csv(path: Path, field: SolutionField) -> None:
     """Determinant of S with the singular flag, in x-major order."""
-    det = field.detS.ravel()
-    flag = field.singular_mask.ravel().astype(np.int64)
-    _write_csv(
-        path,
-        ["x", "t", "re", "im", "singular"],
-        _node_columns(field.grid) + [det.real, det.imag, flag],
+    det = field.detS
+    values = np.stack(
+        [det.real, det.imag, field.singular_mask.astype(np.float64)], axis=-1
     )
+    _write_csv(path, ["x", "t", "re", "im", "singular"], field.grid, values)
 
 
 def _oracle_report(
@@ -284,6 +290,24 @@ def _plain_record(name: str, reports: List[verify.ResidualReport]) -> dict:
     }
 
 
+def _check_node_budget(nx: int, nt: int, levels: int, n: int) -> None:
+    """Raise RangeExceeded when the grid levels of a run exceed NODE_BUDGET.
+
+    Level 0 is the nx x nt grid, each further level its halving. Nothing
+    is allocated here, so an oversized scenario fails before any stack is.
+    """
+    work = 0
+    level_nx, level_nt = nx, nt
+    for _ in range(levels):
+        work += level_nx * level_nt * n * n
+        if work > NODE_BUDGET:
+            raise RangeExceeded(
+                f"{levels} grid level(s) from {nx} x {nt} nodes at n = {n} "
+                f"exceed the node budget of {NODE_BUDGET} nodes x n^2"
+            )
+        level_nx, level_nt = 2 * level_nx - 1, 2 * level_nt - 1
+
+
 def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]:
     """Execute one validated scenario and return (exit code, report)."""
     kind = scenario["kind"]
@@ -295,13 +319,14 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     triple, oracle = _build_construction(kind, scenario["parameters"])
     sigma = triple.sigma
     g = scenario["grid"]
+    deepest = max(refine, 1 if "pde" in requested else 0)
+    _check_node_budget(int(g["nx"]), int(g["nt"]), deepest + 1, triple.n)
     base = Grid.build(
         x_max=float(g["x_max"]), nx=int(g["nx"]),
         t_min=float(g["t_min"]), t_max=float(g["t_max"]), nt=int(g["nt"]),
     )
 
     grids = [base]
-    deepest = max(refine, 1 if "pde" in requested else 0)
     for _ in range(deepest):
         grids.append(grids[-1].halved())
     fields = [gbdt_core.solution_field(triple, grid) for grid in grids]

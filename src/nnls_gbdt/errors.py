@@ -106,7 +106,9 @@ class BadTau(NnlsGbdtError):
 
 
 class RangeExceeded(NnlsGbdtError):
-    """Theta argument outside the range where double precision can represent the sum."""
+    """A size or argument outside the operating range: a theta argument where
+    double precision cannot represent the sum, or a scenario whose grid
+    levels exceed the runner's node budget."""
 
     exit_code = BAD_SCENARIO
 

@@ -589,6 +589,10 @@ class SolutionField:
 def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     """Assemble u, S and det S on the whole grid.
 
+    The exponential tables e^{ixA} over the x nodes and e^{-+2itA^2} over
+    the t nodes are one stacked numkit.expm call of nx + 2 nt matrices,
+    bit for bit the per-node exponentials.
+
     Only the trivial (zero) seed is supported; pass nothing. Mirror samples
     at -x reuse the matrices computed at the mirrored node, never a second
     exponential, so the mirror symmetry S(-x,t) = S(x,t)* holds to rounding
@@ -603,19 +607,21 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     xs = grid.x_values
     ts = grid.t_values
     nx, nt = xs.size, ts.size
-    n, m1, m2 = triple.n, triple.m1, triple.m2
+    m1, m2 = triple.m1, triple.m2
     a = triple.A
     a2 = a @ a
     solver = triple.sylvester
 
-    fx = np.empty((nx, n, n), dtype=np.complex128)
-    for k in range(nx):
-        fx[k] = numkit.expm(1j * xs[k] * a)
-    gt = np.empty((nt, n, n), dtype=np.complex128)
-    gti = np.empty((nt, n, n), dtype=np.complex128)
-    for l in range(nt):
-        gt[l] = numkit.expm(-2j * ts[l] * a2)
-        gti[l] = numkit.expm(2j * ts[l] * a2)
+    tables = numkit.expm(
+        np.concatenate(
+            [
+                1j * xs[:, None, None] * a,
+                -2j * ts[:, None, None] * a2,
+                2j * ts[:, None, None] * a2,
+            ]
+        )
+    )
+    fx, gt, gti = np.split(tables, [nx, nx + nt])
 
     mirror = np.arange(nx)[::-1]
     # Pi blocks: pi1[k,l] = e^{i(x A - 2 t A^2)} theta1, pi2 the reflected factor

@@ -1,14 +1,18 @@
 """End-to-end tests of the scenario runner and its file outputs."""
 
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nnls_gbdt import cli, errors, gbdt_core, oracles
+from conftest import make_random_triple
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -287,6 +291,59 @@ def test_dets_csv_marks_singular_nodes(tmp_path):
     assert nan_keys == singular_keys
 
 
+def _rowwise_csv(path, header, columns):
+    """Reference writer: x-major node columns, one %-format per row."""
+    fmt = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.17g" for c in columns
+    )
+    rows = zip(*(c.tolist() for c in columns))
+    lines = [",".join(header)] + [fmt % row for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_csv_writers_match_rowwise_bytes(tmp_path):
+    """m1 = m2 = 2, masked nan nodes, -0.0 and magnitudes near 1e-300 and
+    1e300: the streamed writers give the row-wise writer's bytes."""
+    triple = make_random_triple(np.random.default_rng(90), -1, n=4, m1=2, m2=2)
+    # x and t nodes that need all 17 digits
+    grid = gbdt_core.Grid.build(0.7, 9, -0.2, 0.3, 6)
+    field = gbdt_core.solution_field(triple, grid)
+    mask = field.singular_mask.copy()
+    mask[4, 2] = mask[0, 5] = True
+    u = field.u.copy()
+    u[mask] = complex(math.nan, math.nan)
+    u[1, 1, 0, 0] = complex(-0.0, 1e-300)
+    u[2, 3, 1, 1] = complex(1e300, -0.0)
+    u[3, 0, 0, 1] = complex(-1e-300, -1.7976931348623157e308)
+    det = field.detS.copy()
+    det[1, 1] = complex(-0.0, 1e300)
+    det[2, 2] = complex(5e-324, -0.0)
+    edited = dataclasses.replace(field, u=u, detS=det, singular_mask=mask)
+    cli.write_u_csv(tmp_path / "u.csv", edited)
+    cli.write_dets_csv(tmp_path / "detS.csv", edited)
+
+    nodes = [np.repeat(grid.x_values, grid.nt), np.tile(grid.t_values, grid.nx)]
+    header, columns = ["x", "t"], list(nodes)
+    for i in range(2):
+        for k in range(2):
+            entry = u[:, :, i, k].ravel()
+            header += [f"re_{i + 1}_{k + 1}", f"im_{i + 1}_{k + 1}"]
+            columns += [entry.real, entry.imag]
+    _rowwise_csv(tmp_path / "u_ref.csv", header, columns)
+    _rowwise_csv(
+        tmp_path / "detS_ref.csv",
+        ["x", "t", "re", "im", "singular"],
+        nodes + [det.ravel().real, det.ravel().imag, mask.ravel().astype(np.int64)],
+    )
+    written = {}
+    for name in ("u", "detS"):
+        written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert written[name] == (tmp_path / f"{name}_ref.csv").read_bytes()
+    assert b",nan," in written["u"] and b"e-300," in written["u"]
+    for text in (b",-0,", b"e+300,", b"e-324,", b",1\n"):
+        assert text in written["detS"]
+
+
 def test_outputs_are_deterministic(tmp_path):
     scenario = write_scenario(tmp_path, small_example1())
     outputs = []
@@ -324,6 +381,50 @@ def test_overflow_exits_3_with_error_report(tmp_path):
     assert report["exit_code"] == 3
     assert report["passed"] is False
     assert report["error"]["type"] == "Overflow"
+
+
+def test_node_budget_exits_3_before_allocating(tmp_path, monkeypatch):
+    """A 1e9 x 11 grid is refused from its sizes alone: no grid is built,
+    no field assembled, and the error report names RangeExceeded."""
+    document = small_example1()
+    document["grid"]["nx"] = 1000000001
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocation past the node budget")
+
+    monkeypatch.setattr(gbdt_core.Grid, "build", staticmethod(refuse))
+    monkeypatch.setattr(gbdt_core, "solution_field", refuse)
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(scenario), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 16 * 2**20
+    error = _error_report(out)
+    assert error["type"] == "RangeExceeded"
+    assert "node budget" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "nx, nt, levels, n",
+    [(101, 101, 2, 8), (201, 101, 2, 2), (401, 201, 2, 2)],
+    ids=["matrix-grid", "closed-form-grid", "example2-401"],
+)
+def test_node_budget_admits_benchmark_sizes(nx, nt, levels, n):
+    cli._check_node_budget(nx, nt, levels, n)
+
+
+def test_node_budget_counts_every_level():
+    """201 x 201 at n = 8 fits on its own but not with its halving."""
+    cli._check_node_budget(201, 201, 1, 8)
+    with pytest.raises(errors.RangeExceeded, match="from 201 x 201 nodes"):
+        cli._check_node_budget(201, 201, 2, 8)
+    with pytest.raises(errors.RangeExceeded):
+        cli._check_node_budget(3, 3, 40, 1)
 
 
 def test_every_error_class_names_its_exit_code():

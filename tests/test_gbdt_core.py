@@ -519,3 +519,62 @@ def test_solution_field_deterministic(wide_triple, small_grid):
 def test_solution_field_rejects_seed(scalar_triple, small_grid):
     with pytest.raises(UnsupportedSeed):
         gbdt_core.solution_field(scalar_triple, small_grid, seed="plane wave")
+
+
+def test_solution_field_takes_one_stacked_exponential(monkeypatch):
+    """The x table and both t tables come from a single numkit.expm call on
+    nx + 2 nt matrices, not one call per node."""
+    triple = make_random_triple(np.random.default_rng(70), 1, n=3)
+    grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
+    calls = []
+    original = numkit.expm
+
+    def counting(m):
+        calls.append(np.asarray(m).shape)
+        return original(m)
+
+    monkeypatch.setattr(numkit, "expm", counting)
+    gbdt_core.solution_field(triple, grid)
+    assert calls == [(grid.nx + 2 * grid.nt, 3, 3)]
+
+
+def _field_from_node_tables(triple, grid):
+    """(u, S, det S) by solution_field's steps, with every exponential of
+    the x and t tables taken on its own."""
+    xs, ts = grid.x_values, grid.t_values
+    a = triple.A
+    a2 = a @ a
+    fx = np.array([numkit.expm(1j * x * a) for x in xs])
+    gt = np.array([numkit.expm(-2j * t * a2) for t in ts])
+    gti = np.array([numkit.expm(2j * t * a2) for t in ts])
+    mirror = np.arange(xs.size)[::-1]
+    pi1 = np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, optimize=True)
+    pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti @ triple.theta2, optimize=True)
+    rhs = gbdt_core.coupling_term(triple.kappa, pi1, pi2, pi1[mirror], pi2[mirror])
+    s = triple.sylvester(rhs)
+    det = np.linalg.det(s)
+    keep = np.abs(det) >= gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
+    u = np.full(det.shape + (triple.m1, triple.m2), np.nan + 1j * np.nan)
+    sol = np.linalg.solve(s[keep], pi2[keep])
+    u[keep] = -2j * (np.conj(np.swapaxes(pi1[mirror][keep], -1, -2)) @ sol)
+    return u, s, det
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        make_random_triple(np.random.default_rng(71), 1, n=2, m1=1, m2=1),
+        make_random_triple(np.random.default_rng(72), -1, n=4, m1=2, m2=2),
+        gbdt_core.GbdtTriple(
+            sigma=-1, A=[[1.0]], S0=[[0.0]], theta1=[[1.0]], theta2=[[1.0]]
+        ),
+    ],
+    ids=["n2", "n4", "masked-column"],
+)
+def test_solution_field_matches_node_by_node_tables(triple):
+    grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
+    field = gbdt_core.solution_field(triple, grid)
+    u, s, det = _field_from_node_tables(triple, grid)
+    assert field.u.tobytes() == u.tobytes()
+    assert field.S.tobytes() == s.tobytes()
+    assert field.detS.tobytes() == det.tobytes()

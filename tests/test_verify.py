@@ -94,6 +94,71 @@ def test_mirror_residual(scalar_field):
     assert not verify.hermitian_mirror_residual(swapped).passed
 
 
+def test_mirror_residual_is_relative_to_s():
+    """A benign datum whose S reaches ~1e5: its absolute mirror deviation
+    (7.4e-10) is rounding, about 2e-15 of |S| node by node."""
+    triple = make_random_triple(np.random.default_rng(8), -1, n=4)
+    field = gbdt_core.solution_field(
+        triple, gbdt_core.Grid.build(4.0, 41, -1.0, 1.0, 21)
+    )
+    s = field.S
+    absolute = np.linalg.norm(s[::-1] - np.conj(np.swapaxes(s, -1, -2)), axis=(-2, -1))
+    assert np.max(np.abs(s)) > 1e5 and np.max(absolute) > verify.DEFAULT_IDENTITY_TOL
+    report = verify.hermitian_mirror_residual(field)
+    assert report.passed
+    assert report.residual <= 1e-13
+    assert report.points_used == field.grid.nx * field.grid.nt
+
+
+def _identity_reference(triple, field):
+    """Largest per-node relative residual, one small matmul per node."""
+    a = triple.A
+    worst = 0.0
+    for k in range(field.grid.nx):
+        for l in range(field.grid.nt):
+            s = field.S[k, l]
+            rhs = gbdt_core.coupling_term(
+                triple.kappa, field.pi1[k, l], field.pi2[k, l],
+                field.pi1[-1 - k, l], field.pi2[-1 - k, l],
+            )
+            lhs = a @ s + s @ a.conj().T
+            scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(s) + np.linalg.norm(rhs)
+            worst = max(worst, np.linalg.norm(lhs - rhs) / max(scale, 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_identity_residual_matches_per_node_products(n):
+    """The whole-stack products against per-node A S + S A*, on random S so
+    the residual is O(1) and not rounding noise."""
+    rng = np.random.default_rng(40 + n)
+    m1 = max(1, n // 2)
+    m2 = max(1, n - m1)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.2, 5)
+    nodes = (grid.nx, grid.nt)
+    triple = gbdt_core.GbdtTriple(
+        sigma=-1, A=cnormal(n, n), S0=cnormal(n, n),
+        theta1=cnormal(n, m1), theta2=cnormal(n, m2),
+    )
+    field = gbdt_core.SolutionField(
+        grid=grid,
+        u=cnormal(*nodes, m1, m2),
+        S=cnormal(*nodes, n, n),
+        detS=cnormal(*nodes),
+        singular_mask=np.zeros(nodes, dtype=bool),
+        pi1=cnormal(*nodes, n, m1),
+        pi2=cnormal(*nodes, n, m2),
+    )
+    expected = _identity_reference(triple, field)
+    report = verify.identity_residual(triple, field)
+    assert expected > 1e-3
+    assert abs(report.residual - expected) <= 1e-14 * expected
+
+
 def test_reduction_residual_both_branches():
     rng = np.random.default_rng(61)
     grid = gbdt_core.Grid.build(1.2, 17, -0.25, 0.25, 9)
