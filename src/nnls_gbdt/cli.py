@@ -51,10 +51,11 @@ ORDER_HIGH = 2.3
 #: Residual size under which the pde check passes without an order estimate.
 EXACT_FLOOR = 1e-9
 
-#: Largest grid work of one run: grid nodes summed over every level it
-#: builds, times n^2 for the n x n matrices each node carries. A run's peak
-#: memory grows by about 90 bytes per unit at n >= 4 and 160 at n = 1, so
-#: the budget holds a run below about 1.4 GB.
+#: Largest work of one run: the n^4 entries of the Kronecker factor of the
+#: Sylvester map, plus grid nodes summed over every level the run builds,
+#: times n^2 for the n x n matrices each node carries. A run's peak memory
+#: grows by about 90 bytes per unit at n >= 4 and 160 at n = 1, so the
+#: budget holds a run below about 1.4 GB.
 NODE_BUDGET = 2**23
 
 
@@ -139,29 +140,22 @@ def closed_form_oracle(p: ClosedFormParams) -> OracleFn:
     return lambda x, t: oracles.ex3_u(p, x, t)
 
 
-def _build_construction(
+def _parse_construction(
     kind: str, params: dict
-) -> Tuple[GbdtTriple, Optional[OracleFn]]:
-    """Triple plus matching closed-form evaluator for non-theta kinds."""
+) -> Tuple[tuple, Optional[np.ndarray], Optional[OracleFn]]:
+    """Datum (sigma, A, theta1, theta2), supplied S0 or None, and matching
+    closed-form evaluator for non-theta kinds.
+
+    Only parses: nothing is solved or factored, so the size of A can be
+    checked against the node budget first.
+    """
     if kind == "gbdt":
-        sigma = int(params["sigma"])
-        a = _cmatrix(params["A"])
-        theta1 = _cmatrix(params["theta1"])
-        theta2 = _cmatrix(params["theta2"])
-        if "S0" in params:
-            triple = GbdtTriple(
-                sigma=sigma, A=a, S0=_cmatrix(params["S0"]),
-                theta1=theta1, theta2=theta2,
-            )
-            report = gbdt_core.validate_triple(triple)
-            if not report.passed:
-                failed = [e.name for e in report.entries if not e.passed]
-                raise DegenerateS(
-                    f"supplied triple failed validation: {', '.join(failed)}"
-                )
-        else:
-            triple = gbdt_core.complete_triple(sigma, a, theta1, theta2)
-        return triple, None
+        datum = (
+            int(params["sigma"]), _cmatrix(params["A"]),
+            _cmatrix(params["theta1"]), _cmatrix(params["theta2"]),
+        )
+        s0 = _cmatrix(params["S0"]) if "S0" in params else None
+        return datum, s0, None
 
     family = CLOSED_FORMS.get(kind)
     if family is None:
@@ -171,7 +165,20 @@ def _build_construction(
         for f in dataclasses.fields(family)
     }
     p = family(**values)
-    return gbdt_core.complete_triple(*p.datum()), closed_form_oracle(p)
+    return p.datum(), None, closed_form_oracle(p)
+
+
+def _build_triple(datum: tuple, s0: Optional[np.ndarray]) -> GbdtTriple:
+    """Complete the datum, or validate it with the supplied S0."""
+    if s0 is None:
+        return gbdt_core.complete_triple(*datum)
+    sigma, a, theta1, theta2 = datum
+    triple = GbdtTriple(sigma=sigma, A=a, S0=s0, theta1=theta1, theta2=theta2)
+    report = gbdt_core.validate_triple(triple)
+    if not report.passed:
+        failed = [e.name for e in report.entries if not e.passed]
+        raise DegenerateS(f"supplied triple failed validation: {', '.join(failed)}")
+    return triple
 
 
 def _write_csv(
@@ -291,19 +298,21 @@ def _plain_record(name: str, reports: List[verify.ResidualReport]) -> dict:
 
 
 def _check_node_budget(nx: int, nt: int, levels: int, n: int) -> None:
-    """Raise RangeExceeded when the grid levels of a run exceed NODE_BUDGET.
+    """Raise RangeExceeded when a run's work exceeds NODE_BUDGET.
 
-    Level 0 is the nx x nt grid, each further level its halving. Nothing
-    is allocated here, so an oversized scenario fails before any stack is.
+    The work is the n^4 entries of the Kronecker factor of the Sylvester
+    map, plus the nodes of every grid level times n^2. Level 0 is the
+    nx x nt grid, each further level its halving. Nothing is allocated
+    here, so an oversized scenario fails before any factor or stack is.
     """
-    work = 0
+    work = n**4
     level_nx, level_nt = nx, nt
     for _ in range(levels):
         work += level_nx * level_nt * n * n
         if work > NODE_BUDGET:
             raise RangeExceeded(
                 f"{levels} grid level(s) from {nx} x {nt} nodes at n = {n} "
-                f"exceed the node budget of {NODE_BUDGET} nodes x n^2"
+                f"exceed the node budget of {NODE_BUDGET} (n^4 + nodes x n^2)"
             )
         level_nx, level_nt = 2 * level_nx - 1, 2 * level_nt - 1
 
@@ -316,11 +325,12 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     if kind == "theta":
         return _run_theta(scenario, out_dir, requested)
 
-    triple, oracle = _build_construction(kind, scenario["parameters"])
-    sigma = triple.sigma
+    datum, s0, oracle = _parse_construction(kind, scenario["parameters"])
     g = scenario["grid"]
     deepest = max(refine, 1 if "pde" in requested else 0)
-    _check_node_budget(int(g["nx"]), int(g["nt"]), deepest + 1, triple.n)
+    _check_node_budget(int(g["nx"]), int(g["nt"]), deepest + 1, len(datum[1]))
+    triple = _build_triple(datum, s0)
+    sigma = triple.sigma
     base = Grid.build(
         x_max=float(g["x_max"]), nx=int(g["nx"]),
         t_min=float(g["t_min"]), t_max=float(g["t_max"]), nt=int(g["nt"]),

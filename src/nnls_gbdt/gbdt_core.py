@@ -11,10 +11,16 @@ from a triple {A, S(0,0), (theta1, theta2)} subject to the coupling identity
 
 with kappa = (1 - sigma) / 2. Propagating the generating matrix
 
-    Pi(x, t) = [e^{i(xA - 2tA^2)} theta1,  e^{-i(xA - 2tA^2)} theta2]
+    Pi(x, t) = [E(x, t) theta1,  E(-x, -t) theta2],  E(x, t) = e^{i(xA - 2tA^2)},
 
-and solving A S(x, t) + S(x, t) A* = Pi(x, t) j^kappa Pi(-x, t)* pointwise
-yields
+defines S(x, t) by A S(x, t) + S(x, t) A* = Pi(x, t) j^kappa Pi(-x, t)*.
+Every factor of Pi is a function of A and commutes with it, so with
+L(X) = A X + X A* and Sigma_k = L^{-1}(theta_k theta_k*), solved once per
+triple,
+
+    S(x, t) = E(x, t) Sigma1 E(-x, t)* + (-1)^kappa E(-x, -t) Sigma2 E(x, -t)*,
+
+and no Sylvester solve is needed at any point (x, t). That yields
 
     u(x, t) = -2i theta1* e^{i(xA* + 2t(A*)^2)} S(x, t)^{-1}
               e^{-i(xA - 2tA^2)} theta2,
@@ -60,10 +66,15 @@ def coupling_term(kappa: int, p1, p2, q1, q2) -> np.ndarray:
     With p = Pi(x, t) and q = Pi(-x, t) split into their m1 and m2 column
     blocks this is Pi(x, t) j^kappa Pi(-x, t)*, the right side of the
     coupling identity; with p = q = (theta1, theta2) it is its value at the
-    origin.
+    origin. The second product is added into the first in place, so a
+    stack costs two products' memory.
     """
-    sgn = -1.0 if kappa == 1 else 1.0
-    return p1 @ _h(q1) + sgn * (p2 @ _h(q2))
+    out = p1 @ _h(q1)
+    if kappa == 1:
+        out -= p2 @ _h(q2)
+    else:
+        out += p2 @ _h(q2)
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,9 +85,10 @@ class GbdtTriple:
     are derived. Construction checks shapes only; numerical admissibility is
     the job of validate_triple.
 
-    The Sylvester solver of A X + X A* = C and the eigenvalues of A are
-    computed on first use and cached on the instance, so A must not be
-    mutated in place after construction.
+    The Sylvester solver of A X + X A* = C, the eigenvalues of A and the
+    origin parts of S are computed on first use and cached on the instance,
+    so A and the theta blocks must not be mutated in place after
+    construction.
     """
 
     sigma: int
@@ -146,6 +158,22 @@ class GbdtTriple:
         is not cached, so every call raises again.
         """
         return numkit.sylvester_solver(self.A, _h(self.A))
+
+    @functools.cached_property
+    def origin_parts(self) -> np.ndarray:
+        """Read-only (2, n, n) stack of Sigma1 and Sigma2, the Hermitian
+        solutions of A Sigma_k + Sigma_k A* = theta_k theta_k*.
+
+        Both come from one call of the cached solver and are symmetrized
+        against rounding, as S0 is in complete_triple. S(x, t) is propagated
+        from them. Raises SpectralClash like sylvester, and is then not
+        cached either.
+        """
+        gram = np.stack([self.theta1 @ _h(self.theta1), self.theta2 @ _h(self.theta2)])
+        parts = self.sylvester(gram)
+        parts = 0.5 * (parts + _h(parts))
+        parts.flags.writeable = False
+        return parts
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -251,13 +279,24 @@ def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     return triple
 
 
+def _exponentials(triple: GbdtTriple, xs, t: float) -> np.ndarray:
+    """E(x, t) and its inverse E(-x, -t) for each x of xs, in that order,
+    from one stacked numkit.expm call: shape (2 len(xs), n, n)."""
+    a = triple.A
+    a2 = a @ a
+    args = [1j * (x * a - 2.0 * t * a2) for x in xs]
+    return numkit.expm(np.stack([m for arg in args for m in (arg, -arg)]))
+
+
+def _pi(triple: GbdtTriple, e: np.ndarray, e_inv: np.ndarray) -> np.ndarray:
+    """Pi(x, t) = [E(x, t) theta1, E(-x, -t) theta2] from E(x, t) and its
+    inverse."""
+    return np.hstack([e @ triple.theta1, e_inv @ triple.theta2])
+
+
 def pi_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     """Generating matrix Pi(x, t), shape (n, m1 + m2)."""
-    a2 = triple.A @ triple.A
-    arg = 1j * (x * triple.A - 2.0 * t * a2)
-    left = numkit.expm(arg) @ triple.theta1
-    right = numkit.expm(-arg) @ triple.theta2
-    return np.hstack([left, right])
+    return _pi(triple, *_exponentials(triple, (x,), t))
 
 
 def pi_via_blocks(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -279,21 +318,26 @@ def pi_via_blocks(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return selector @ numkit.expm(-2j * t * cal_b) @ numkit.expm(1j * x * cal_a) @ th
 
 
-def _solve_s(triple: GbdtTriple, p: np.ndarray, pm: np.ndarray) -> np.ndarray:
-    """S from A S + S A* = p j^kappa pm*, with p = Pi(x, t), pm = Pi(-x, t)."""
-    m1 = triple.m1
-    rhs = coupling_term(triple.kappa, p[:, :m1], p[:, m1:], pm[:, :m1], pm[:, m1:])
-    return triple.sylvester(rhs)
+def _propagated_s(triple: GbdtTriple, e: np.ndarray) -> np.ndarray:
+    """S(x, t) = E(x,t) Sigma1 E(-x,t)* + (-1)^kappa E(-x,-t) Sigma2 E(x,-t)*
+    from e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)).
+
+    Raises SpectralClash when the origin parts Sigma_k do not exist.
+    """
+    sigma1, sigma2 = triple.origin_parts
+    return coupling_term(triple.kappa, e[0] @ sigma1, e[1] @ sigma2, e[2], e[3])
 
 
 def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
-    """S(x, t) from the pointwise coupling identity.
+    """S(x, t), propagated from the triple's origin parts Sigma1, Sigma2.
 
-    Solves A S + S A* = Pi(x, t) j^kappa Pi(-x, t)*; satisfies
+    Four exponentials from one stacked numkit.expm call and four products;
+    no Sylvester solve once the origin parts are cached. Solves
+    A S + S A* = Pi(x, t) j^kappa Pi(-x, t)* and satisfies
     S(-x, t) = S(x, t)* to 1e-10. Raises SpectralClash when the spectra of
     A and -A* meet; callers should fall back to s_via_integration.
     """
-    return _solve_s(triple, pi_at(triple, x, t), pi_at(triple, -x, t))
+    return _propagated_s(triple, _exponentials(triple, (x, -x), t))
 
 
 def s_x_rate(triple: GbdtTriple, fx: np.ndarray, fxi: np.ndarray, t: float) -> np.ndarray:
@@ -355,29 +399,23 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
     return triple.S0 + leg_t + leg_x
 
 
-def _s_or_integral(
-    triple: GbdtTriple, x: float, t: float, p: np.ndarray, pm: np.ndarray
-) -> np.ndarray:
-    """S(x, t) from Pi(x, t) = p and Pi(-x, t) = pm, or by integration
-    when the spectra of A and -A* meet."""
-    try:
-        return _solve_s(triple, p, pm)
-    except SpectralClash:
-        return s_via_integration(triple, x, t)
-
-
 def _point(triple: GbdtTriple, x: float, t: float):
-    """(S(x, t), Pi(x, t), Pi(-x, t)) at one point, each computed once.
+    """(S(x, t), Pi(x, t), Pi(-x, t), e) at one point, each computed once.
 
-    Raises SingularPoint when det S(x, t) is numerically zero.
+    e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)) comes from one stacked
+    numkit.expm call, and S is propagated from it, or integrated by
+    s_via_integration when the spectra of A and -A* meet. Raises
+    SingularPoint when det S(x, t) is numerically zero.
     """
-    p = pi_at(triple, x, t)
-    pm = pi_at(triple, -x, t)
-    s = _s_or_integral(triple, x, t, p, pm)
+    e = _exponentials(triple, (x, -x), t)
+    try:
+        s = _propagated_s(triple, e)
+    except SpectralClash:
+        s = s_via_integration(triple, x, t)
     det_abs = float(abs(np.linalg.det(s)))
     if det_abs <= _POINT_DET_FACTOR * max(1.0, float(np.linalg.norm(s))) ** s.shape[0]:
         raise SingularPoint(x, t, det_abs)
-    return s, p, pm
+    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3]), e
 
 
 def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -385,7 +423,7 @@ def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
     Raises SingularPoint when det S(x, t) is numerically zero.
     """
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, _ = _point(triple, x, t)
     m1 = triple.m1
     return -2j * _h(pm[:, :m1]) @ np.linalg.solve(s, p[:, m1:])
 
@@ -397,7 +435,7 @@ def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     exactly; the top-right block is u_tilde_at and the bottom-left block is
     -sigma times the conjugate transpose of u at (-x, t).
     """
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, _ = _point(triple, x, t)
     x0 = triple.jk @ _h(pm) @ np.linalg.solve(s, p)
     j = triple.j
     return 1j * (j @ x0 @ j - x0)
@@ -422,7 +460,8 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t); the
     pair multiplies to the identity and w_B equals
     j^kappa w_A(-x, t, -conj(z))* j^kappa. Both facts are asserted to 1e-9
-    at construction.
+    at construction; the reduction check takes S(-x, t) from the point's
+    four exponentials, swapped, so it makes no further exponential.
 
     Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
     spectrum of A, and SingularPoint on singular S.
@@ -436,7 +475,7 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     if np.min(np.abs(eigs + np.conj(z))) < 1e-9 * scale:
         raise SpectralPole(f"-conj(z) = {-np.conj(z)!r} is numerically an eigenvalue of A")
 
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, e = _point(triple, x, t)
     n = triple.n
     eye_n = np.eye(n, dtype=np.complex128)
     eye_m = np.eye(triple.m, dtype=np.complex128)
@@ -453,8 +492,12 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
         )
 
     # reduction: wB(x,t,z) equals j^kappa wA(-x,t,-conj(z))* j^kappa, with
-    # S(-x,t) solved on its own from the swapped pair rather than taken as S*
-    s_m = _s_or_integral(triple, -x, t, pm, p)
+    # S(-x,t) propagated on its own from the swapped exponentials rather
+    # than taken as S*
+    try:
+        s_m = _propagated_s(triple, e[[2, 3, 0, 1]])
+    except SpectralClash:
+        s_m = s_via_integration(triple, -x, t)
     wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
         s_m, np.linalg.solve(a + np.conj(z) * eye_n, pm)
     )
@@ -573,8 +616,11 @@ class SolutionField:
 
     u has shape (nx, nt, m1, m2) with NaN entries at masked points; S has
     shape (nx, nt, n, n). pi1 and pi2, shapes (nx, nt, n, m1) and
-    (nx, nt, n, m2), are the generating-matrix blocks Pi(x, t) splits into;
-    they are required, so verification passes never recompute exponentials.
+    (nx, nt, n, m2), are the generating-matrix blocks Pi(x, t) splits into.
+    lower, shape (nx, nt, m2, m1) with NaN at masked points, is the lower
+    block -2i sigma Pi2(-x, t)* S(x, t)^{-1} Pi1(x, t) of the transferred
+    potential, taken from the same solve as u. All three are required, so
+    verification passes never recompute exponentials or solves.
     """
 
     grid: Grid
@@ -584,6 +630,21 @@ class SolutionField:
     singular_mask: np.ndarray
     pi1: np.ndarray = field(repr=False)
     pi2: np.ndarray = field(repr=False)
+    lower: np.ndarray = field(repr=False)
+
+
+def _sandwich(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(nx, nt, n, n) view of left[k] mid[l] right[k]*, from stacks of nx,
+    nt and nx matrices.
+
+    left[k] mid[l] for every pair is one (nx n, n) @ (n, nt n) product; the
+    right factor is then one batched product per x.
+    """
+    nx, n = left.shape[:2]
+    nt = mid.shape[0]
+    y = left.reshape(nx * n, n) @ mid.transpose(1, 0, 2).reshape(n, nt * n)
+    y = y.reshape(nx, n * nt, n) @ _h(right)
+    return y.reshape(nx, n, nt, n).transpose(0, 2, 1, 3)
 
 
 def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
@@ -591,12 +652,20 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
 
     The exponential tables e^{ixA} over the x nodes and e^{-+2itA^2} over
     the t nodes are one stacked numkit.expm call of nx + 2 nt matrices,
-    bit for bit the per-node exponentials.
+    bit for bit the per-node exponentials. S is propagated from the
+    triple's origin parts, with no Sylvester solve per node:
+    T1[l] = e^{-2it A^2} Sigma1 (.)* and T2[l] = e^{2it A^2} Sigma2 (.)*
+    over the t nodes, then
+
+        S[k, l] = fx[k] T1[l] fx[-k]* + (-1)^kappa fx[-k] T2[l] fx[k]*,
+
+    each term from two large matrix products, the second added into the
+    first in place. One batched solve of S X = [Pi1 Pi2] per node gives u
+    from the Pi2 columns and the lower block from the Pi1 columns.
 
     Only the trivial (zero) seed is supported; pass nothing. Mirror samples
     at -x reuse the matrices computed at the mirrored node, never a second
-    exponential, so the mirror symmetry S(-x,t) = S(x,t)* holds to rounding
-    by construction. Output is deterministic: the same triple and grid give
+    exponential. Output is deterministic: the same triple and grid give
     bit-identical arrays on every run.
 
     Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback),
@@ -610,7 +679,7 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     m1, m2 = triple.m1, triple.m2
     a = triple.A
     a2 = a @ a
-    solver = triple.sylvester
+    sigma1, sigma2 = triple.origin_parts
 
     tables = numkit.expm(
         np.concatenate(
@@ -622,28 +691,40 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
         )
     )
     fx, gt, gti = np.split(tables, [nx, nx + nt])
+    fx_m = fx[::-1]
 
-    mirror = np.arange(nx)[::-1]
-    # Pi blocks: pi1[k,l] = e^{i(x A - 2 t A^2)} theta1, pi2 the reflected factor
-    gt_th1 = gt @ triple.theta1
-    gti_th2 = gti @ triple.theta2
-    pi1 = np.einsum("kab,lbc->klac", fx, gt_th1, optimize=True)
-    pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti_th2, optimize=True)
+    # S[k,l] = fx[k] T1[l] fx[-k]* + (-1)^kappa fx[-k] T2[l] fx[k]*
+    s = np.ascontiguousarray(_sandwich(fx, gt @ sigma1 @ _h(gt), fx_m))
+    second = _sandwich(fx_m, gti @ sigma2 @ _h(gti), fx)
+    if triple.kappa == 1:
+        s -= second
+    else:
+        s += second
+    del second
 
-    pi1_m = pi1[mirror]
-    rhs = coupling_term(triple.kappa, pi1, pi2, pi1_m, pi2[mirror])
+    # Pi blocks: pi1[k,l] = e^{i(x A - 2 t A^2)} theta1, pi2 the reflected
+    # factor, written side by side as the right sides [Pi1 Pi2] of the solve
+    blocks = np.empty((nx, nt, triple.n, m1 + m2), dtype=np.complex128)
+    pi1, pi2 = blocks[..., :m1], blocks[..., m1:]
+    np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, out=pi1, optimize=True)
+    np.einsum("kab,lbc->klac", fx_m, gti @ triple.theta2, out=pi2, optimize=True)
 
-    s = solver(rhs)
     det = np.linalg.det(s)
     det_scale = float(np.max(np.abs(det))) if det.size else 0.0
     mask = np.abs(det) < SINGULAR_DET_FACTOR * det_scale
 
+    # u = -2i Pi1(-x)* S^{-1} Pi2 and lower = -2i sigma Pi2(-x)* S^{-1} Pi1
+    pi1_mh, pi2_mh = _h(pi1[::-1]), _h(pi2[::-1])
     u = np.full((nx, nt, m1, m2), np.nan + 1j * np.nan, dtype=np.complex128)
-    keep = ~mask
-    if np.any(keep):
-        sol = np.linalg.solve(s[keep], pi2[keep])
-        u[keep] = -2j * (_h(pi1_m[keep]) @ sol)
+    lower = np.full((nx, nt, m2, m1), np.nan + 1j * np.nan, dtype=np.complex128)
+    # boolean-index copies of the stacks only when some node is masked
+    keep = ~mask if mask.any() else ...
+    if not mask.all():
+        sol = np.linalg.solve(s[keep], blocks[keep])
+        u[keep] = -2j * (pi1_mh[keep] @ sol[..., m1:])
+        lower[keep] = (-2j * triple.sigma) * (pi2_mh[keep] @ sol[..., :m1])
 
     return SolutionField(
-        grid=grid, u=u, S=s, detS=det, singular_mask=mask, pi1=pi1, pi2=pi2
+        grid=grid, u=u, S=s, detS=det, singular_mask=mask,
+        pi1=pi1, pi2=pi2, lower=lower,
     )

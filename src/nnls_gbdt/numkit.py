@@ -9,6 +9,9 @@ for exactness of the residual contract over a Schur factorization.
 The exponential and the Sylvester solver work on whole stacks ``(..., n, n)``
 in one call, and the Simpson integrator hands its integrand every node at
 once, so callers that evaluate many points need no per-point Python loop.
+The Sylvester solver sees only a few right-hand sides per transformation
+triple: S0 and the two origin parts from which S(x, t) is propagated, so
+its n^2 x n^2 factorisation is never applied node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 multiplied pairwise, so each entry is one product of two exponentials.

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnls_gbdt import cli, errors, gbdt_core, oracles
+from nnls_gbdt import cli, errors, gbdt_core, numkit, oracles
 from conftest import make_random_triple
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -409,6 +409,47 @@ def test_node_budget_exits_3_before_allocating(tmp_path, monkeypatch):
     assert "node budget" in error["message"]
 
 
+def test_node_budget_counts_the_kronecker_factor(tmp_path, monkeypatch):
+    """A 100 x 100 A on a 5 x 5 grid is refused for its n^4 = 10^8
+    Kronecker entries before the triple is completed: no Sylvester map is
+    factored, and nothing the size of that factor (1.6 GB) is allocated."""
+    n = 100
+    rng = np.random.default_rng(3)
+    a = np.eye(n) + 0.1 * rng.normal(size=(n, n))
+    column = rng.normal(size=(n, 1))
+
+    def cjson(matrix):
+        return [[[float(v), 0.0] for v in row] for row in matrix]
+
+    document = {
+        "kind": "gbdt",
+        "parameters": {
+            "sigma": 1, "A": cjson(a),
+            "theta1": cjson(column), "theta2": cjson(0.3 * column),
+        },
+        "grid": {"x_max": 1.0, "nx": 5, "t_min": -0.1, "t_max": 0.1, "nt": 5},
+        "checks": ["identity"],
+    }
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Sylvester map factored past the node budget")
+
+    monkeypatch.setattr(numkit, "sylvester_solver", refuse)
+    tracemalloc.start()
+    try:
+        code = cli.main(["run", str(scenario), "--out", str(out), "--refine", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 16 * 2**20
+    error = _error_report(out)
+    assert error["type"] == "RangeExceeded"
+    assert "at n = 100" in error["message"]
+
+
 @pytest.mark.parametrize(
     "nx, nt, levels, n",
     [(101, 101, 2, 8), (201, 101, 2, 2), (401, 201, 2, 2)],
@@ -442,9 +483,10 @@ def test_every_error_class_names_its_exit_code():
 
 def _shipped_field(name):
     scenario = cli.load_scenario(SCENARIO_DIR / name)
-    triple, oracle = cli._build_construction(
+    datum, s0, oracle = cli._parse_construction(
         scenario["kind"], scenario["parameters"]
     )
+    triple = cli._build_triple(datum, s0)
     g = scenario["grid"]
     grid = gbdt_core.Grid.build(
         x_max=g["x_max"], nx=g["nx"], t_min=g["t_min"], t_max=g["t_max"],

@@ -23,6 +23,11 @@ def _h(m):
     return m.conj().T
 
 
+def _hs(m):
+    """Conjugate transpose of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
 # ---------------------------------------------------------------- triples
 
 
@@ -312,17 +317,29 @@ def test_wave_approaches_plain_phase(scalar_triple):
     ids=["darboux_at", "u_tilde_at", "xi_tilde_at"],
 )
 def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, evaluate):
-    """Pi(x, t) and Pi(-x, t) once each: two exponentials apiece."""
+    """E(+-x, t) and their inverses, from one stacked call on 4 matrices;
+    S, Pi(x, t) and Pi(-x, t) all come from them."""
     calls = []
     original = numkit.expm
 
     def counting(m):
-        calls.append(m)
+        calls.append(np.shape(m))
         return original(m)
 
     monkeypatch.setattr(numkit, "expm", counting)
     evaluate(jordan_triple)
-    assert len(calls) == 4
+    assert calls == [(4, 2, 2)]
+
+
+def test_stacked_point_exponentials_match_single_calls(jordan_triple):
+    """The stacked call gives, bit for bit, what four single calls give."""
+    a = jordan_triple.A
+    a2 = a @ a
+    x, t = 0.4, 0.1
+    args = [1j * (x * a - 2.0 * t * a2), 1j * (-x * a - 2.0 * t * a2)]
+    single = [numkit.expm(m) for arg in args for m in (arg, -arg)]
+    stacked = gbdt_core._exponentials(jordan_triple, (x, -x), t)
+    assert stacked.tobytes() == np.array(single).tobytes()
 
 
 def test_s_via_integration_takes_stacked_exponentials(jordan_triple, monkeypatch):
@@ -540,23 +557,32 @@ def test_solution_field_takes_one_stacked_exponential(monkeypatch):
 
 def _field_from_node_tables(triple, grid):
     """(u, S, det S) by solution_field's steps, with every exponential of
-    the x and t tables taken on its own."""
+    the x and t tables taken on its own.
+
+    S is propagated from the origin parts by the same stacked products as
+    in solution_field: a loop of per-node products would differ from those
+    in the last bit at n = 2 and 3, where the BLAS kernel of the large
+    product accumulates in another order.
+    """
     xs, ts = grid.x_values, grid.t_values
     a = triple.A
     a2 = a @ a
     fx = np.array([numkit.expm(1j * x * a) for x in xs])
     gt = np.array([numkit.expm(-2j * t * a2) for t in ts])
     gti = np.array([numkit.expm(2j * t * a2) for t in ts])
+    sigma1, sigma2 = triple.origin_parts
     mirror = np.arange(xs.size)[::-1]
+    s = np.ascontiguousarray(gbdt_core._sandwich(fx, gt @ sigma1 @ _hs(gt), fx[mirror]))
+    s += (-1.0) ** triple.kappa * gbdt_core._sandwich(
+        fx[mirror], gti @ sigma2 @ _hs(gti), fx
+    )
     pi1 = np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, optimize=True)
     pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti @ triple.theta2, optimize=True)
-    rhs = gbdt_core.coupling_term(triple.kappa, pi1, pi2, pi1[mirror], pi2[mirror])
-    s = triple.sylvester(rhs)
     det = np.linalg.det(s)
     keep = np.abs(det) >= gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
     u = np.full(det.shape + (triple.m1, triple.m2), np.nan + 1j * np.nan)
-    sol = np.linalg.solve(s[keep], pi2[keep])
-    u[keep] = -2j * (np.conj(np.swapaxes(pi1[mirror][keep], -1, -2)) @ sol)
+    sol = np.linalg.solve(s[keep], np.concatenate([pi1, pi2], axis=-1)[keep])
+    u[keep] = -2j * (_hs(pi1[mirror][keep]) @ sol[..., triple.m1:])
     return u, s, det
 
 
@@ -578,3 +604,110 @@ def test_solution_field_matches_node_by_node_tables(triple):
     assert field.u.tobytes() == u.tobytes()
     assert field.S.tobytes() == s.tobytes()
     assert field.detS.tobytes() == det.tobytes()
+
+
+def _field_by_kronecker_solves(triple, field):
+    """(u, S, det S) by one Kronecker Sylvester solve of the coupling
+    right side per node, from the field's own Pi blocks."""
+    pi1, pi2 = field.pi1, field.pi2
+    nx, nt = field.grid.nx, field.grid.nt
+    s = np.empty_like(field.S)
+    for k in range(nx):
+        for l in range(nt):
+            rhs = gbdt_core.coupling_term(
+                triple.kappa, pi1[k, l], pi2[k, l], pi1[-1 - k, l], pi2[-1 - k, l]
+            )
+            s[k, l] = triple.sylvester(rhs)
+    det = np.linalg.det(s)
+    u = np.full_like(field.u, np.nan)
+    for k in range(nx):
+        for l in range(nt):
+            if not field.singular_mask[k, l]:
+                sol = np.linalg.solve(s[k, l], pi2[k, l])
+                u[k, l] = -2j * _h(pi1[-1 - k, l]) @ sol
+    return u, s, det
+
+
+def _relative_gap(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        *(
+            make_random_triple(np.random.default_rng(80 + n), sigma, n=n)
+            for n in (1, 2, 4, 8)
+            for sigma in (1, -1)
+        ),
+        gbdt_core.GbdtTriple(
+            sigma=-1, A=[[1.0]], S0=[[0.0]], theta1=[[1.0]], theta2=[[1.0]]
+        ),
+    ],
+    ids=[f"n{n}s{sigma:+d}" for n in (1, 2, 4, 8) for sigma in (1, -1)]
+    + ["masked-column"],
+)
+def test_solution_field_matches_kronecker_solve_per_node(triple):
+    """The propagated S agrees with the per-node Kronecker solve of the
+    coupling identity within 1e-13 relative.
+
+    u and det S carry the error of S times the condition number of S
+    (|d det| <= |det| ||S^-1|| ||dS||, and likewise for S^-1 Pi), so their
+    1e-13 is scaled by the worst cond S over the unmasked nodes. At n = 8,
+    where cond S reaches 1.6e4 on this grid, both routes' u and det S are
+    off a 40-digit evaluation by up to 1.5e-13 and 1.7e-13 relative at
+    nodes of cond S near 1.5e3.
+    """
+    grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
+    field = gbdt_core.solution_field(triple, grid)
+    u, s, det = _field_by_kronecker_solves(triple, field)
+    assert _relative_gap(field.S, s) <= 1e-13
+    keep = ~field.singular_mask
+    assert np.array_equal(np.isnan(field.u), np.isnan(u))
+    worst_cond = float(np.max(np.linalg.cond(s[keep])))
+    assert _relative_gap(field.detS[keep], det[keep]) <= 1e-13 * worst_cond
+    assert _relative_gap(field.u[keep], u[keep]) <= 1e-13 * worst_cond
+
+
+def test_solution_field_solves_two_right_hand_sides(monkeypatch):
+    """A fresh field puts Sigma1 and Sigma2 through the triple's Sylvester
+    solver, and nothing else; a second field on the same triple none."""
+    triple = make_random_triple(np.random.default_rng(90), -1, n=3)
+    grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
+    rhs = []
+    original = numkit.sylvester_solver
+
+    def counting_solver(a, b):
+        solve = original(a, b)
+
+        def counting(c):
+            rhs.append(int(np.prod(np.shape(c)[:-2])))
+            return solve(c)
+
+        return counting
+
+    monkeypatch.setattr(numkit, "sylvester_solver", counting_solver)
+    gbdt_core.solution_field(triple, grid)
+    assert sum(rhs) == 2
+    gbdt_core.solution_field(triple, grid.halved())
+    assert sum(rhs) == 2
+
+
+def test_origin_parts_sum_to_s0():
+    """Sigma1 + (-1)^kappa Sigma2 solves the identity at the origin, so it
+    is S0; both parts are Hermitian and read-only."""
+    for sigma in (1, -1):
+        triple = make_random_triple(np.random.default_rng(91), sigma, n=4)
+        sigma1, sigma2 = triple.origin_parts
+        assert np.array_equal(sigma1, _h(sigma1))
+        assert np.array_equal(sigma2, _h(sigma2))
+        s0 = sigma1 + (-1) ** triple.kappa * sigma2
+        assert np.linalg.norm(s0 - triple.S0) <= 1e-13 * np.linalg.norm(triple.S0)
+        assert not triple.origin_parts.flags.writeable
+
+
+def test_origin_parts_are_not_cached_on_spectral_clash():
+    triple = _clash_triple()
+    for _ in range(2):
+        with pytest.raises(SpectralClash):
+            triple.origin_parts

@@ -84,3 +84,53 @@ def test_similarity_of_the_datum(seed, sigma):
         assert _close(
             gbdt_core.s_at(moved, x, t), p @ gbdt_core.s_at(base, x, t) @ _h(p)
         )
+
+
+def _jordan_matrix(rng, n):
+    """Block-diagonal Jordan form: blocks of random sizes, each with its own
+    eigenvalue off the imaginary axis."""
+    a = np.zeros((n, n), dtype=complex)
+    start = 0
+    while start < n:
+        size = int(rng.integers(1, n - start + 1))
+        block = slice(start, start + size)
+        a[block, block] = (0.45 + 0.3 * rng.random() + 0.5j * rng.normal()) * np.eye(size)
+        a[block, block] += np.eye(size, k=1)
+        start += size
+    return a
+
+
+@PROPERTY
+@given(
+    seed=SEEDS,
+    sigma=SIGMAS,
+    n=st.integers(1, 8),
+    jordan=st.booleans(),
+    x=st.floats(-1.0, 1.0),
+    t=st.floats(-0.3, 0.3),
+)
+def test_propagated_s_matches_the_kronecker_solve(seed, sigma, n, jordan, x, t):
+    """s_at, propagated from the origin parts, solves the coupling identity
+    at (x, t) as the Kronecker solve of its right side does, and keeps
+    S(-x, t) = S(x, t)*."""
+    rng = np.random.default_rng(seed)
+
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    if jordan:
+        a = _jordan_matrix(rng, n)
+    else:
+        a = 0.35 * cnormal(n, n) + 0.45 * np.eye(n)
+    m1, m2 = (int(m) for m in rng.integers(1, 3, size=2))
+    triple = _completed(sigma, a, cnormal(n, m1), 0.3 * cnormal(n, m2))
+    p = gbdt_core.pi_at(triple, x, t)
+    pm = gbdt_core.pi_at(triple, -x, t)
+    rhs = gbdt_core.coupling_term(
+        triple.kappa, p[:, :m1], p[:, m1:], pm[:, :m1], pm[:, m1:]
+    )
+    expected = triple.sylvester(rhs)
+    s = gbdt_core.s_at(triple, x, t)
+    scale = np.linalg.norm(expected)
+    assert np.linalg.norm(s - expected) <= 1e-12 * scale
+    assert np.linalg.norm(gbdt_core.s_at(triple, -x, t) - _h(s)) <= 1e-12 * scale

@@ -1,5 +1,6 @@
 """Tests of the residual checks: positive cases, corrupted data, convergence."""
 
+import dataclasses
 import json
 import math
 
@@ -45,6 +46,7 @@ def test_pde_residual_rejects_wrong_field(scalar_triple, scalar_field):
         singular_mask=scalar_field.singular_mask,
         pi1=scalar_field.pi1,
         pi2=scalar_field.pi2,
+        lower=scalar_field.lower,
     )
     report = verify.nnls_residual(ruined, scalar_triple.sigma)
     assert not report.passed
@@ -73,6 +75,7 @@ def test_identity_residual_detects_corruption(scalar_triple, scalar_field):
         singular_mask=scalar_field.singular_mask,
         pi1=scalar_field.pi1,
         pi2=scalar_field.pi2,
+        lower=scalar_field.lower,
     )
     report = verify.identity_residual(scalar_triple, bad)
     assert not report.passed
@@ -90,6 +93,7 @@ def test_mirror_residual(scalar_field):
         singular_mask=scalar_field.singular_mask,
         pi1=scalar_field.pi1,
         pi2=scalar_field.pi2,
+        lower=scalar_field.lower,
     )
     assert not verify.hermitian_mirror_residual(swapped).passed
 
@@ -152,6 +156,7 @@ def test_identity_residual_matches_per_node_products(n):
         singular_mask=np.zeros(nodes, dtype=bool),
         pi1=cnormal(*nodes, n, m1),
         pi2=cnormal(*nodes, n, m2),
+        lower=cnormal(*nodes, m2, m1),
     )
     expected = _identity_reference(triple, field)
     report = verify.identity_residual(triple, field)
@@ -168,6 +173,16 @@ def test_reduction_residual_both_branches():
         report = verify.reduction_residual(field, sigma)
         assert report.passed
         assert report.residual <= 1e-10
+
+
+def test_reduction_residual_detects_corruption(scalar_triple, scalar_field):
+    """The stored lower block is checked against u itself: a perturbed
+    block or the other branch's sign fails."""
+    sigma = scalar_triple.sigma
+    assert verify.reduction_residual(scalar_field, sigma).residual <= 1e-12
+    bad = dataclasses.replace(scalar_field, lower=scalar_field.lower + 1e-6)
+    assert not verify.reduction_residual(bad, sigma).passed
+    assert not verify.reduction_residual(scalar_field, -sigma).passed
 
 
 def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
