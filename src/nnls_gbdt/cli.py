@@ -40,9 +40,8 @@ KIND_CHECKS = {
     "theta": ("constraints",),
 }
 
-#: Relative tolerance of the oracle comparison, with its small-value floor.
+#: Relative tolerance of the oracle comparison.
 ORACLE_TOL = 1e-9
-ORACLE_FLOOR = 1e-6
 
 #: Convergence-order band accepted by the pde check.
 ORDER_LOW = 1.7
@@ -245,8 +244,7 @@ def _oracle_report(
         expected = expected[used]
         scale = np.max(np.abs(expected), axis=(-2, -1))
         diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
-        floor = max(ORACLE_FLOOR * float(np.max(scale)), 1e-300)
-        residual = float(np.max(diff / np.maximum(scale, floor)))
+        residual = verify.floored_relative(diff, scale)
     return verify.ResidualReport(
         name="oracle",
         hx=grid.hx,

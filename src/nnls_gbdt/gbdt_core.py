@@ -660,8 +660,10 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
         S[k, l] = fx[k] T1[l] fx[-k]* + (-1)^kappa fx[-k] T2[l] fx[k]*,
 
     each term from two large matrix products, the second added into the
-    first in place. One batched solve of S X = [Pi1 Pi2] per node gives u
-    from the Pi2 columns and the lower block from the Pi1 columns.
+    first in place. One LU per node gives det S and the solve: a single
+    numkit.factor_solve of S X = [Pi1 Pi2] over the stack, whose X gives u
+    from the Pi2 columns and the lower block from the Pi1 columns. Masked
+    nodes are set to NaN in u and the lower block afterwards.
 
     Only the trivial (zero) seed is supported; pass nothing. Mirror samples
     at -x reuse the matrices computed at the mirrored node, never a second
@@ -709,20 +711,16 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, out=pi1, optimize=True)
     np.einsum("kab,lbc->klac", fx_m, gti @ triple.theta2, out=pi2, optimize=True)
 
-    det = np.linalg.det(s)
+    det, sol = numkit.factor_solve(s, blocks)
     det_scale = float(np.max(np.abs(det))) if det.size else 0.0
     mask = np.abs(det) < SINGULAR_DET_FACTOR * det_scale
 
     # u = -2i Pi1(-x)* S^{-1} Pi2 and lower = -2i sigma Pi2(-x)* S^{-1} Pi1
-    pi1_mh, pi2_mh = _h(pi1[::-1]), _h(pi2[::-1])
-    u = np.full((nx, nt, m1, m2), np.nan + 1j * np.nan, dtype=np.complex128)
-    lower = np.full((nx, nt, m2, m1), np.nan + 1j * np.nan, dtype=np.complex128)
-    # boolean-index copies of the stacks only when some node is masked
-    keep = ~mask if mask.any() else ...
-    if not mask.all():
-        sol = np.linalg.solve(s[keep], blocks[keep])
-        u[keep] = -2j * (pi1_mh[keep] @ sol[..., m1:])
-        lower[keep] = (-2j * triple.sigma) * (pi2_mh[keep] @ sol[..., :m1])
+    u = _h(pi1[::-1]) @ sol[..., m1:]
+    u *= -2j
+    lower = _h(pi2[::-1]) @ sol[..., :m1]
+    lower *= -2j * triple.sigma
+    u[mask] = lower[mask] = complex(np.nan, np.nan)
 
     return SolutionField(
         grid=grid, u=u, S=s, detS=det, singular_mask=mask,

@@ -15,6 +15,10 @@ its n^2 x n^2 factorisation is never applied node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 multiplied pairwise, so each entry is one product of two exponentials.
+``factor_solve`` LU-factors every matrix of a stack once and takes both the
+determinant and the solve of stacked right sides from those factors; its
+loops run over pivot steps and fixed-size chunks of the stack, never over
+matrices.
 """
 
 from __future__ import annotations
@@ -40,6 +44,11 @@ EXPM_NORM_LIMIT = 700.0
 # Relative spectral-gap threshold below which the Sylvester map is treated
 # as numerically singular.
 SPECTRAL_CLASH_FACTOR = 1e-8
+
+# Matrices per chunk of factor_solve: enough that every numpy call of a
+# pivot step runs over a long vector of matrices, few enough that the
+# chunk's augmented stack stays in cache at the orders met here (n <= 8).
+_FACTOR_CHUNK = 1024
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
@@ -220,6 +229,104 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     c = _square(c, "c")
     solver = sylvester_solver(a, b)
     return solver(c)
+
+
+def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
+    """``det s`` and ``X = s^{-1} b`` for every matrix of a stack, from one
+    LU factorisation each.
+
+    Parameters
+    ----------
+    s
+        Stack of square complex matrices, shape ``(..., n, n)``.
+    b
+        Right sides, shape ``(..., n, k)`` with the leading axes of ``s``.
+
+    Returns
+    -------
+    det, x
+        ``det`` of shape ``s.shape[:-2]``, the product of the pivots times
+        the sign of the row permutation, and ``x`` of the shape of ``b``.
+        Elimination with partial pivoting on ``|Re| + |Im|`` (LAPACK's
+        ``izamax`` rule, first row on ties) is applied to ``[s b]``, so both
+        come from the same factors. A matrix with a zero pivot gives det 0
+        and an all-NaN ``x``, with no exception and no warning. The same
+        stack gives the same bytes on every call; a matrix's last bits may
+        depend on its position in the stack.
+
+    Raises
+    ------
+    ValueError
+        If the operands have fewer than two axes, mismatched shapes or
+        non-finite entries.
+    NonSquare
+        If the matrices of ``s`` are not square.
+    """
+    s = np.asarray(s, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if s.ndim < 2 or b.ndim < 2:
+        raise ValueError(f"factor_solve operands need two axes, got {s.shape} and {b.shape}")
+    if s.shape[-1] != s.shape[-2]:
+        raise NonSquare(f"factor_solve matrices must be square, got shape {s.shape}")
+    if b.shape[:-1] != s.shape[:-1]:
+        raise ValueError(f"right sides {b.shape} do not match matrices {s.shape}")
+    n, k = b.shape[-2:]
+    flat_s = s.reshape(-1, n, n)
+    flat_b = b.reshape(-1, n, k)
+    det = np.empty(flat_s.shape[0], dtype=np.complex128)
+    x = np.empty(flat_b.shape, dtype=np.complex128)
+    for lo in range(0, det.size, _FACTOR_CHUNK):
+        hi = lo + _FACTOR_CHUNK
+        det[lo:hi], x[lo:hi] = _factor_solve_chunk(flat_s[lo:hi], flat_b[lo:hi])
+    return det.reshape(s.shape[:-2]), x.reshape(b.shape)
+
+
+def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """factor_solve on a ``(count, n, n)`` and ``(count, n, k)`` chunk.
+
+    The augmented matrices [s b] are held with the matrix axis last, so
+    each step of the elimination is a few numpy calls on whole rows of the
+    chunk. Row exchanges differ per matrix and go through flat indices.
+    """
+    count, n = s.shape[:2]
+    width = n + b.shape[-1]
+    aug = np.empty((n, width, count), dtype=np.complex128)
+    aug[:, :n] = s.transpose(1, 2, 0)
+    aug[:, n:] = b.transpose(1, 2, 0)
+    # checked per chunk, so the check needs no mask the size of the stack
+    if not np.isfinite(aug).all():
+        raise ValueError("factor_solve operands have non-finite entries")
+    flat = aug.reshape(-1)
+    # flat offset of entry (0, c) of matrix i: c * count + i
+    row0 = np.arange(width)[:, None] * count + np.arange(count)
+    det = np.ones(count, dtype=np.complex128)
+    pivots = np.empty((n, count), dtype=np.complex128)
+    singular = np.zeros(count, dtype=bool)
+    for j in range(n):
+        col = aug[j:, j]
+        p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+        swap = p != 0
+        if swap.any():
+            at = (j + p) * (width * count) + row0[j:]
+            row = flat[at]
+            flat[at] = aug[j, j:]
+            aug[j, j:] = row
+            np.negative(det, out=det, where=swap)
+        pivot = aug[j, j]
+        det *= pivot
+        # a zero pivot has a zero column below it: dividing by 1 leaves the
+        # rows as they are, as LAPACK does, and det stays 0
+        zero = pivot == 0
+        singular |= zero
+        pivots[j] = np.where(zero, 1.0, pivot)
+        factors = aug[j + 1:, j] / pivots[j]
+        aug[j + 1:, j + 1:] -= factors[:, None] * aug[j, None, j + 1:]
+    x = aug[:, n:]
+    for j in range(n - 1, -1, -1):
+        x[j] -= (aug[j, j + 1:n, None] * x[j + 1:]).sum(axis=0)
+        x[j] /= pivots[j]
+    x[..., singular] = complex(np.nan, np.nan)
+    return det, x.transpose(2, 0, 1)
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -11,7 +11,6 @@ convergence order makes that checkable.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -26,6 +25,11 @@ DEFAULT_PDE_TOL = 0.05
 
 #: Default bound on algebraic identities evaluated pointwise.
 DEFAULT_IDENTITY_TOL = 1e-10
+
+#: Floor of a relative residual's scale, as a fraction of the largest scale
+#: over the nodes compared, so that zeros of the compared field do not
+#: inflate the relative error.
+SCALE_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,12 @@ class ResidualReport:
             "points_skipped": int(self.points_skipped),
         }
 
-    def with_order(self, order: float) -> "ResidualReport":
-        return dataclasses.replace(self, order=float(order))
+
+def floored_relative(diff: np.ndarray, scale: np.ndarray) -> float:
+    """Largest ``diff / scale`` over the nodes given, each scale raised to
+    at least ``SCALE_FLOOR`` times the largest of them."""
+    floor = max(SCALE_FLOOR * float(np.max(scale)), 1e-300)
+    return float(np.max(diff / np.maximum(scale, floor)))
 
 
 def estimate_order(coarse: float, fine: float) -> float:
@@ -218,12 +226,14 @@ def hermitian_mirror_residual(
 def reduction_residual(
     field: SolutionField, sigma: int, tol: float = DEFAULT_IDENTITY_TOL
 ) -> ResidualReport:
-    """Deviation of the lower coupling block from -sigma u(-x, t)^*.
+    """Relative deviation of the lower coupling block from -sigma u(-x, t)^*.
 
     The lower block is the field's stored ``lower``, taken from the same
     solve S X = [Pi1 Pi2] as u, and is compared against the reflected
     adjoint of the field itself on the nodes where neither x nor -x is
-    masked.  Raises ValueError for a sigma other than -1 or +1.
+    masked. Each node's Frobenius gap is divided by the norm of u(-x, t)
+    there, floored as in ``floored_relative``, so the bound holds whatever
+    the magnitude of u. Raises ValueError for a sigma other than -1 or +1.
     """
     if sigma not in (-1, 1):
         raise ValueError(f"sigma must be -1 or +1, got {sigma!r}")
@@ -233,10 +243,9 @@ def reduction_residual(
     if used == 0:
         residual = float("inf")
     else:
-        target = -sigma * np.conj(np.swapaxes(field.u[::-1], -1, -2))
-        # masked nodes hold NaN and are left out by ``where``
-        gap = np.linalg.norm(field.lower - target, axis=(-2, -1))
-        residual = float(np.max(gap, where=keep, initial=0.0))
+        target = -sigma * np.conj(np.swapaxes(field.u[::-1][keep], -1, -2))
+        gap = np.linalg.norm(field.lower[keep] - target, axis=(-2, -1))
+        residual = floored_relative(gap, np.linalg.norm(target, axis=(-2, -1)))
     return ResidualReport(
         name="reduction",
         hx=field.grid.hx,

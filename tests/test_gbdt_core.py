@@ -555,6 +555,29 @@ def test_solution_field_takes_one_stacked_exponential(monkeypatch):
     assert calls == [(grid.nx + 2 * grid.nt, 3, 3)]
 
 
+def test_solution_field_factors_each_node_once(monkeypatch):
+    """det S and the solve come from one numkit.factor_solve call on the
+    whole stack, never from np.linalg.det or np.linalg.solve."""
+    triple = make_random_triple(np.random.default_rng(73), -1, n=3)
+    grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
+    triple.origin_parts
+    calls = []
+    original = numkit.factor_solve
+
+    def counting(s, b):
+        calls.append((np.shape(s), np.shape(b)))
+        return original(s, b)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solution_field called np.linalg")
+
+    monkeypatch.setattr(numkit, "factor_solve", counting)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    gbdt_core.solution_field(triple, grid)
+    assert calls == [((21, 11, 3, 3), (21, 11, 3, triple.m1 + triple.m2))]
+
+
 def _field_from_node_tables(triple, grid):
     """(u, S, det S) by solution_field's steps, with every exponential of
     the x and t tables taken on its own.
@@ -562,7 +585,10 @@ def _field_from_node_tables(triple, grid):
     S is propagated from the origin parts by the same stacked products as
     in solution_field: a loop of per-node products would differ from those
     in the last bit at n = 2 and 3, where the BLAS kernel of the large
-    product accumulates in another order.
+    product accumulates in another order. det S and the solve come from
+    numkit.factor_solve on the whole stack for the same reason: its
+    rounding at a node depends on where the node sits in the stack, so a
+    per-node call is no bitwise reference.
     """
     xs, ts = grid.x_values, grid.t_values
     a = triple.A
@@ -578,11 +604,10 @@ def _field_from_node_tables(triple, grid):
     )
     pi1 = np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, optimize=True)
     pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti @ triple.theta2, optimize=True)
-    det = np.linalg.det(s)
-    keep = np.abs(det) >= gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
-    u = np.full(det.shape + (triple.m1, triple.m2), np.nan + 1j * np.nan)
-    sol = np.linalg.solve(s[keep], np.concatenate([pi1, pi2], axis=-1)[keep])
-    u[keep] = -2j * (_hs(pi1[mirror][keep]) @ sol[..., triple.m1:])
+    det, sol = numkit.factor_solve(s, np.concatenate([pi1, pi2], axis=-1))
+    mask = np.abs(det) < gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
+    u = -2j * (_hs(pi1[mirror]) @ sol[..., triple.m1:])
+    u[mask] = np.nan + 1j * np.nan
     return u, s, det
 
 

@@ -1,10 +1,12 @@
 """Tests of the dense linear-algebra primitives against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nnls_gbdt import numkit
 from nnls_gbdt.errors import InvalidRange, NonSquare, Overflow, SpectralClash
@@ -100,6 +102,114 @@ def test_expm_steps_matches_per_step_exponentials(n, count):
         for k in range(count):
             expected = numkit.expm(k * m)
             assert np.linalg.norm(table[k] - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def _cnormal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _assert_matches_lapack(s, b, det, x):
+    """det and x against np.linalg.det and np.linalg.solve, per matrix, to
+    1e-13 relative times cond s (LU's backward error times the condition
+    number bounds the forward error of both)."""
+    n, k = b.shape[-2:]
+    s, b = s.reshape(-1, n, n), b.reshape(-1, n, k)
+    det, x = det.reshape(-1), x.reshape(-1, n, k)
+    if s.shape[0] == 0:
+        return
+    cond = np.linalg.cond(s)
+    expected_det = np.linalg.det(s)
+    expected_x = np.linalg.solve(s, b)
+    det_gap = np.abs(det - expected_det) / np.abs(expected_det)
+    x_gap = np.linalg.norm(x - expected_x, axis=(-2, -1)) / np.linalg.norm(
+        expected_x, axis=(-2, -1)
+    )
+    assert np.all(det_gap <= 1e-13 * cond)
+    assert np.all(x_gap <= 1e-13 * cond)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    k=st.integers(1, 8),
+    count=st.sampled_from((0, 1, 2, 7, 33)),
+    zero_lead=st.booleans(),
+)
+def test_factor_solve_matches_lapack(seed, n, k, count, zero_lead):
+    rng = np.random.default_rng(seed)
+    s = _cnormal(rng, count, n, n)
+    b = _cnormal(rng, count, n, k)
+    if zero_lead and n > 1:
+        s[::2, 0, 0] = 0.0
+    det, x = numkit.factor_solve(s, b)
+    assert det.shape == (count,) and x.shape == (count, n, k)
+    _assert_matches_lapack(s, b, det, x)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 1027])
+def test_factor_solve_across_chunks(offset):
+    """Stacks just under, at, just over and well past one chunk, with
+    leading axes kept."""
+    count = numkit._FACTOR_CHUNK + offset
+    rng = np.random.default_rng(40 + offset)
+    s = _cnormal(rng, count, 3, 3).reshape(count, 1, 3, 3)
+    b = _cnormal(rng, count, 3, 2).reshape(count, 1, 3, 2)
+    det, x = numkit.factor_solve(s, b)
+    assert det.shape == (count, 1) and x.shape == (count, 1, 3, 2)
+    _assert_matches_lapack(s, b, det, x)
+
+
+def test_factor_solve_pivots_rows():
+    """Zero leading entries force row exchanges; a permutation matrix has
+    det +-1 exactly and solves to the permuted right side."""
+    perm = np.eye(4)[[2, 0, 3, 1]]
+    swap = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 1j]])
+    b_perm = np.arange(8.0).reshape(4, 2)
+    det, x = numkit.factor_solve(perm, b_perm)
+    assert det == np.linalg.det(perm)
+    assert np.array_equal(x, perm.T @ b_perm)
+    det, x = numkit.factor_solve(swap, np.eye(3))
+    assert abs(det - np.linalg.det(swap)) <= 1e-15 * abs(det)
+    assert np.allclose(x, np.linalg.inv(swap), rtol=0, atol=1e-15)
+
+
+def test_factor_solve_singular_node_is_quiet():
+    """An exactly singular matrix gives det 0 and NaN in x without a
+    warning, and leaves the other matrices of its chunk as they are."""
+    rng = np.random.default_rng(41)
+    s = _cnormal(rng, 5, 2, 2)
+    b = _cnormal(rng, 5, 2, 3)
+    s[1] = [[1.0, 2.0], [2.0, 4.0]]
+    s[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, x = numkit.factor_solve(s, b)
+    assert det[1] == 0 and det[3] == 0
+    assert np.isnan(x[[1, 3]]).all()
+    keep = [0, 2, 4]
+    _assert_matches_lapack(s[keep], b[keep], det[keep], x[keep])
+
+
+def test_factor_solve_repeats_bytes():
+    rng = np.random.default_rng(42)
+    s = _cnormal(rng, 1500, 4, 4)
+    b = _cnormal(rng, 1500, 4, 2)
+    first = numkit.factor_solve(s, b)
+    second = numkit.factor_solve(s, b)
+    assert first[0].tobytes() == second[0].tobytes()
+    assert first[1].tobytes() == second[1].tobytes()
+
+
+def test_factor_solve_rejects_bad_operands():
+    with pytest.raises(NonSquare):
+        numkit.factor_solve(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(ValueError):
+        numkit.factor_solve(np.eye(2), np.ones((3, 1)))
+    with pytest.raises(ValueError):
+        numkit.factor_solve(np.ones((4, 2, 2)), np.ones((3, 2, 1)))
+    with pytest.raises(ValueError):
+        numkit.factor_solve(np.diag([np.inf, 1.0]), np.ones((2, 1)))
 
 
 def test_solve_sylvester_scalar_cases():

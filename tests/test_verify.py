@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
@@ -185,6 +184,19 @@ def test_reduction_residual_detects_corruption(scalar_triple, scalar_field):
     assert not verify.reduction_residual(scalar_field, -sigma).passed
 
 
+def test_reduction_residual_is_relative(scalar_triple, scalar_field):
+    """Scaling u and the lower block together by 1e6 leaves the verdict as
+    it is and the residual at rounding level."""
+    sigma = scalar_triple.sigma
+    scaled = dataclasses.replace(
+        scalar_field, u=1e6 * scalar_field.u, lower=1e6 * scalar_field.lower
+    )
+    for field in (scalar_field, scaled):
+        report = verify.reduction_residual(field, sigma)
+        assert report.passed
+        assert report.residual <= 1e-12
+
+
 def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
     for triple, z in ((scalar_triple, 1.0 + 0.5j), (jordan_triple, 0.5 - 0.3j)):
         report_x, report_t = verify.wave_ode_residual(
@@ -224,6 +236,3 @@ def test_residual_report_json_round_trip():
     assert encoded["points_used"] == 12
     assert encoded["points_skipped"] == 3
     assert json.loads(json.dumps(encoded)) == encoded
-    finite = report.with_order(2.0)
-    assert finite.order == 2.0
-    assert math.isinf(finite.residual)
