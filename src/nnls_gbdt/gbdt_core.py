@@ -152,7 +152,7 @@ class GbdtTriple:
 
     @functools.cached_property
     def sylvester(self):
-        """Solver of A X + X A* = C for stacks of C, factored once.
+        """Solver of A X + X A* = C for stacks of C, built once.
 
         Raises SpectralClash when the spectra of A and -A* meet; the failure
         is not cached, so every call raises again.

@@ -1,17 +1,21 @@
-"""Dense complex linear algebra for small matrices.
+"""Dense complex linear algebra for small matrices, on numpy alone.
 
 All routines operate on plain ``complex128`` numpy arrays and are sized for
 the matrix orders this package actually meets (n <= 16, blocks <= 4). The
-matrix exponential uses scaling-and-squaring with a degree-13 rational
-kernel; the Sylvester solver uses the dense Kronecker linearization, chosen
-for exactness of the residual contract over a Schur factorization.
+matrix exponential is Al-Mohy and Higham's scaling and squaring with the
+degree-13 Pade approximant (SIAM J. Matrix Anal. Appl. 31, 2009), taken
+over a whole stack at once: every step is elementwise or per matrix, and
+each matrix gets its own power of 2, so a matrix's bits never depend on
+its place in the stack. The Sylvester solver uses the dense Kronecker
+linearization, chosen for exactness of the residual contract over a Schur
+factorization.
 
 The exponential and the Sylvester solver work on whole stacks ``(..., n, n)``
 in one call, and the Simpson integrator hands its integrand every node at
 once, so callers that evaluate many points need no per-point Python loop.
 The Sylvester solver sees only a few right-hand sides per transformation
 triple: S0 and the two origin parts from which S(x, t) is propagated, so
-its n^2 x n^2 factorisation is never applied node by node.
+its n^2 x n^2 system is never solved node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 multiplied pairwise, so each entry is one product of two exponentials.
@@ -23,11 +27,11 @@ matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidRange,
@@ -49,6 +53,42 @@ SPECTRAL_CLASH_FACTOR = 1e-8
 # pivot step runs over a long vector of matrices, few enough that the
 # chunk's augmented stack stays in cache at the orders met here (n <= 8).
 _FACTOR_CHUNK = 1024
+
+# Coefficients b_k of the degree-13 Pade approximant to e^x, divided by b_0
+# so that the constant terms are exactly 1.
+_B13 = [
+    b / 64764752532480000
+    for b in (
+        64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+        129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+        40840800, 960960, 16380, 182, 1,
+    )
+]
+# Rows: the four polynomials in (I, A^2, A^4, A^6) from which the Pade
+# numerator and denominator are V + U and V - U, with U = A (A^6 P0 + P2)
+# and V = A^6 P1 + P3.
+_PADE13 = np.array(
+    [
+        [0.0, _B13[9], _B13[11], _B13[13]],
+        [0.0, _B13[8], _B13[10], _B13[12]],
+        [_B13[1], _B13[3], _B13[5], _B13[7]],
+        [_B13[0], _B13[2], _B13[4], _B13[6]],
+    ],
+    dtype=np.complex128,
+)
+# The approximant is applied unscaled to a matrix of 1-norm at most
+# Higham's theta_13, where its backward error is bounded by the unit
+# roundoff (SIAM J. Matrix Anal. Appl. 26, 2005). A larger matrix is scaled
+# until eta = min(max(d6, d8), max(d8, d10)), d_k = ||A^k||_1^(1/k), is at
+# most Al-Mohy and Higham's theta_13; eta <= ||A||_1.
+_NORM_THETA13 = 5.371920351148152
+_ETA_THETA13 = 4.25
+# Al-Mohy and Higham's ell(A, 13) adds squarings until
+# alpha = || |A|^27 ||_1 / (||A||_1 c_13) is at most the unit roundoff u.
+# alpha <= ||A||_1^26 / c_13, so ell is 0 for ||A||_1 <= (u c_13)^(1/26).
+_C13 = 113250775606021113483283660800000000.0
+_UNIT_ROUNDOFF = 2.0**-53
+_ELL_FREE_NORM = (_UNIT_ROUNDOFF * _C13) ** (1.0 / 26)
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
@@ -74,6 +114,12 @@ def _square(m, name: str) -> np.ndarray:
 
 def expm(m) -> np.ndarray:
     """Matrix exponential ``e^m`` of one matrix or of each matrix in a stack.
+
+    Each matrix is scaled by its own power of 2 and its degree-13 Pade
+    approximant squared back (Al-Mohy and Higham); the whole stack goes
+    through each step at once. 1 x 1 and diagonal matrices are ``np.exp``
+    of their entries, and triangular ones keep exact exponentials on the
+    diagonal and first off-diagonal through the squarings.
 
     Parameters
     ----------
@@ -101,24 +147,184 @@ def expm(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim < 2:
         raise ValueError(f"expm operand must have at least two axes, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("expm operand has non-finite entries")
     if a.shape[-1] != a.shape[-2]:
         raise NonSquare(f"expm operand must be square, got shape {a.shape}")
     if a.size == 0:
         return a.copy()
-    _check_range(a, "m")
-    return scipy.linalg.expm(a)
+    n = a.shape[-1]
+    colsum = np.abs(a) if n == 1 else np.abs(a).sum(axis=-2)
+    worst = float(colsum.max())
+    # a NaN or an infinity anywhere makes its matrix's norm non-finite
+    if not math.isfinite(worst):
+        raise ValueError("expm operand has non-finite entries")
+    _check_range(worst, "m")
+    if n == 1:
+        return np.exp(a)
+    norm = colsum.max(axis=-1).reshape(-1) if worst > _NORM_THETA13 else None
+    return _expm_stack(a.reshape(-1, n, n), norm).reshape(a.shape)
 
 
-def _check_range(a: np.ndarray, name: str) -> None:
-    """Raise Overflow when the worst matrix of the stack ``a`` has a
-    column-sum 1-norm beyond the expm operating range."""
-    norm1 = float(np.abs(a).sum(axis=-2).max())
-    if norm1 > EXPM_NORM_LIMIT:
+def _check_range(worst: float, name: str) -> None:
+    """Raise Overflow when ``worst``, the largest 1-norm of a stack, is
+    beyond the expm operating range."""
+    if worst > EXPM_NORM_LIMIT:
         raise Overflow(
-            f"||{name}||_1 = {norm1:.3e} exceeds expm operating range {EXPM_NORM_LIMIT:g}"
+            f"||{name}||_1 = {worst:.3e} exceeds expm operating range {EXPM_NORM_LIMIT:g}"
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the entries below the diagonal, then of
+    those above it, and the n x n identity."""
+    lower = np.tril_indices(n, -1)
+    arrays = np.concatenate(lower), np.concatenate(lower[::-1]), np.eye(n)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _expm_stack(a: np.ndarray, norm) -> np.ndarray:
+    """e^a for a ``(count, n, n)`` stack with n >= 2. ``norm`` holds each
+    matrix's 1-norm, or is None when none exceeds Higham's theta_13.
+
+    A diagonal matrix is the exponential of its diagonal; the others take
+    the Pade route, where triangular ones keep their exact diagonal.
+    """
+    # no zero entry: no matrix is diagonal or triangular
+    if np.count_nonzero(a) == a.size:
+        return _pade13(a, norm, None)
+    count, n = a.shape[:2]
+    rows, cols, _ = _layout(n)
+    # (count, 2): any entry below, any entry above the diagonal
+    sides = (a[:, rows, cols] != 0).reshape(count, 2, -1).any(axis=2)
+    full = sides.any(axis=1)
+    out = np.zeros_like(a)
+    diagonal = np.flatnonzero(~full)[:, None]
+    at = np.arange(n)
+    out[diagonal, at, at] = np.exp(a[diagonal, at, at])
+    if full.any():
+        out[full] = _pade13(a[full], None if norm is None else norm[full], sides[full])
+    return out
+
+
+def _pade13(a: np.ndarray, norm, sides) -> np.ndarray:
+    """Scaling and squaring with the degree-13 Pade approximant over a
+    ``(count, n, n)`` stack of matrices that are not diagonal.
+
+    ``norm`` is as in ``_expm_stack``; ``sides`` flags, per matrix, entries
+    below and above the diagonal, or is None when every matrix has both.
+    """
+    count, n = a.shape[:2]
+    # powers[k] is the (count, n, n) stack of a^(2k)
+    powers = np.empty((4, count, n, n), dtype=np.complex128)
+    powers[0] = _layout(n)[2]
+    np.matmul(a, a, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    s = None
+    scaled = a
+    if norm is not None:
+        s = np.zeros(count, dtype=np.int64)
+        big = norm > _NORM_THETA13
+        s[big] = _squarings(a[big], norm[big], powers[2, big], powers[3, big])
+        if s.any():
+            # powers of 2 scale exactly: these are the powers of 2^-s a
+            scaled = a * np.ldexp(1.0, -s)[:, None, None]
+            powers *= np.ldexp(1.0, -np.arange(0, 8, 2)[:, None] * s)[..., None, None]
+        else:
+            s = None
+    p = _PADE13 @ powers.reshape(4, count, n * n).transpose(1, 0, 2)
+    p = p.reshape(count, 4, n, n)
+    high = powers[3, :, None] @ p[:, :2]
+    high += p[:, 2:]
+    u = scaled @ high[:, 0]
+    v = high[:, 1]
+    denominator = v - u
+    v += u
+    x = np.linalg.solve(denominator, v)
+    upper = lower = None
+    if sides is not None:
+        upper = sides[:, 1] & ~sides[:, 0]
+        lower = sides[:, 0] & ~sides[:, 1]
+    if s is not None:
+        _square_back(x, a, s, upper, lower)
+    if sides is not None:
+        # exact zeros of positive sign off the triangle
+        x[upper] = np.triu(x[upper])
+        x[lower] = np.tril(x[lower])
+    return x
+
+
+def _squarings(a: np.ndarray, norm: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> np.ndarray:
+    """Al-Mohy and Higham's number of squarings for each matrix of ``a``:
+    from d_k = ||a^k||_1^(1/k) (k = 6, 8, 10), plus their ell for matrices
+    far from normal."""
+    d = np.stack([a6, a4 @ a4, a4 @ a6], axis=1)
+    d = np.abs(d).sum(axis=-2).max(axis=-1) ** [1 / 6, 1 / 8, 1 / 10]
+    eta = np.minimum(np.maximum(d[:, 0], d[:, 1]), np.maximum(d[:, 1], d[:, 2]))
+    # s = ceil(log2(eta / theta_13)) from the binary exponent, so that
+    # eta = 0 (a nilpotent matrix) needs no logarithm
+    mantissa, exponent = np.frexp(eta / _ETA_THETA13)
+    s = np.maximum(exponent - (mantissa == 0.5), 0)
+    scaled = np.ldexp(norm, -s)
+    far = scaled > _ELL_FREE_NORM
+    if far.any():
+        p = np.abs(a[far]) * np.ldexp(1.0, -s[far])[:, None, None]
+        p3 = p @ p @ p
+        p24 = p3 @ p3
+        p24 = p24 @ p24
+        p24 = p24 @ p24
+        alpha = (p24 @ p3).sum(axis=-2).max(axis=-1) / (scaled[far] * _C13)
+        ell = np.ceil(np.log2(np.maximum(alpha / _UNIT_ROUNDOFF, 1.0)) / 26)
+        s[far] += ell.astype(np.int64)
+    return s
+
+
+def _square_back(x: np.ndarray, a: np.ndarray, s: np.ndarray, upper, lower) -> None:
+    """Square each matrix of ``x``, the Pade approximant of ``2^-s a``, ``s``
+    times in place.
+
+    ``upper`` and ``lower`` flag the upper and lower triangular matrices,
+    or are None when there are none. On those the diagonal is set to
+    e^{2^-i a_kk} before the squarings and after the one that leaves i to
+    go, and the first off-diagonal from its 2 x 2 blocks, as in Al-Mohy and
+    Higham's Code Fragment 2.1, so the rounding of the approximant does not
+    grow there.
+    """
+    n = a.shape[-1]
+    at = np.arange(n)
+    fix = np.zeros(0, dtype=np.intp)
+    if upper is not None:
+        fix = np.flatnonzero((upper | lower) & (s > 0))
+    if fix.size:
+        # the first off-diagonal, above or below the diagonal
+        rows = np.where(upper[fix, None], at[:-1], at[1:])
+        cols = np.where(upper[fix, None], at[1:], at[:-1])
+        diag = a[fix[:, None], at, at]
+        off = a[fix[:, None], rows, cols]
+        x[fix[:, None], at, at] = np.exp(diag * np.ldexp(1.0, -s[fix])[:, None])
+    for k in range(1, int(s.max()) + 1):
+        act = np.flatnonzero(s >= k)
+        y = x[act]
+        x[act] = y @ y
+        now = np.flatnonzero(s[fix] >= k)
+        if now.size:
+            at_now = fix[now, None]
+            scale = np.ldexp(1.0, k - s[fix[now]])[:, None]
+            d = diag[now] * scale
+            x[at_now, at, at] = np.exp(d)
+            x[at_now, rows[now], cols[now]] = off[now] * scale * _exp_divided_difference(d)
+
+
+def _exp_divided_difference(d: np.ndarray) -> np.ndarray:
+    """(e^{d_{k+1}} - e^{d_k}) / (d_{k+1} - d_k) along the last axis, e^{d_k}
+    where the two are equal, as e^{mean} sinh(delta) / delta with
+    delta = (d_{k+1} - d_k) / 2, free of the difference's cancellation
+    (Higham, Functions of Matrices, (10.42))."""
+    delta = 0.5 * (d[..., 1:] - d[..., :-1])
+    ratio = np.divide(np.sinh(delta), delta, out=np.ones_like(delta), where=delta != 0)
+    return np.exp(0.5 * (d[..., 1:] + d[..., :-1])) * ratio
 
 
 def expm_steps(m, count: int) -> np.ndarray:
@@ -148,7 +354,7 @@ def expm_steps(m, count: int) -> np.ndarray:
     if count < 1:
         raise InvalidRange(f"count must be positive, got {count}")
     last = count - 1
-    _check_range(last * a, "(count - 1) m")
+    _check_range(float(np.abs(last * a).sum(axis=0).max()), "(count - 1) m")
     b = math.isqrt(last) + 1
     powers = np.concatenate([np.arange(b), b * np.arange(1, last // b + 1)])
     table = expm(powers[:, None, None] * a)
@@ -175,12 +381,14 @@ def _sylvester_operator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the map X -> a X + X b once and return a solver for many C.
+    """Build the Kronecker matrix of X -> a X + X b once and return a
+    solver for many C.
 
     The returned callable accepts a stack of right-hand sides with shape
-    ``(..., n, n)`` and returns solutions of the same shape. Raises
-    SpectralClash if the spectra of ``a`` and ``-b`` are not numerically
-    disjoint (margin below 1e-8 * (||a|| + ||b||)).
+    ``(..., n, n)`` and returns solutions of the same shape, all from one
+    ``np.linalg.solve`` of the n^2 x n^2 system with the stack's blocks as
+    its columns. Raises SpectralClash if the spectra of ``a`` and ``-b`` are
+    not numerically disjoint (margin below 1e-8 * (||a|| + ||b||)).
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -194,7 +402,7 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
             f"spectral margin {margin:.3e} below threshold "
             f"{SPECTRAL_CLASH_FACTOR * scale:.3e}; spectra of a and -b overlap"
         )
-    lu, piv = scipy.linalg.lu_factor(_sylvester_operator(a, b))
+    operator = _sylvester_operator(a, b)
 
     def solve_many(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=np.complex128)
@@ -203,7 +411,7 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
             raise NonSquare(f"right-hand side blocks must be {n}x{n}, got {c.shape[-2:]}")
         # column-stacked vec of each block, blocks along the last axis
         flat = c.reshape(-1, n, n).transpose(0, 2, 1).reshape(-1, n * n).T
-        sol = scipy.linalg.lu_solve((lu, piv), flat)
+        sol = np.linalg.solve(operator, flat)
         out = sol.T.reshape(-1, n, n).transpose(0, 2, 1)
         return out.reshape(*lead, n, n)
 

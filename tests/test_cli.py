@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -53,6 +54,26 @@ def test_shipped_scenarios_pass(name, tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["passed"] is True
     assert report["exit_code"] == 0
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_levels_agree_with_their_record(name, tmp_path):
+    """No level of a passing check record reads as failed. The pde record's
+    verdict is its order band or its exact floor, which it states; its
+    levels carry no verdict or tolerance of their own."""
+    code = cli.main(
+        ["run", str(SCENARIO_DIR / name), "--out", str(tmp_path), "--refine", "1"]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for record in report["checks"]:
+        if record["passed"]:
+            assert all(level.get("passed", True) for level in record.get("levels", []))
+        if record["name"] == "pde":
+            assert record["order_band"] == [cli.ORDER_LOW, cli.ORDER_HIGH]
+            assert record["exact_floor"] == cli.EXACT_FLOOR
+            for level in record["levels"]:
+                assert "passed" not in level and "tolerance" not in level
 
 
 def test_report_structure(tmp_path):
@@ -368,6 +389,35 @@ def test_outputs_are_deterministic(tmp_path):
 
 
 # ----------------------------------------------------- error exit codes
+
+
+_SCIPY_MODULES = (
+    "import sys\n"
+    "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+    "print(loaded)\n"
+    "assert not loaded, loaded\n"
+)
+
+
+@pytest.mark.parametrize("name", [None] + SHIPPED)
+def test_runtime_loads_no_scipy(name, tmp_path):
+    """Neither importing the runner (name None) nor a run of a shipped
+    scenario loads a scipy module, in a fresh interpreter."""
+    code = "import nnls_gbdt.cli\n"
+    if name is not None:
+        scenario, out = str(SCENARIO_DIR / name), str(tmp_path)
+        code = (
+            "from nnls_gbdt import cli\n"
+            f"assert cli.main(['run', {scenario!r}, '--out', {out!r}]) == 0\n"
+        )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code + _SCIPY_MODULES],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def test_overflow_exits_3_with_error_report(tmp_path):

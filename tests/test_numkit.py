@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -79,15 +80,109 @@ def _expm_slices(n, rng):
     return np.stack([diagonal, 3.0 * jordan, 1j * jordan, dense, 10.0 * dense])
 
 
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_expm_stack_matches_per_matrix_loop(n):
-    stack = _expm_slices(n, np.random.default_rng(20 + n))
+def _field_tables(a, x_max, nx, t_max, nt):
+    """The exponents of solution_field's table stack: i x A over the x
+    nodes, then -2i t A^2 and 2i t A^2 over the t nodes."""
+    xs = np.linspace(-x_max, x_max, nx)[:, None, None]
+    ts = np.linspace(-t_max, t_max, nt)[:, None, None]
+    a2 = a @ a
+    return np.concatenate([1j * xs * a, -2j * ts * a2, 2j * ts * a2])
+
+
+def _expm_stacks():
+    """The five slices at n = 1, 2, 4, then table stacks of the solution
+    field's shapes: (603, 8, 8) of a dense A and (503, 2, 2) of a Jordan
+    block, both wide enough that part of each stack needs squarings."""
+    stacks = {str(n): _expm_slices(n, np.random.default_rng(20 + n)) for n in (1, 2, 4)}
+    rng = np.random.default_rng(28)
+    dense = 0.6 * np.eye(8) + 0.35 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))) / 8**0.5
+    stacks["603x8x8"] = _field_tables(dense, 6.0, 201, 1.0, 201)
+    jordan = np.array([[1.0 + 1.0j, 1.0], [0.0, 1.0 + 1.0j]])
+    stacks["503x2x2"] = _field_tables(jordan, 8.0, 201, 1.0, 151)
+    return stacks
+
+
+_STACKS = _expm_stacks()
+
+
+@pytest.mark.parametrize("stack", _STACKS.values(), ids=_STACKS.keys())
+def test_expm_stack_matches_per_matrix_loop(stack):
+    count, n = stack.shape[:2]
     batched = numkit.expm(stack)
     assert batched.shape == stack.shape
-    for k in range(stack.shape[0]):
+    for k in range(count):
         assert np.array_equal(batched[k], numkit.expm(stack[k]))
-    nested = numkit.expm(stack.reshape(5, 1, n, n))
+    nested = numkit.expm(stack.reshape(count, 1, n, n))
     assert np.array_equal(nested.reshape(stack.shape), batched)
+    assert np.array_equal(numkit.expm(stack[::-1]), batched[::-1])
+
+
+def _mp_expm(m):
+    """e^m from mpmath at 40 significant digits, rounded to complex128."""
+    with mpmath.workdps(40):
+        e = mpmath.expm(mpmath.matrix(m.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(m.shape[1])] for i in range(m.shape[0])])
+
+
+def _oracle_matrix(kind, n, rng):
+    if kind == "dense":
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "jordan":
+        return (0.7 + 0.2j) * np.eye(n) + np.eye(n, k=1)
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))
+    return np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 1)
+
+
+def _assert_matches_mpmath(m):
+    """Relative 1-norm error against the 40-digit exponential within
+    1e-14 max(1, ||m||_1): the contract's backward error of 1e-12 leaves
+    that margin at the condition numbers of these matrices, whose own
+    forward errors stay below 3e-15."""
+    norm = float(np.abs(m).sum(axis=0).max())
+    expected = _mp_expm(m)
+    gap = np.abs(numkit.expm(m) - expected).sum(axis=0).max()
+    assert gap <= 1e-14 * max(1.0, norm) * np.abs(expected).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 20.0, 50.0])
+@pytest.mark.parametrize("kind", ["dense", "jordan", "diagonal", "nilpotent"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_expm_matches_mpmath(n, kind, norm):
+    m = _oracle_matrix(kind, n, np.random.default_rng(50 + n))
+    _assert_matches_mpmath(m * (norm / np.abs(m).sum(axis=0).max()))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    kind=st.sampled_from(["dense", "jordan", "diagonal", "nilpotent"]),
+    log_norm=st.floats(math.log10(1e-3), math.log10(50.0)),
+)
+def test_expm_matches_mpmath_property(seed, n, kind, log_norm):
+    m = _oracle_matrix(kind, n, np.random.default_rng(seed))
+    _assert_matches_mpmath(m * (10.0**log_norm / np.abs(m).sum(axis=0).max()))
+
+
+def test_expm_stack_with_zero_and_nilpotent_matrices_is_quiet():
+    """In a stack that needs squarings, a zero matrix gives the identity
+    and a nilpotent one its finite series, with no warning from the
+    scaling choice, whose d_k and ell then read 0."""
+    nilpotent = 30.0 * np.eye(3, k=1) - 20.0j * np.eye(3, k=2)
+    stack = np.stack([
+        np.zeros((3, 3)),
+        30.0 * np.eye(3, k=1) + np.diag([1.0, 2.0, 3.0]),
+        10.0 * (np.ones((3, 3)) + 1j * np.eye(3)),
+        nilpotent,
+    ]).astype(complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = numkit.expm(stack)
+    assert np.array_equal(out[0], np.eye(3))
+    assert np.allclose(out[1:3], scipy.linalg.expm(stack[1:3]), rtol=1e-13, atol=0)
+    series = np.eye(3) + nilpotent + nilpotent @ nilpotent / 2
+    assert np.linalg.norm(out[3] - series) <= 1e-15 * np.linalg.norm(series)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 17, 401])
@@ -248,6 +343,41 @@ def test_solve_sylvester_hermitian_structure():
 def test_solve_sylvester_spectral_clash():
     with pytest.raises(SpectralClash):
         numkit.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0, 10.0, 1e3])
+def test_solve_sylvester_near_the_clash_threshold(factor):
+    """With min |lambda_i(a) + mu_j(b)| at ``factor`` times the clash
+    threshold 1e-8 (||a|| + ||b||), the solver refuses below it and keeps
+    the residual contract above it, where X grows like 1 / margin."""
+    rng = np.random.default_rng(60)
+    p = np.eye(3) + 0.3 * _cnormal(rng, 3, 3)
+    q = np.eye(3) + 0.3 * _cnormal(rng, 3, 3)
+    lam = np.array([1.0 + 0.5j, 2.0 - 1.0j, 3.0 + 0.2j])
+    mu = np.array([-1.0 - 0.5j, 4.0, 5.0 - 2.0j])
+    a = p @ np.diag(lam) @ np.linalg.inv(p)
+    b0 = q @ np.diag(mu) @ np.linalg.inv(q)
+    threshold = numkit.SPECTRAL_CLASH_FACTOR * (np.linalg.norm(a) + np.linalg.norm(b0))
+    # shift b so that lam[0] + mu[0] sits at factor x threshold
+    b = b0 + factor * threshold * np.eye(3)
+    c = _cnormal(rng, 3, 3)
+    margin = numkit.spectral_margin(a, b)
+    limit = numkit.SPECTRAL_CLASH_FACTOR * (np.linalg.norm(a) + np.linalg.norm(b))
+    assert margin == pytest.approx(factor * threshold, rel=1e-3)
+    assert (margin < limit) == (factor < 1.0)
+    if factor < 1.0:
+        with pytest.raises(SpectralClash):
+            numkit.solve_sylvester(a, b, c)
+        return
+    x = numkit.solve_sylvester(a, b, c)
+    res = np.linalg.norm(a @ x + x @ b - c)
+    scale = (
+        np.linalg.norm(a) * np.linalg.norm(x)
+        + np.linalg.norm(x) * np.linalg.norm(b)
+        + np.linalg.norm(c)
+    )
+    assert res <= 1e-11 * scale
+    assert np.linalg.norm(x) >= 0.1 / margin
 
 
 def test_sylvester_solver_batches_match_single_solves():
