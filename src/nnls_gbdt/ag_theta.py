@@ -47,6 +47,10 @@ THETA_DENOM_FLOOR = 1e-12
 #: Exponent bound beyond which theta terms overflow double precision.
 THETA_EXP_LIMIT = 700.0
 
+#: Series terms per side beyond which theta refuses to evaluate; its
+#: documented range (Im tau >= 0.05, |Im z| <= 5 Im tau) needs about 23.
+THETA_TERM_LIMIT = 10_000
+
 
 def theta(z: complex, tau: complex) -> complex:
     """Third theta function with characteristic zero.
@@ -57,7 +61,8 @@ def theta(z: complex, tau: complex) -> complex:
     short.  Relative accuracy is about 1e-13 for Im(tau) >= 0.05 and
     |Im(z)| <= 5 Im(tau), degrading to absolute accuracy near the zeros
     of theta.  Raises BadTau for Im(tau) <= 0 and RangeExceeded when the
-    peak term would overflow.
+    peak term would overflow or the series would need more than
+    THETA_TERM_LIMIT terms per side.
     """
     tau = complex(tau)
     if not tau.imag > 0:
@@ -74,6 +79,10 @@ def theta(z: complex, tau: complex) -> complex:
         int(math.ceil((y + math.sqrt(y * y + b * math.log(1e16) / math.pi)) / b))
         + 2
     )
+    if cutoff > THETA_TERM_LIMIT:
+        raise RangeExceeded(
+            f"theta series needs {cutoff:.3e} > {THETA_TERM_LIMIT} terms for tau={tau!r}"
+        )
     total = complex(1.0)
     for m in range(1, cutoff + 1):
         quad = 1j * math.pi * m * m * tau

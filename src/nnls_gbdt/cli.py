@@ -66,14 +66,19 @@ def _load_schema() -> dict:
         return json.load(handle)
 
 
+def _reject_constant(name: str):
+    """parse_constant hook: Python's json would read NaN and +-Infinity."""
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def load_scenario(path: Path) -> dict:
     """Read and structurally validate one scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+            document = json.load(handle, parse_constant=_reject_constant)
     except OSError as exc:
         raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except ValueError as exc:  # invalid JSON, invalid UTF-8 or a non-finite number
         raise SchemaError(f"scenario {path} is not valid JSON: {exc}") from exc
 
     validator = jsonschema.Draft202012Validator(_load_schema())

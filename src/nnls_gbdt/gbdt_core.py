@@ -60,6 +60,15 @@ def _h(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
+def _solve_origin_parts(solver, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
+    """Read-only stack of Sigma1 and Sigma2: one call of the Sylvester solver
+    on the gram stack theta_k theta_k*, symmetrized to be exactly Hermitian."""
+    parts = solver(np.stack([theta1 @ _h(theta1), theta2 @ _h(theta2)]))
+    parts = 0.5 * (parts + _h(parts))
+    parts.flags.writeable = False
+    return parts
+
+
 def coupling_term(kappa: int, p1, p2, q1, q2) -> np.ndarray:
     """p1 q1* + (-1)^kappa p2 q2*, broadcast over leading axes.
 
@@ -86,9 +95,9 @@ class GbdtTriple:
     the job of validate_triple.
 
     The Sylvester solver of A X + X A* = C, the eigenvalues of A and the
-    origin parts of S are computed on first use and cached on the instance,
-    so A and the theta blocks must not be mutated in place after
-    construction.
+    origin parts of S are cached on the instance (complete_triple fills the
+    first and the last; otherwise they are computed on first use), so A and
+    the theta blocks must not be mutated in place after construction.
     """
 
     sigma: int
@@ -164,16 +173,12 @@ class GbdtTriple:
         """Read-only (2, n, n) stack of Sigma1 and Sigma2, the Hermitian
         solutions of A Sigma_k + Sigma_k A* = theta_k theta_k*.
 
-        Both come from one call of the cached solver and are symmetrized
-        against rounding, as S0 is in complete_triple. S(x, t) is propagated
-        from them. Raises SpectralClash like sylvester, and is then not
-        cached either.
+        S(x, t) is propagated from them. complete_triple caches them with
+        S0 = Sigma1 + (-1)^kappa Sigma2; a triple built directly solves for
+        them on first use. Raises SpectralClash like sylvester, and is then
+        not cached either.
         """
-        gram = np.stack([self.theta1 @ _h(self.theta1), self.theta2 @ _h(self.theta2)])
-        parts = self.sylvester(gram)
-        parts = 0.5 * (parts + _h(parts))
-        parts.flags.writeable = False
-        return parts
+        return _solve_origin_parts(self.sylvester, self.theta1, self.theta2)
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -257,18 +262,21 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
 def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     """Solve the coupling identity for S0 and return the validated triple.
 
-    S0 is Hermitian by construction (the identity's right side is Hermitian
-    and the solution is symmetrized against rounding). Raises SpectralClash
-    if A's spectrum meets its reflected conjugate, and DegenerateS if the
-    resulting S0 is numerically singular.
+    One Sylvester solver solves once for the origin parts; by linearity
+    S0 = Sigma1 + (-1)^kappa Sigma2, exactly Hermitian. The triple caches
+    that solver and those parts, so no later call builds or solves again.
+    Raises SpectralClash if A's spectrum meets its reflected conjugate, and
+    DegenerateS if the resulting S0 is numerically singular.
     """
     A = numkit.as_cmatrix(A, "A")
     theta1 = numkit.as_cmatrix(theta1, "theta1")
     theta2 = numkit.as_cmatrix(theta2, "theta2")
-    rhs = coupling_term((1 - sigma) // 2, theta1, theta2, theta1, theta2)
-    s0 = numkit.solve_sylvester(A, _h(A), rhs)
-    s0 = 0.5 * (s0 + _h(s0))
+    solver = numkit.sylvester_solver(A, _h(A))
+    parts = _solve_origin_parts(solver, theta1, theta2)
+    s0 = parts[0] + (-1) ** ((1 - sigma) // 2) * parts[1]
     triple = GbdtTriple(sigma=sigma, A=A, S0=s0, theta1=theta1, theta2=theta2)
+    # prefill the cached properties: cached_property reads the instance __dict__
+    vars(triple).update(sylvester=solver, origin_parts=parts)
     report = validate_triple(triple)
     det_entry = report.entry("determinant")
     if not det_entry.passed:

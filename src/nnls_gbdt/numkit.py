@@ -13,9 +13,9 @@ factorization.
 The exponential and the Sylvester solver work on whole stacks ``(..., n, n)``
 in one call, and the Simpson integrator hands its integrand every node at
 once, so callers that evaluate many points need no per-point Python loop.
-The Sylvester solver sees only a few right-hand sides per transformation
-triple: S0 and the two origin parts from which S(x, t) is propagated, so
-its n^2 x n^2 system is never solved node by node.
+The Sylvester solver sees two right-hand sides per transformation triple,
+in one call: the origin parts from which S0 and S(x, t) are built, so its
+n^2 x n^2 system is built and solved once per triple, never node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 multiplied pairwise, so each entry is one product of two exponentials.
@@ -384,11 +384,14 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
     """Build the Kronecker matrix of X -> a X + X b once and return a
     solver for many C.
 
-    The returned callable accepts a stack of right-hand sides with shape
-    ``(..., n, n)`` and returns solutions of the same shape, all from one
-    ``np.linalg.solve`` of the n^2 x n^2 system with the stack's blocks as
-    its columns. Raises SpectralClash if the spectra of ``a`` and ``-b`` are
-    not numerically disjoint (margin below 1e-8 * (||a|| + ||b||)).
+    The returned callable takes one C or a stack ``(..., n, n)`` of them and
+    returns X of the same shape, from one ``np.linalg.solve`` of the
+    n^2 x n^2 system with the stack's blocks as its columns. Away from the
+    clash threshold, ``||aX + Xb - C|| <= 1e-11 (||a|| ||X|| + ||X|| ||b||
+    + ||C||)``, and X is Hermitian up to rounding when b = a* and C = C*.
+    Raises SpectralClash if ``min |lambda_i(a) + mu_j(b)|`` is at most
+    ``1e-8 (||a|| + ||b||)``, zero operands included, and NonSquare on
+    non-square or mismatched operands.
     """
     a = _square(a, "a")
     b = _square(b, "b")
@@ -397,9 +400,9 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
         raise NonSquare(f"a and b must have equal orders, got {a.shape} and {b.shape}")
     margin = spectral_margin(a, b)
     scale = np.linalg.norm(a) + np.linalg.norm(b)
-    if margin < SPECTRAL_CLASH_FACTOR * scale:
+    if margin <= SPECTRAL_CLASH_FACTOR * scale:
         raise SpectralClash(
-            f"spectral margin {margin:.3e} below threshold "
+            f"spectral margin {margin:.3e} at or below threshold "
             f"{SPECTRAL_CLASH_FACTOR * scale:.3e}; spectra of a and -b overlap"
         )
     operator = _sylvester_operator(a, b)
@@ -416,27 +419,6 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
         return out.reshape(*lead, n, n)
 
     return solve_many
-
-
-def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve ``a X + X b = c`` for square complex matrices of equal order.
-
-    Uses the dense Kronecker linearization (n^2 unknowns). The residual
-    satisfies ``||aX + Xb - c|| <= 1e-11 (||a|| ||X|| + ||X|| ||b|| + ||c||)``
-    away from the clash threshold, and X is Hermitian whenever ``b = a*``
-    and ``c = c*``.
-
-    Raises
-    ------
-    SpectralClash
-        If ``min |lambda_i(a) + mu_j(b)|`` is below
-        ``1e-8 * (||a|| + ||b||)``.
-    NonSquare
-        On non-square or mismatched operands.
-    """
-    c = _square(c, "c")
-    solver = sylvester_solver(a, b)
-    return solver(c)
 
 
 def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:

@@ -20,11 +20,15 @@ from . import gbdt_core
 from .errors import GridTooSmall
 from .gbdt_core import GbdtTriple, SolutionField
 
-#: Default bound on finite-difference residuals of grid fields.
+#: Bound on finite-difference residuals of grid fields and wave functions.
 DEFAULT_PDE_TOL = 0.05
 
-#: Default bound on algebraic identities evaluated pointwise.
+#: Bound on algebraic identities evaluated pointwise.
 DEFAULT_IDENTITY_TOL = 1e-10
+
+#: Central-difference step of wave_ode_residual; it also compares the
+#: residual at half this step.
+WAVE_STEP = 1e-3
 
 #: Floor of a relative residual's scale, as a fraction of the largest scale
 #: over the nodes compared, so that zeros of the compared field do not
@@ -107,9 +111,7 @@ def _interior_validity(mask: np.ndarray) -> np.ndarray:
     return valid
 
 
-def nnls_residual(
-    field: SolutionField, sigma: int, tol: float = DEFAULT_PDE_TOL
-) -> ResidualReport:
+def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
     """Residual of the evolution equation on the field's grid.
 
     The nonlocal cubic term couples each point to its spatial mirror, so a
@@ -146,16 +148,14 @@ def nnls_residual(
         ht=ht,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_PDE_TOL),
+        tolerance=DEFAULT_PDE_TOL,
         points_used=used,
         points_skipped=skipped,
     )
 
 
-def identity_residual(
-    triple: GbdtTriple, field: SolutionField, tol: float = DEFAULT_IDENTITY_TOL
-) -> ResidualReport:
+def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
     """Pointwise relative residual of A S + S A^* against the coupling term.
 
     The coupling term is formed here from the field's Pi blocks, while the
@@ -191,15 +191,13 @@ def identity_residual(
         ht=field.grid.ht,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
+        tolerance=DEFAULT_IDENTITY_TOL,
         points_used=int(rel.size),
     )
 
 
-def hermitian_mirror_residual(
-    field: SolutionField, tol: float = DEFAULT_IDENTITY_TOL
-) -> ResidualReport:
+def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
     """Largest relative deviation of S(-x, t) from S(x, t)^* over the nodes.
 
     At each node the Frobenius norm of S(-x, t) - S(x, t)^* is divided by
@@ -217,15 +215,13 @@ def hermitian_mirror_residual(
         ht=field.grid.ht,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
+        tolerance=DEFAULT_IDENTITY_TOL,
         points_used=int(rel.size),
     )
 
 
-def reduction_residual(
-    field: SolutionField, sigma: int, tol: float = DEFAULT_IDENTITY_TOL
-) -> ResidualReport:
+def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
     """Relative deviation of the lower coupling block from -sigma u(-x, t)^*.
 
     The lower block is the field's stored ``lower``, taken from the same
@@ -252,8 +248,8 @@ def reduction_residual(
         ht=field.grid.ht,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
+        tolerance=DEFAULT_IDENTITY_TOL,
         points_used=used,
         points_skipped=int(keep.size - used),
     )
@@ -290,21 +286,18 @@ def _wave_t_residual(
 
 
 def wave_ode_residual(
-    triple: GbdtTriple,
-    x: float,
-    t: float,
-    z: complex,
-    h: float = 1e-3,
-    tol: float = DEFAULT_PDE_TOL,
+    triple: GbdtTriple, x: float, t: float, z: complex
 ) -> Tuple[ResidualReport, ResidualReport]:
     """Residuals of the two linear systems satisfied by the wave function.
 
     The x system differentiates along x at fixed t, the t system along t at
     fixed x; the coefficient of the t system needs the x derivative of the
     potential, taken with the same central step.  Each system is evaluated
-    at steps h and h/2 so the pair of reports carries convergence orders.
+    at steps WAVE_STEP and WAVE_STEP / 2 so the pair of reports carries
+    convergence orders.
     """
     z = complex(z)
+    h = WAVE_STEP
     # the wave function and the potential at (x, t) serve all four stencils
     w0 = gbdt_core.wave_at(triple, x, t, z)
     xi = gbdt_core.xi_tilde_at(triple, x, t)
@@ -318,8 +311,8 @@ def wave_ode_residual(
         ht=0.0,
         residual=rx_h,
         order=estimate_order(rx_h, rx_h2),
-        passed=bool(rx_h <= tol),
-        tolerance=tol,
+        passed=bool(rx_h <= DEFAULT_PDE_TOL),
+        tolerance=DEFAULT_PDE_TOL,
         points_used=1,
     )
     report_t = ResidualReport(
@@ -328,8 +321,8 @@ def wave_ode_residual(
         ht=h,
         residual=rt_h,
         order=estimate_order(rt_h, rt_h2),
-        passed=bool(rt_h <= tol),
-        tolerance=tol,
+        passed=bool(rt_h <= DEFAULT_PDE_TOL),
+        tolerance=DEFAULT_PDE_TOL,
         points_used=1,
     )
     return report_x, report_t

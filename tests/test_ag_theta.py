@@ -99,6 +99,14 @@ def test_theta_domain_errors():
         ag_theta.theta(50j, 0.05j)
 
 
+def test_theta_refuses_a_series_beyond_its_term_limit():
+    """Im tau = 1e-300 would need about 3.4e150 terms: refused at once."""
+    with pytest.raises(RangeExceeded, match="terms"):
+        ag_theta.theta(0.3, 1e-300j)
+    # the documented range stays far inside the limit
+    ag_theta.theta(0.25j, 0.05j)
+
+
 # ------------------------------------------------------------ branch points
 
 

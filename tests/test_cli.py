@@ -159,6 +159,38 @@ def test_invalid_utf8_exits_3(tmp_path):
     assert _error_report(out)["type"] == "SchemaError"
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {
+            "kind": "theta",
+            "parameters": {
+                "tau": [math.nan, 0.9], "A_theta": [0.2, 0.45], "B_theta": [0.0, 0.7],
+                "Delta": [0.5, 0.3], "e0": 0.0, "C1": [1.0, 0.0], "C2": [1.0, 0.0],
+                "chi": 1,
+            },
+            "checks": ["constraints"],
+        },
+        small_example1(
+            grid={"x_max": 1.0, "nx": 21, "t_min": -math.inf, "t_max": 0.2, "nt": 11}
+        ),
+        small_example1(
+            grid={"x_max": math.inf, "nx": 21, "t_min": -0.2, "t_max": 0.2, "nt": 11}
+        ),
+    ],
+    ids=["tau-nan", "t_min-minus-infinity", "x_max-infinity"],
+)
+def test_non_finite_json_numbers_exit_3(tmp_path, document):
+    """json writes and reads NaN and Infinity; the scenario loader refuses
+    them before any of them reaches a computation."""
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == 3
+    error = _error_report(out)
+    assert error["type"] == "SchemaError"
+    assert "non-finite number" in error["message"]
+
+
 def test_even_nx_exits_3(tmp_path):
     document = small_example1()
     document["grid"]["nx"] = 20
@@ -228,6 +260,31 @@ def test_failing_constraints_exit_1(tmp_path):
     entries = {e["name"]: e for e in report["checks"][0]["entries"]}
     assert entries["a_im"]["passed"] is False
     assert entries["delta_re"]["passed"] is True
+
+
+def test_theta_beyond_the_term_limit_exits_1_with_report(tmp_path):
+    """Im tau = 1e-300 with a real line in the Jacobian reaches the series
+    term limit, not the overflow bound: the probe fails and the run still
+    ends with its report."""
+    document = {
+        "kind": "theta",
+        "parameters": {
+            "tau": [0.0, 1e-300],
+            "A_theta": [0.2, 0.0],
+            "B_theta": [0.7, 0.0],
+            "Delta": [0.5, 0.0],
+            "e0": 0.0,
+            "C1": [1.0, 0.0],
+            "C2": [1.0, 0.0],
+            "chi": 1,
+        },
+        "checks": ["constraints"],
+    }
+    scenario = write_scenario(tmp_path, document)
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    entries = {e["name"]: e for e in report["checks"][0]["entries"]}
+    assert entries["ratio_independence"]["passed"] is False
 
 
 # ----------------------------------------------------------- file formats

@@ -71,6 +71,13 @@ def test_complete_triple_degenerate():
         gbdt_core.complete_triple(-1, [[1.0]], [[1.0]], [[1.0]])
 
 
+def test_complete_triple_zero_a_is_a_spectral_clash():
+    """A = 0 gives a zero margin against a zero threshold: a clash, not a
+    singular Kronecker system."""
+    with pytest.raises(SpectralClash):
+        gbdt_core.complete_triple(1, [[0.0]], [[1.0]], [[1.0]])
+
+
 def test_validate_triple_entries(scalar_triple):
     report = gbdt_core.validate_triple(scalar_triple)
     assert report.passed
@@ -402,23 +409,42 @@ def test_s_via_integration_matches_node_exponentials(jordan_triple):
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+def _count_sylvester(monkeypatch):
+    """Patch numkit.sylvester_solver to log its builds and, per call of a
+    built solver, the number of right-hand sides."""
+    builds, rhs = [], []
+    original = numkit.sylvester_solver
+
+    def counting_solver(a, b):
+        builds.append(np.shape(a))
+        solve = original(a, b)
+
+        def counting(c):
+            rhs.append(int(np.prod(np.shape(c)[:-2])))
+            return solve(c)
+
+        return counting
+
+    monkeypatch.setattr(numkit, "sylvester_solver", counting_solver)
+    return builds, rhs
+
+
 def test_triple_factors_its_sylvester_map_once(monkeypatch):
+    """complete_triple builds the solver and solves the origin parts; no
+    later pointwise or grid call builds or solves again."""
+    builds, rhs = _count_sylvester(monkeypatch)
     triple = gbdt_core.complete_triple(
         1, [[1.0, 1.0], [0.0, 1.0]], [[0.0], [2.0]], [[0.0], [0.3]]
     )
-    calls = []
-    original = numkit.sylvester_solver
-
-    def counting(a, b):
-        calls.append(a)
-        return original(a, b)
-
-    monkeypatch.setattr(numkit, "sylvester_solver", counting)
     for k in range(20):
         gbdt_core.darboux_at(triple, 0.05 * k - 0.5, 0.1, 2.0 + 0.5j)
     for k in range(5):
         gbdt_core.s_at(triple, 0.1 * k, -0.1)
-    assert len(calls) == 1
+    grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
+    gbdt_core.solution_field(triple, grid)
+    gbdt_core.solution_field(triple, grid.halved())
+    assert len(builds) == 1
+    assert rhs == [2]
 
 
 def _clash_triple():
@@ -703,39 +729,33 @@ def test_solution_field_matches_kronecker_solve_per_node(triple):
 
 
 def test_solution_field_solves_two_right_hand_sides(monkeypatch):
-    """A fresh field puts Sigma1 and Sigma2 through the triple's Sylvester
-    solver, and nothing else; a second field on the same triple none."""
-    triple = make_random_triple(np.random.default_rng(90), -1, n=3)
+    """A triple built with a supplied S0 has no origin parts yet: its first
+    field builds the solver and puts Sigma1 and Sigma2 through it, and
+    nothing else; a second field on the same triple none."""
+    completed = make_random_triple(np.random.default_rng(90), -1, n=3)
+    triple = gbdt_core.GbdtTriple(
+        sigma=completed.sigma, A=completed.A, S0=completed.S0,
+        theta1=completed.theta1, theta2=completed.theta2,
+    )
     grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
-    rhs = []
-    original = numkit.sylvester_solver
-
-    def counting_solver(a, b):
-        solve = original(a, b)
-
-        def counting(c):
-            rhs.append(int(np.prod(np.shape(c)[:-2])))
-            return solve(c)
-
-        return counting
-
-    monkeypatch.setattr(numkit, "sylvester_solver", counting_solver)
+    builds, rhs = _count_sylvester(monkeypatch)
     gbdt_core.solution_field(triple, grid)
-    assert sum(rhs) == 2
+    assert len(builds) == 1 and rhs == [2]
     gbdt_core.solution_field(triple, grid.halved())
-    assert sum(rhs) == 2
+    assert len(builds) == 1 and rhs == [2]
+    assert np.array_equal(triple.origin_parts, completed.origin_parts)
 
 
 def test_origin_parts_sum_to_s0():
-    """Sigma1 + (-1)^kappa Sigma2 solves the identity at the origin, so it
-    is S0; both parts are Hermitian and read-only."""
+    """complete_triple takes S0 as Sigma1 + (-1)^kappa Sigma2, bit for bit;
+    both parts are Hermitian and read-only."""
     for sigma in (1, -1):
         triple = make_random_triple(np.random.default_rng(91), sigma, n=4)
         sigma1, sigma2 = triple.origin_parts
         assert np.array_equal(sigma1, _h(sigma1))
         assert np.array_equal(sigma2, _h(sigma2))
         s0 = sigma1 + (-1) ** triple.kappa * sigma2
-        assert np.linalg.norm(s0 - triple.S0) <= 1e-13 * np.linalg.norm(triple.S0)
+        assert np.array_equal(s0, triple.S0)
         assert not triple.origin_parts.flags.writeable
 
 

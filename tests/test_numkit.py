@@ -308,8 +308,8 @@ def test_factor_solve_rejects_bad_operands():
 
 
 def test_solve_sylvester_scalar_cases():
-    assert np.allclose(numkit.solve_sylvester([[1.0]], [[1.0]], [[2.0]]), [[1.0]])
-    out = numkit.solve_sylvester([[1.0 + 1j]], [[1.0 - 1j]], [[2.0]])
+    assert np.allclose(numkit.sylvester_solver([[1.0]], [[1.0]])([[2.0]]), [[1.0]])
+    out = numkit.sylvester_solver([[1.0 + 1j]], [[1.0 - 1j]])([[2.0]])
     assert np.allclose(out, [[1.0]])
 
 
@@ -318,7 +318,7 @@ def test_solve_sylvester_matches_scipy():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
     c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    x = numkit.solve_sylvester(a, b, c)
+    x = numkit.sylvester_solver(a, b)(c)
     expected = scipy.linalg.solve_sylvester(a, b, c)
     assert np.linalg.norm(x - expected) <= 1e-11 * max(1.0, np.linalg.norm(expected))
     res = np.linalg.norm(a @ x + x @ b - c)
@@ -336,13 +336,17 @@ def test_solve_sylvester_hermitian_structure():
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) + 1.5 * np.eye(3)
     c = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     c = c + c.conj().T
-    x = numkit.solve_sylvester(a, a.conj().T, c)
+    x = numkit.sylvester_solver(a, a.conj().T)(c)
     assert np.linalg.norm(x - x.conj().T) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_solve_sylvester_spectral_clash():
     with pytest.raises(SpectralClash):
-        numkit.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
+        numkit.sylvester_solver([[1.0]], [[-1.0]])
+    # zero operands: a zero margin against a zero threshold is a clash,
+    # not a singular Kronecker system
+    with pytest.raises(SpectralClash):
+        numkit.sylvester_solver(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0, 1e3])
@@ -367,9 +371,9 @@ def test_solve_sylvester_near_the_clash_threshold(factor):
     assert (margin < limit) == (factor < 1.0)
     if factor < 1.0:
         with pytest.raises(SpectralClash):
-            numkit.solve_sylvester(a, b, c)
+            numkit.sylvester_solver(a, b)
         return
-    x = numkit.solve_sylvester(a, b, c)
+    x = numkit.sylvester_solver(a, b)(c)
     res = np.linalg.norm(a @ x + x @ b - c)
     scale = (
         np.linalg.norm(a) * np.linalg.norm(x)
@@ -389,7 +393,7 @@ def test_sylvester_solver_batches_match_single_solves():
     batched = solver(stack)
     for i in range(4):
         for k in range(3):
-            single = numkit.solve_sylvester(a, b, stack[i, k])
+            single = numkit.sylvester_solver(a, b)(stack[i, k])
             assert np.allclose(batched[i, k], single, atol=1e-13)
 
 

@@ -199,9 +199,8 @@ def test_reduction_residual_is_relative(scalar_triple, scalar_field):
 
 def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
     for triple, z in ((scalar_triple, 1.0 + 0.5j), (jordan_triple, 0.5 - 0.3j)):
-        report_x, report_t = verify.wave_ode_residual(
-            triple, 0.4, 0.1, z, h=1e-3
-        )
+        report_x, report_t = verify.wave_ode_residual(triple, 0.4, 0.1, z)
+        assert report_x.hx == report_t.ht == verify.WAVE_STEP == 1e-3
         assert report_x.passed and report_t.passed
         assert 1.7 <= report_x.order <= 2.3
         assert 1.7 <= report_t.order <= 2.3
