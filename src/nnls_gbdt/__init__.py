@@ -18,7 +18,8 @@ gbdt_core
 oracles
     Independent closed-form solutions used as cross-checks.
 verify
-    Residual reports for the PDE, the coupling identity, and the ODE pair.
+    Residual reports for the PDE, the coupling identity, the closed forms
+    and the ODE pair, and the verdict of every check.
 ag_theta
     Theta functions, branch-point data, and the stationary reduction.
 cli
@@ -45,7 +46,6 @@ from .errors import (
     SpectralClash,
     SpectralPole,
     ThetaZero,
-    UnsupportedSeed,
 )
 from .gbdt_core import (
     GbdtTriple,
@@ -88,7 +88,6 @@ __all__ = [
     "SpectralClash",
     "SpectralPole",
     "ThetaZero",
-    "UnsupportedSeed",
     "complete_triple",
     "darboux_at",
     "pi_at",

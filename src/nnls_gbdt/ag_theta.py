@@ -36,7 +36,7 @@ from .errors import (
     ThetaZero,
 )
 from .gbdt_core import ValidationEntry, ValidationReport
-from .verify import ResidualReport, estimate_order
+from .verify import DEFAULT_PDE_TOL, ResidualReport, estimate_order
 
 #: Relative tolerance used when classifying branch points.
 CLASSIFY_TOL = 1e-10
@@ -289,13 +289,13 @@ def snnls_residual(
     u_samples: Sequence[complex],
     constants: NnlsConstants,
     h: float,
-    tol: float = 0.05,
 ) -> ResidualReport:
     """Central-difference residual of the stationary nonlocal equation.
 
     Samples must come from a uniform grid symmetric about x = 0, so that
     reversing the array realizes x -> -x.  The nonlinear term carries the
     coefficient -sigma i per the branch convention in the module docstring.
+    Passes at DEFAULT_PDE_TOL.
     """
     u = np.asarray(u_samples, dtype=np.complex128)
     if u.ndim != 1:
@@ -319,8 +319,8 @@ def snnls_residual(
         ht=0.0,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_PDE_TOL),
+        tolerance=DEFAULT_PDE_TOL,
         points_used=int(res.size),
     )
 
@@ -330,12 +330,12 @@ def sakns_residual(
     v2_samples: Sequence[complex],
     constants: AknsConstants,
     h: float,
-    tol: float = 0.05,
 ) -> ResidualReport:
     """Central-difference residual of the stationary first-order system.
 
     Both components are local in x, so no grid symmetry is needed; the
-    residual is the larger of the two component maxima.
+    residual is the larger of the two component maxima. Passes at
+    DEFAULT_PDE_TOL.
     """
     v1 = np.asarray(v1_samples, dtype=np.complex128)
     v2 = np.asarray(v2_samples, dtype=np.complex128)
@@ -364,8 +364,8 @@ def sakns_residual(
         ht=0.0,
         residual=residual,
         order=None,
-        passed=bool(residual <= tol),
-        tolerance=tol,
+        passed=bool(residual <= DEFAULT_PDE_TOL),
+        tolerance=DEFAULT_PDE_TOL,
         points_used=int(r1.size),
     )
 

@@ -11,6 +11,8 @@ through the exit code:
     2  the construction data failed validation
     3  the scenario itself is malformed (schema, grid, or range errors)
 
+Every tolerance, verdict and check record comes from ``verify``; the
+runner parses, dispatches, and writes the CSV files and the report.
 Outputs are deterministic: running the same scenario twice produces
 byte-identical files.
 """
@@ -22,7 +24,7 @@ import dataclasses
 import importlib.resources
 import json
 from pathlib import Path
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import jsonschema
 import numpy as np
@@ -39,16 +41,6 @@ KIND_CHECKS = {
     "example3": ("pde", "identity", "mirror", "reduction", "oracle"),
     "theta": ("constraints",),
 }
-
-#: Relative tolerance of the oracle comparison.
-ORACLE_TOL = 1e-9
-
-#: Convergence-order band accepted by the pde check.
-ORDER_LOW = 1.7
-ORDER_HIGH = 2.3
-
-#: Residual size under which the pde check passes without an order estimate.
-EXACT_FLOOR = 1e-9
 
 #: Largest work of one run: the n^4 entries of the Kronecker matrix of the
 #: Sylvester map, plus grid nodes summed over every level the run builds,
@@ -108,10 +100,6 @@ def _cmatrix(value) -> np.ndarray:
     )
 
 
-#: Grid oracle: (x, t) arrays to the closed-form u, shaped (..., m1, m2),
-#: and the boolean mask of nodes where the closed form is singular.
-OracleFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
-
 ClosedFormParams = Union[
     oracles.Example1Params, oracles.Example2Params, oracles.Example3Params
 ]
@@ -124,29 +112,21 @@ CLOSED_FORMS = {
 }
 
 
-def _as_matrix(
-    result: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scalar-family values on a grid as 1x1 matrices per node."""
-    values, singular = result
-    return values[..., None, None], singular
-
-
-def closed_form_oracle(p: ClosedFormParams) -> OracleFn:
+def closed_form_oracle(p: ClosedFormParams) -> verify.OracleFn:
     """Grid oracle of the closed-form family that ``p`` parametrises.
 
     The module attributes ``oracles.ex*_u`` are looked up at call time.
     """
     if isinstance(p, oracles.Example1Params):
-        return lambda x, t: _as_matrix(oracles.ex1_u(p, x, t))
+        return lambda x, t: oracles.ex1_u(p, x, t)
     if isinstance(p, oracles.Example2Params):
-        return lambda x, t: _as_matrix(oracles.ex2_u(p, x, t))
+        return lambda x, t: oracles.ex2_u(p, x, t)
     return lambda x, t: oracles.ex3_u(p, x, t)
 
 
 def _parse_construction(
     kind: str, params: dict
-) -> Tuple[tuple, Optional[np.ndarray], Optional[OracleFn]]:
+) -> Tuple[tuple, Optional[np.ndarray], Optional[verify.OracleFn]]:
     """Datum (sigma, A, theta1, theta2), supplied S0 or None, and matching
     closed-form evaluator for non-theta kinds.
 
@@ -228,88 +208,6 @@ def write_dets_csv(path: Path, field: SolutionField) -> None:
     _write_csv(path, ["x", "t", "re", "im", "singular"], field.grid, values)
 
 
-def _oracle_report(
-    field: SolutionField, oracle: OracleFn
-) -> verify.ResidualReport:
-    """Largest relative deviation of the field from its closed form.
-
-    Nodes masked in the field or singular in the closed form are skipped.
-    The comparison scale at each node is the largest oracle entry there,
-    floored at a small fraction of its maximum over the nodes used so that
-    zeros of the solution do not inflate the relative error.
-    """
-    grid = field.grid
-    x, t = np.meshgrid(grid.x_values, grid.t_values, indexing="ij")
-    expected, singular = oracle(x, t)
-    used = ~(field.singular_mask | singular)
-    points_used = int(np.count_nonzero(used))
-    if points_used == 0:
-        residual = float("inf")
-    else:
-        expected = expected[used]
-        scale = np.max(np.abs(expected), axis=(-2, -1))
-        diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
-        residual = verify.floored_relative(diff, scale)
-    return verify.ResidualReport(
-        name="oracle",
-        hx=grid.hx,
-        ht=grid.ht,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= ORACLE_TOL),
-        tolerance=ORACLE_TOL,
-        points_used=points_used,
-        points_skipped=used.size - points_used,
-    )
-
-
-def _pde_record(reports: List[verify.ResidualReport]) -> dict:
-    """Join per-level pde reports into one record with a verdict.
-
-    Passes when every successive halving shows an order in the band
-    [ORDER_LOW, ORDER_HIGH], or when every residual is at most EXACT_FLOOR,
-    so no order is measurable. The record states both; its levels carry
-    residuals and counts only, since the absolute tolerance of a single
-    level plays no part in the verdict.
-    """
-    residuals = [r.residual for r in reports]
-    orders = [
-        estimate
-        for estimate in (
-            verify.estimate_order(residuals[i], residuals[i + 1])
-            for i in range(len(residuals) - 1)
-        )
-    ]
-    all_tiny = all(r <= EXACT_FLOOR for r in residuals)
-    orders_ok = bool(orders) and all(
-        ORDER_LOW <= order <= ORDER_HIGH for order in orders
-    )
-    passed = all_tiny or orders_ok
-    levels = []
-    for report in reports:
-        level = report.to_json_dict()
-        del level["passed"], level["tolerance"]
-        levels.append(level)
-    return {
-        "name": "pde",
-        "levels": levels,
-        "orders": [
-            order if np.isfinite(order) else repr(order) for order in orders
-        ],
-        "order_band": [ORDER_LOW, ORDER_HIGH],
-        "exact_floor": EXACT_FLOOR,
-        "passed": passed,
-    }
-
-
-def _plain_record(name: str, reports: List[verify.ResidualReport]) -> dict:
-    return {
-        "name": name,
-        "levels": [r.to_json_dict() for r in reports],
-        "passed": all(r.passed for r in reports),
-    }
-
-
 def _check_node_budget(nx: int, nt: int, levels: int, n: int) -> None:
     """Raise RangeExceeded when a run's work exceeds NODE_BUDGET.
 
@@ -358,41 +256,32 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     records = []
     for check in requested:
         if check == "pde":
-            reports = [verify.nnls_residual(f, sigma) for f in fields]
-            records.append(_pde_record(reports))
-        elif check == "identity":
-            reports = [verify.identity_residual(triple, f) for f in shallow]
-            records.append(_plain_record("identity", reports))
+            levels = [verify.nnls_residual(f, sigma) for f in fields]
+            records.append(verify.pde_record(levels))
+            continue
+        if check == "identity":
+            levels = [verify.identity_residual(triple, f) for f in shallow]
         elif check == "mirror":
-            reports = [verify.hermitian_mirror_residual(f) for f in shallow]
-            records.append(_plain_record("mirror", reports))
+            levels = [verify.hermitian_mirror_residual(f) for f in shallow]
         elif check == "reduction":
-            reports = [verify.reduction_residual(f, sigma) for f in shallow]
-            records.append(_plain_record("reduction", reports))
+            levels = [verify.reduction_residual(f, sigma) for f in shallow]
         elif check == "oracle":
-            reports = [_oracle_report(f, oracle) for f in shallow]
-            records.append(_plain_record("oracle", reports))
+            levels = [verify.oracle_residual(f, oracle) for f in shallow]
+        records.append(verify.level_record(check, levels))
 
-    passed = all(record["passed"] for record in records)
-    exit_code = 0 if passed else 1
-    report = {
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_u_csv(out_dir / "u.csv", fields[0])
+    write_dets_csv(out_dir / "detS.csv", fields[0])
+    head = {
         "kind": kind,
         "grid": {
             "x_max": float(g["x_max"]), "nx": int(g["nx"]),
             "t_min": float(g["t_min"]), "t_max": float(g["t_max"]),
             "nt": int(g["nt"]), "levels": len(grids),
         },
-        "checks": records,
-        "passed": passed,
-        "exit_code": exit_code,
-        "outputs": {"u_csv": "u.csv", "dets_csv": "detS.csv"},
     }
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_u_csv(out_dir / "u.csv", fields[0])
-    write_dets_csv(out_dir / "detS.csv", fields[0])
-    _write_report(out_dir, report)
-    return exit_code, report
+    outputs = {"u_csv": "u.csv", "dets_csv": "detS.csv"}
+    return _finish_report(out_dir, head, records, outputs)
 
 
 def _run_theta(
@@ -414,31 +303,24 @@ def _run_theta(
     for check in requested:
         if check == "constraints":
             report = ag_theta.check_nnls_constraints(params)
-            records.append(
-                {
-                    "name": "constraints",
-                    "entries": [
-                        {
-                            "name": entry.name,
-                            "value": float(entry.value)
-                            if np.isfinite(entry.value)
-                            else repr(float(entry.value)),
-                            "tolerance": entry.tolerance,
-                            "passed": entry.passed,
-                        }
-                        for entry in report.entries
-                    ],
-                    "passed": report.passed,
-                }
-            )
+            records.append(verify.constraints_record(report))
+    return _finish_report(out_dir, {"kind": "theta"}, records, {})
+
+
+def _finish_report(
+    out_dir: Path, head: dict, records: List[dict], outputs: dict
+) -> Tuple[int, dict]:
+    """Write report.json from ``head``, the check records and the output
+    names, and return the exit code with the report: 0 when every record
+    passed, else 1."""
     passed = all(record["passed"] for record in records)
     exit_code = 0 if passed else 1
     report = {
-        "kind": "theta",
+        **head,
         "checks": records,
         "passed": passed,
         "exit_code": exit_code,
-        "outputs": {},
+        "outputs": outputs,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_report(out_dir, report)

@@ -61,12 +61,6 @@ class DegenerateS(NnlsGbdtError):
     exit_code = BAD_DATA
 
 
-class UnsupportedSeed(NnlsGbdtError):
-    """Only the trivial (zero) seed solution is supported."""
-
-    exit_code = BAD_DATA
-
-
 class SpectralPole(NnlsGbdtError):
     """The spectral parameter z collides with an eigenvalue of A."""
 

@@ -45,19 +45,26 @@ from .errors import (
     SingularPoint,
     SpectralClash,
     SpectralPole,
-    UnsupportedSeed,
 )
 
 # Grid-relative threshold under which det S is flagged singular.
 SINGULAR_DET_FACTOR = 1e-8
 
-# Pointwise det threshold mirroring the triple determinant check.
-_POINT_DET_FACTOR = 1e-12
+# Floor of _relative_det at or under which S0, or S at a single point, is
+# singular.
+DET_FLOOR = 1e-12
 
 
 def _h(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _relative_det(s: np.ndarray) -> float:
+    """|det s| / max(1, ||s||)^n, the determinant of s scaled by
+    1 / max(1, ||s||): that matrix has norm at most 1, so its determinant
+    is at most 1 and neither it nor the power can overflow."""
+    return float(abs(np.linalg.det(s / max(1.0, float(np.linalg.norm(s))))))
 
 
 def _solve_origin_parts(solver, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
@@ -225,7 +232,8 @@ class ValidationReport:
 
 
 def validate_triple(candidate: GbdtTriple) -> ValidationReport:
-    """Check Hermiticity of S0, invertibility, and the coupling identity.
+    """Check Hermiticity of S0, invertibility (|det S0| / max(1, ||S0||)^n
+    above DET_FLOOR), and the coupling identity.
 
     Also reports the spectral-disjointness margin min |lambda_i + conj(lambda_j)|
     of A, which decides whether the pointwise Sylvester route is usable.
@@ -241,8 +249,7 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
     herm = float(np.linalg.norm(t.S0 - _h(t.S0)))
     herm_tol = 1e-12 * max(1.0, norm_s)
 
-    det_abs = float(abs(np.linalg.det(t.S0)))
-    det_tol = 1e-12 * max(1.0, norm_s) ** t.n
+    det_rel = _relative_det(t.S0)
 
     ident = float(np.linalg.norm(t.A @ t.S0 + t.S0 @ _h(t.A) - rhs))
     ident_tol = 1e-10 * max(1.0, 2.0 * norm_a * norm_s + float(np.linalg.norm(rhs)))
@@ -252,7 +259,7 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
 
     entries = (
         ValidationEntry("hermiticity", herm, herm_tol, herm <= herm_tol),
-        ValidationEntry("determinant", det_abs, det_tol, det_abs > det_tol),
+        ValidationEntry("determinant", det_rel, DET_FLOOR, det_rel > DET_FLOOR),
         ValidationEntry("identity", ident, ident_tol, ident <= ident_tol),
         ValidationEntry("sylvester_margin", margin, margin_tol, margin > margin_tol),
     )
@@ -281,7 +288,8 @@ def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     det_entry = report.entry("determinant")
     if not det_entry.passed:
         raise DegenerateS(
-            f"|det S0| = {det_entry.value:.3e} below threshold {det_entry.tolerance:.3e}; "
+            f"|det S0| / max(1, ||S0||)^n = {det_entry.value:.3e} not above "
+            f"{det_entry.tolerance:.0e}; "
             "the completed triple does not define a solution"
         )
     return triple
@@ -420,9 +428,13 @@ def _point(triple: GbdtTriple, x: float, t: float):
         s = _propagated_s(triple, e)
     except SpectralClash:
         s = s_via_integration(triple, x, t)
-    det_abs = float(abs(np.linalg.det(s)))
-    if det_abs <= _POINT_DET_FACTOR * max(1.0, float(np.linalg.norm(s))) ** s.shape[0]:
-        raise SingularPoint(x, t, det_abs)
+    det_rel = _relative_det(s)
+    if det_rel <= DET_FLOOR:
+        raise SingularPoint(
+            x, t, det_rel,
+            f"S(x, t) is singular at x={x!r}, t={t!r} "
+            f"(|det S| / max(1, ||S||)^n = {det_rel:.3e})",
+        )
     return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3]), e
 
 
@@ -602,10 +614,6 @@ class Grid:
     def ht(self) -> float:
         return float(self.t_values[1] - self.t_values[0])
 
-    def mirror(self, k: int) -> int:
-        """Index of -x for node index k."""
-        return self.nx - 1 - k
-
     def halved(self) -> "Grid":
         """Grid with both spacings halved (node counts 2n-1)."""
         xs = self.x_values
@@ -655,7 +663,7 @@ def _sandwich(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarra
     return y.reshape(nx, n, nt, n).transpose(0, 2, 1, 3)
 
 
-def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
+def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     """Assemble u, S and det S on the whole grid.
 
     The exponential tables e^{ixA} over the x nodes and e^{-+2itA^2} over
@@ -673,16 +681,12 @@ def solution_field(triple: GbdtTriple, grid: Grid, seed=None) -> SolutionField:
     from the Pi2 columns and the lower block from the Pi1 columns. Masked
     nodes are set to NaN in u and the lower block afterwards.
 
-    Only the trivial (zero) seed is supported; pass nothing. Mirror samples
-    at -x reuse the matrices computed at the mirrored node, never a second
-    exponential. Output is deterministic: the same triple and grid give
-    bit-identical arrays on every run.
+    Mirror samples at -x reuse the matrices computed at the mirrored node,
+    never a second exponential. Output is deterministic: the same triple
+    and grid give bit-identical arrays on every run.
 
-    Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback),
-    UnsupportedSeed for a nonzero seed.
+    Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback).
     """
-    if seed is not None:
-        raise UnsupportedSeed("only the trivial seed solution is supported")
     xs = grid.x_values
     ts = grid.t_values
     nx, nt = xs.size, ts.size

@@ -41,6 +41,11 @@ from .errors import (
     SpectralClash,
 )
 
+# Largest magnitude of the real or imaginary part of an entry that
+# as_cmatrix accepts: products of two such entries, summed over any order
+# the runner accepts, and the sums of squares of norms stay in double range.
+ENTRY_LIMIT = 1e100
+
 # e^M entries can leave double range beyond this 1-norm; accuracy is
 # guaranteed (backward error <= 1e-12) for norms up to 50.
 EXPM_NORM_LIMIT = 700.0
@@ -92,16 +97,24 @@ _ELL_FREE_NORM = (_UNIT_ROUNDOFF * _C13) ** (1.0 / 26)
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a finite 2-D complex128 array.
+    """Coerce ``m`` to a finite 2-D complex128 array within ENTRY_LIMIT.
 
-    Raises ``ValueError`` if the input is not 2-D or contains non-finite
-    entries.
+    Every datum matrix (A, theta1, theta2, S0) enters through here. Raises
+    ``ValueError`` if the input is not 2-D or contains non-finite entries,
+    and ``Overflow`` if a real or imaginary part exceeds ENTRY_LIMIT in
+    magnitude.
     """
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
+    worst = max(np.max(np.abs(a.real), initial=0.0), np.max(np.abs(a.imag), initial=0.0))
+    if worst > ENTRY_LIMIT:
+        raise Overflow(
+            f"{name} has an entry part of magnitude {worst:.3e}, beyond the "
+            f"operating range {ENTRY_LIMIT:g}"
+        )
     return a
 
 

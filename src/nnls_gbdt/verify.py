@@ -1,30 +1,46 @@
-"""Finite-difference verification of constructed solutions.
+"""Residual checks of constructed solutions, and the verdicts drawn from them.
 
 Every check in this module reports a residual that an exact object would
 drive to zero: the evolution equation itself, the algebraic coupling
 identity, the mirror symmetry of S, the reduction tying the two triangular
-blocks together, and the pair of first-order systems satisfied by the wave
-function.  Residuals are measured with second-order central differences, so
-refining the grid by two should shrink them by about four; the reported
-convergence order makes that checkable.
+blocks together, the deviation from a closed-form family, and the pair of
+first-order systems satisfied by the wave function.  Derivatives are
+second-order central differences, so refining the grid by two should shrink
+those residuals by about four; the pde record turns its levels' residuals
+into convergence orders and decides on them.
+
+Every tolerance and verdict of ``nnls-gbdt run`` is decided here, and the
+check records of its report.json are built here, with ``json_number`` the
+one rule for writing a non-finite number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from . import gbdt_core
 from .errors import GridTooSmall
-from .gbdt_core import GbdtTriple, SolutionField
+from .gbdt_core import GbdtTriple, Grid, SolutionField, ValidationReport
 
-#: Bound on finite-difference residuals of grid fields and wave functions.
+#: Bound on the finite-difference residuals of the wave function's two
+#: systems and of ag_theta's stationary equations.
 DEFAULT_PDE_TOL = 0.05
 
 #: Bound on algebraic identities evaluated pointwise.
 DEFAULT_IDENTITY_TOL = 1e-10
+
+#: Relative tolerance of the oracle comparison.
+ORACLE_TOL = 1e-9
+
+#: Convergence-order band accepted by the pde check.
+ORDER_LOW = 1.7
+ORDER_HIGH = 2.3
+
+#: Residual size under which the pde check passes without an order estimate.
+EXACT_FLOOR = 1e-9
 
 #: Central-difference step of wave_ode_residual; it also compares the
 #: residual at half this step.
@@ -35,6 +51,20 @@ WAVE_STEP = 1e-3
 #: inflate the relative error.
 SCALE_FLOOR = 1e-6
 
+#: Closed-form u at the (x, t) node arrays, with the mask of nodes where the
+#: closed form is singular: one value per node for a scalar family, an
+#: (m1, m2) matrix per node otherwise.
+OracleFn = Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]
+
+
+def json_number(value) -> Union[None, float, str]:
+    """``value`` as a float for report.json, or its repr when it is not
+    finite, since JSON has no infinity or NaN. None stays None."""
+    if value is None:
+        return None
+    value = float(value)
+    return value if np.isfinite(value) else repr(value)
+
 
 @dataclass(frozen=True)
 class ResidualReport:
@@ -43,7 +73,9 @@ class ResidualReport:
     ``residual`` is the maximum over all evaluated points, ``order`` the
     estimated convergence order when two resolutions were compared, and
     ``points_used`` / ``points_skipped`` count interior stencils that were
-    evaluated or dropped because they touch a singular point.
+    evaluated or dropped because they touch a singular point. ``passed``
+    and ``tolerance`` are None on a report that carries no verdict of its
+    own: a pde level, which its record judges by convergence order.
     """
 
     name: str
@@ -51,29 +83,44 @@ class ResidualReport:
     ht: float
     residual: float
     order: Optional[float]
-    passed: bool
-    tolerance: float
+    passed: Optional[bool] = None
+    tolerance: Optional[float] = None
     points_used: int = 0
     points_skipped: int = 0
 
     def to_json_dict(self) -> dict:
-        def _num(value):
-            if value is None:
-                return None
-            value = float(value)
-            return value if np.isfinite(value) else repr(value)
-
-        return {
+        encoded = {
             "name": self.name,
-            "hx": _num(self.hx),
-            "ht": _num(self.ht),
-            "residual": _num(self.residual),
-            "order": _num(self.order),
-            "passed": bool(self.passed),
-            "tolerance": _num(self.tolerance),
+            "hx": json_number(self.hx),
+            "ht": json_number(self.ht),
+            "residual": json_number(self.residual),
+            "order": json_number(self.order),
             "points_used": int(self.points_used),
             "points_skipped": int(self.points_skipped),
         }
+        if self.tolerance is not None:
+            encoded["passed"] = bool(self.passed)
+            encoded["tolerance"] = json_number(self.tolerance)
+        return encoded
+
+
+def _level(
+    name: str, grid: Grid, residual: float, used: int, skipped: int = 0,
+    tolerance: Optional[float] = None,
+) -> ResidualReport:
+    """Report of one check on one grid level, passed when ``residual`` is at
+    most ``tolerance``; with no tolerance it carries no verdict."""
+    return ResidualReport(
+        name=name,
+        hx=grid.hx,
+        ht=grid.ht,
+        residual=residual,
+        order=None,
+        passed=None if tolerance is None else bool(residual <= tolerance),
+        tolerance=tolerance,
+        points_used=used,
+        points_skipped=skipped,
+    )
 
 
 def floored_relative(diff: np.ndarray, scale: np.ndarray) -> float:
@@ -116,8 +163,9 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
 
     The nonlocal cubic term couples each point to its spatial mirror, so a
     stencil is evaluated only when the five difference points and the
-    mirror point all avoid the singular mask.  Raises GridTooSmall when
-    either axis has fewer than five nodes.
+    mirror point all avoid the singular mask.  The level carries no
+    verdict: pde_record judges the levels together.  Raises GridTooSmall
+    when either axis has fewer than five nodes.
     """
     grid = field.grid
     if grid.nx < 5 or grid.nt < 5:
@@ -137,22 +185,11 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
 
     valid = _interior_validity(mask)
     used = int(np.count_nonzero(valid))
-    skipped = int(valid.size - used)
     if used == 0:
         residual = float("inf")
     else:
         residual = float(np.max(np.abs(res[valid])))
-    return ResidualReport(
-        name="pde",
-        hx=hx,
-        ht=ht,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_PDE_TOL),
-        tolerance=DEFAULT_PDE_TOL,
-        points_used=used,
-        points_skipped=skipped,
-    )
+    return _level("pde", grid, residual, used, int(valid.size - used))
 
 
 def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
@@ -184,16 +221,9 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
         + np.linalg.norm(rhs, axis=(-2, -1))
     )
     rel = diff / np.maximum(scale, 1e-300)
-    residual = float(np.max(rel))
-    return ResidualReport(
-        name="identity",
-        hx=field.grid.hx,
-        ht=field.grid.ht,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
+    return _level(
+        "identity", field.grid, float(np.max(rel)), int(rel.size),
         tolerance=DEFAULT_IDENTITY_TOL,
-        points_used=int(rel.size),
     )
 
 
@@ -208,16 +238,9 @@ def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
         s[::-1] - np.conj(np.swapaxes(s, -1, -2)), axis=(-2, -1)
     )
     rel = diff / np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1e-300)
-    residual = float(np.max(rel))
-    return ResidualReport(
-        name="mirror",
-        hx=field.grid.hx,
-        ht=field.grid.ht,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
+    return _level(
+        "mirror", field.grid, float(np.max(rel)), int(rel.size),
         tolerance=DEFAULT_IDENTITY_TOL,
-        points_used=int(rel.size),
     )
 
 
@@ -242,17 +265,92 @@ def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
         target = -sigma * np.conj(np.swapaxes(field.u[::-1][keep], -1, -2))
         gap = np.linalg.norm(field.lower[keep] - target, axis=(-2, -1))
         residual = floored_relative(gap, np.linalg.norm(target, axis=(-2, -1)))
-    return ResidualReport(
-        name="reduction",
-        hx=field.grid.hx,
-        ht=field.grid.ht,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_IDENTITY_TOL),
-        tolerance=DEFAULT_IDENTITY_TOL,
-        points_used=used,
-        points_skipped=int(keep.size - used),
+    return _level(
+        "reduction", field.grid, residual, used, int(keep.size - used),
+        DEFAULT_IDENTITY_TOL,
     )
+
+
+def oracle_residual(field: SolutionField, oracle: OracleFn) -> ResidualReport:
+    """Largest relative deviation of the field from its closed form.
+
+    The closed-form values are reshaped to the shape of u, so a scalar
+    family's one value per node compares as a 1 x 1 matrix. Nodes masked
+    in the field or singular in the closed form are skipped. The comparison
+    scale at each node is the largest oracle entry there, floored as in
+    ``floored_relative`` so that zeros of the solution do not inflate the
+    relative error. Passes at ORACLE_TOL.
+    """
+    grid = field.grid
+    x, t = np.meshgrid(grid.x_values, grid.t_values, indexing="ij")
+    expected, singular = oracle(x, t)
+    used = ~(field.singular_mask | singular)
+    points_used = int(np.count_nonzero(used))
+    if points_used == 0:
+        residual = float("inf")
+    else:
+        expected = np.reshape(expected, field.u.shape)[used]
+        scale = np.max(np.abs(expected), axis=(-2, -1))
+        diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
+        residual = floored_relative(diff, scale)
+    return _level(
+        "oracle", grid, residual, points_used, used.size - points_used,
+        ORACLE_TOL,
+    )
+
+
+def pde_record(levels: List[ResidualReport]) -> dict:
+    """The pde check's record from its per-level reports, coarsest first.
+
+    Passes when every successive halving shows an order in the band
+    [ORDER_LOW, ORDER_HIGH], or when every residual is at most EXACT_FLOOR,
+    so no order is measurable. The record states the orders, the band and
+    the floor; its levels carry residuals and counts only.
+    """
+    residuals = [level.residual for level in levels]
+    orders = [
+        estimate_order(coarse, fine)
+        for coarse, fine in zip(residuals, residuals[1:])
+    ]
+    all_tiny = all(r <= EXACT_FLOOR for r in residuals)
+    orders_ok = bool(orders) and all(
+        ORDER_LOW <= order <= ORDER_HIGH for order in orders
+    )
+    return {
+        "name": "pde",
+        "levels": [level.to_json_dict() for level in levels],
+        "orders": [json_number(order) for order in orders],
+        "order_band": [ORDER_LOW, ORDER_HIGH],
+        "exact_floor": EXACT_FLOOR,
+        "passed": all_tiny or orders_ok,
+    }
+
+
+def level_record(name: str, levels: List[ResidualReport]) -> dict:
+    """Record of a check whose levels each carry a verdict: it passes when
+    every level does."""
+    return {
+        "name": name,
+        "levels": [level.to_json_dict() for level in levels],
+        "passed": all(level.passed for level in levels),
+    }
+
+
+def constraints_record(report: ValidationReport) -> dict:
+    """Record of the theta data's reality constraints, one entry each."""
+    return {
+        "name": "constraints",
+        "entries": [
+            {
+                "name": entry.name,
+                "value": json_number(entry.value),
+                "tolerance": entry.tolerance,
+                "passed": entry.passed,
+            }
+            for entry in report.entries
+        ],
+        "passed": report.passed,
+    }
 
 
 def _wave_x_residual(

@@ -20,8 +20,6 @@ from nnls_gbdt.gbdt_core import Grid
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
-ORDER_LOW, ORDER_HIGH = 1.7, 2.3
-
 
 def _report(number, label, ok, detail=""):
     state = "pass" if ok else "FAIL"
@@ -83,7 +81,7 @@ def test_criterion_01_pde_convergence(ensemble):
         ]
         orders.append(verify.estimate_order(residuals[0], residuals[1]))
         orders.append(verify.estimate_order(residuals[1], residuals[2]))
-    ok = all(ORDER_LOW <= p <= ORDER_HIGH for p in orders)
+    ok = all(verify.ORDER_LOW <= p <= verify.ORDER_HIGH for p in orders)
     _report(
         1, "random-field pde convergence", ok,
         f"40 triples, orders {min(orders):.2f}..{max(orders):.2f}",
@@ -124,7 +122,7 @@ def _closed_form_deviation(triple, oracle, grid):
     field = gbdt_core.solution_field(triple, grid)
     if field.singular_mask.any():
         return None
-    return cli._oracle_report(field, oracle).residual
+    return verify.oracle_residual(field, oracle).residual
 
 
 def test_criterion_04_closed_forms_match_transform():
@@ -261,7 +259,7 @@ def test_criterion_06_darboux_pair_and_wave_systems(ensemble):
     ok = (
         worst_inverse <= 1e-9
         and worst_mirror <= 1e-9
-        and all(ORDER_LOW <= p <= ORDER_HIGH for p in orders)
+        and all(verify.ORDER_LOW <= p <= verify.ORDER_HIGH for p in orders)
     )
     _report(
         6, "darboux inverse pair and wave systems", ok,
@@ -342,7 +340,7 @@ def test_criterion_08_theta_identities_and_families():
             v1, v2, akns = ag_theta.lemma61_forward(xs, us, 1.0, sigma, constants)
             residuals.append(ag_theta.sakns_residual(v1, v2, akns, h).residual)
         order = math.log2(residuals[0] / residuals[1])
-        if not (ORDER_LOW <= order <= ORDER_HIGH):
+        if not (verify.ORDER_LOW <= order <= verify.ORDER_HIGH):
             failures.append(f"twisted system order sigma={sigma}")
 
     branch = ag_theta.classify_branch_points([-2.0, -1.0, 1.0, 2.0])
@@ -373,7 +371,7 @@ def test_criterion_08_theta_identities_and_families():
         nn = ag_theta.NnlsConstants(c1_tilde=0.0, c2_tilde=-2.5, sigma=1)
         snnls_res.append(ag_theta.snnls_residual(v1, nn, h).residual)
     order = math.log2(snnls_res[0] / snnls_res[1])
-    if not (ORDER_LOW <= order <= ORDER_HIGH):
+    if not (verify.ORDER_LOW <= order <= verify.ORDER_HIGH):
         failures.append("theta-line equation order")
 
     _report(8, "theta identities and stationary families", not failures,

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnls_gbdt import cli, errors, gbdt_core, numkit, oracles
+from nnls_gbdt import cli, errors, gbdt_core, numkit, oracles, verify
 from conftest import make_random_triple
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -70,8 +70,8 @@ def test_shipped_levels_agree_with_their_record(name, tmp_path):
         if record["passed"]:
             assert all(level.get("passed", True) for level in record.get("levels", []))
         if record["name"] == "pde":
-            assert record["order_band"] == [cli.ORDER_LOW, cli.ORDER_HIGH]
-            assert record["exact_floor"] == cli.EXACT_FLOOR
+            assert record["order_band"] == [verify.ORDER_LOW, verify.ORDER_HIGH]
+            assert record["exact_floor"] == verify.EXACT_FLOOR
             for level in record["levels"]:
                 assert "passed" not in level and "tolerance" not in level
 
@@ -490,6 +490,61 @@ def test_overflow_exits_3_with_error_report(tmp_path):
     assert report["error"]["type"] == "Overflow"
 
 
+def _cdiag(values):
+    n = len(values)
+    return [[[values[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+
+
+def _gbdt_probe(diagonal, theta1, s0_diagonal=None):
+    n = len(diagonal)
+    parameters = {
+        "sigma": 1,
+        "A": _cdiag(diagonal),
+        "theta1": [[[theta1, 0.0]] for _ in range(n)],
+        "theta2": [[[1.0, 0.0]] for _ in range(n)],
+    }
+    if s0_diagonal is not None:
+        parameters["S0"] = _cdiag([s0_diagonal] * n)
+    return {
+        "kind": "gbdt",
+        "parameters": parameters,
+        "grid": {"x_max": 1.0, "nx": 21, "t_min": -0.2, "t_max": 0.2, "nt": 11},
+    }
+
+
+MAGNITUDE_PROBES = {
+    "example1-a-1e300": (
+        small_example1(parameters={
+            "a": [1e300, 0.0], "theta1": [2.0, 0.0], "theta2": [1.0, 0.0],
+            "kappa": 0,
+        }),
+        errors.Overflow,
+    ),
+    "gbdt-n1-theta1-1e160": (_gbdt_probe([1.0], 1e160), errors.Overflow),
+    "gbdt-n2-S0-1e200": (_gbdt_probe([1.0, 1.1], 1.0, 1e200), errors.Overflow),
+    # within the entry range: the determinant floor must not overflow, and
+    # the identity A S0 + S0 A* = theta theta* fails
+    "gbdt-n4-S0-1e100": (
+        _gbdt_probe([1.0, 1.1, 1.2, 1.3], 1.0, 1e100), errors.DegenerateS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAGNITUDE_PROBES))
+def test_huge_data_end_with_an_error_report(name, tmp_path):
+    """Data whose products or norms would leave double range stop with the
+    error report and its exit code, never with a traceback, while every
+    RuntimeWarning is an error."""
+    document, expected = MAGNITUDE_PROBES[name]
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+    code = cli.main(["run", str(scenario), "--out", str(out), "--refine", "0"])
+    assert code == expected.exit_code
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == code and report["passed"] is False
+    assert report["error"]["type"] == expected.__name__
+
+
 def test_node_budget_exits_3_before_allocating(tmp_path, monkeypatch):
     """A 1e9 x 11 grid is refused from its sizes alone: no grid is built,
     no field assembled, and the error report names RangeExceeded."""
@@ -604,14 +659,14 @@ def _shipped_field(name):
 
 def test_oracle_report_fails_one_perturbed_node():
     field, oracle = _shipped_field("example2.json")
-    clean = cli._oracle_report(field, oracle)
+    clean = verify.oracle_residual(field, oracle)
     assert clean.passed
     k, l = field.grid.nx // 3, field.grid.nt // 4
     assert not field.singular_mask[k, l]
     field.u[k, l] *= 1.0 + 1e-8
-    perturbed = cli._oracle_report(field, oracle)
+    perturbed = verify.oracle_residual(field, oracle)
     assert not perturbed.passed
-    assert perturbed.residual > cli.ORACLE_TOL
+    assert perturbed.residual > verify.ORACLE_TOL
     assert perturbed.points_used == clean.points_used
 
 
@@ -627,7 +682,7 @@ def test_oracle_report_counts_every_node_on_blowup_grid():
         x_max=2.0, nx=41, t_min=2.0 * t_star, t_max=0.0, nt=3
     )
     field = gbdt_core.solution_field(triple, grid)
-    report = cli._oracle_report(field, cli.closed_form_oracle(params))
+    report = verify.oracle_residual(field, cli.closed_form_oracle(params))
     assert report.passed
     assert report.points_used + report.points_skipped == grid.nx * grid.nt
     assert report.points_skipped > 0

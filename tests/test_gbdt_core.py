@@ -11,10 +11,10 @@ from nnls_gbdt.errors import (
     AsymmetricGrid,
     DegenerateS,
     DimensionMismatch,
+    Overflow,
     SingularPoint,
     SpectralClash,
     SpectralPole,
-    UnsupportedSeed,
 )
 from conftest import make_random_triple
 
@@ -104,6 +104,35 @@ def test_validate_triple_flags_broken_data(scalar_triple):
     )
     clash_report = gbdt_core.validate_triple(clashing)
     assert not clash_report.entry("sylvester_margin").passed
+
+
+def test_validate_triple_takes_the_determinant_floor_without_overflow():
+    """S0 = 1e100 I at n = 4: max(1, ||S0||)^4 is beyond double range, but
+    the floor compares det(S0 / ||S0||) = 1/16, so the determinant entry
+    passes and only the identity (S0 does not solve it) fails."""
+    n = 4
+    triple = gbdt_core.GbdtTriple(
+        sigma=1, A=np.diag([1.0, 1.1, 1.2, 1.3]), S0=1e100 * np.eye(n),
+        theta1=np.ones((n, 1)), theta2=np.ones((n, 1)),
+    )
+    report = gbdt_core.validate_triple(triple)
+    determinant = report.entry("determinant")
+    assert determinant.passed
+    assert determinant.value == pytest.approx(1.0 / 16.0)
+    assert determinant.tolerance == gbdt_core.DET_FLOOR
+    assert not report.entry("identity").passed
+
+
+def test_datum_entries_beyond_the_entry_limit_overflow():
+    limit = numkit.ENTRY_LIMIT
+    assert numkit.as_cmatrix([[limit, 1j * limit]])[0, 1] == 1j * limit
+    for huge in (2.0 * limit, 2j * limit):
+        with pytest.raises(Overflow):
+            gbdt_core.GbdtTriple(
+                sigma=1, A=[[1.0]], S0=[[huge]], theta1=[[1.0]], theta2=[[1.0]]
+            )
+        with pytest.raises(Overflow):
+            gbdt_core.complete_triple(1, [[1.0]], [[huge]], [[1.0]])
 
 
 # -------------------------------------------------------- generating matrix
@@ -492,7 +521,6 @@ def test_grid_build_basic():
     assert grid.nt == 9
     assert 0.0 in grid.t_values
     assert grid.hx == pytest.approx(1.0)
-    assert grid.mirror(0) == 4 and grid.mirror(2) == 2
 
 
 def test_grid_exact_symmetry():
@@ -557,11 +585,6 @@ def test_solution_field_deterministic(wide_triple, small_grid):
     assert np.array_equal(first.u, second.u, equal_nan=True)
     assert np.array_equal(first.S, second.S)
     assert np.array_equal(first.detS, second.detS)
-
-
-def test_solution_field_rejects_seed(scalar_triple, small_grid):
-    with pytest.raises(UnsupportedSeed):
-        gbdt_core.solution_field(scalar_triple, small_grid, seed="plane wave")
 
 
 def test_solution_field_takes_one_stacked_exponential(monkeypatch):

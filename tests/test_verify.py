@@ -33,23 +33,35 @@ def test_pde_residual_second_order(scalar_triple, scalar_field):
     fine = verify.nnls_residual(fine_field, scalar_triple.sigma)
     assert coarse.points_used > 0 and coarse.points_skipped == 0
     order = verify.estimate_order(coarse.residual, fine.residual)
-    assert 1.7 <= order <= 2.3
+    assert verify.ORDER_LOW <= order <= verify.ORDER_HIGH
 
 
 def test_pde_residual_rejects_wrong_field(scalar_triple, scalar_field):
-    ruined = gbdt_core.SolutionField(
-        grid=scalar_field.grid,
-        u=scalar_field.u + 0.01,
-        S=scalar_field.S,
-        detS=scalar_field.detS,
-        singular_mask=scalar_field.singular_mask,
-        pi1=scalar_field.pi1,
-        pi2=scalar_field.pi2,
-        lower=scalar_field.lower,
-    )
-    report = verify.nnls_residual(ruined, scalar_triple.sigma)
-    assert not report.passed
-    assert report.residual > verify.DEFAULT_PDE_TOL
+    """u + 0.01 on two levels: the residual stops shrinking with the grid,
+    so the pde record of the ruined field fails while the clean one passes."""
+    fields = [
+        scalar_field,
+        gbdt_core.solution_field(scalar_triple, scalar_field.grid.halved()),
+    ]
+    sigma = scalar_triple.sigma
+    clean = verify.pde_record([verify.nnls_residual(f, sigma) for f in fields])
+    assert clean["passed"]
+    ruined = verify.pde_record([
+        verify.nnls_residual(dataclasses.replace(f, u=f.u + 0.01), sigma)
+        for f in fields
+    ])
+    assert not ruined["passed"]
+    assert not verify.ORDER_LOW <= ruined["orders"][0] <= verify.ORDER_HIGH
+    assert min(level["residual"] for level in ruined["levels"]) > verify.EXACT_FLOOR
+
+
+def test_pde_level_carries_no_verdict(scalar_triple, scalar_field):
+    """A pde level states its residual and counts only; its record decides."""
+    level = verify.nnls_residual(scalar_field, scalar_triple.sigma)
+    assert level.passed is None and level.tolerance is None
+    encoded = level.to_json_dict()
+    assert "passed" not in encoded and "tolerance" not in encoded
+    assert encoded["residual"] == level.residual
 
 
 def test_pde_residual_needs_five_nodes(scalar_triple):
