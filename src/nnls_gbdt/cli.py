@@ -45,8 +45,9 @@ KIND_CHECKS = {
 #: Largest work of one run: the n^4 entries of the Kronecker matrix of the
 #: Sylvester map, plus grid nodes summed over every level the run builds,
 #: times n^2 for the n x n matrices each node carries. A run's peak memory
-#: grows by about 90 bytes per unit at n >= 4 and 160 at n = 1, so the
-#: budget holds a run below about 1.4 GB.
+#: grows by about 65 bytes per unit at n = 4, 40 at n = 8, 160 at n = 2 and
+#: 520 at n = 1, so the budget holds a run at n >= 2 below about 1.4 GB;
+#: at n = 1 it admits about 4.4 GB.
 NODE_BUDGET = 2**23
 
 

@@ -25,9 +25,19 @@ and no Sylvester solve is needed at any point (x, t). That yields
     u(x, t) = -2i theta1* e^{i(xA* + 2t(A*)^2)} S(x, t)^{-1}
               e^{-i(xA - 2tA^2)} theta2,
 
-which solves the equation away from the zeros of det S(x, t). This module
-builds triples, evaluates Pi, S, u, the transferred potential blocks, the
-Darboux matrix, and the wave function, pointwise and on grids.
+which solves the equation away from the zeros of det S(x, t). Since
+E(x, t)^{-1} = E(-x, -t), S also factors as S = E(x, t) M E(-x, t)* with
+
+    M(x, t) = Sigma1 + (-1)^kappa F Sigma2 G*,
+    F = E(-2x, -2t),  G = E(2x, -2t),
+
+so u = -2i theta1* M^{-1} F theta2, det S = det M e^{2ix Re tr A}
+e^{4t Im tr A^2}, A M + M A* = theta1 theta1* + (-1)^kappa (F theta2)
+(G theta2)*, and M(-x, t) = M(x, t)*. Grids are evaluated in this form,
+one sandwich per node; the pointwise route keeps S, as the independent
+evidence the grid is tested against. This module builds triples, evaluates
+Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
+wave function, pointwise and on grids.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ from .errors import (
     AsymmetricGrid,
     DegenerateS,
     DimensionMismatch,
+    Overflow,
     SingularPoint,
     SpectralClash,
     SpectralPole,
@@ -69,9 +80,22 @@ def _relative_det(s: np.ndarray) -> float:
 
 def _solve_origin_parts(solver, theta1: np.ndarray, theta2: np.ndarray) -> np.ndarray:
     """Read-only stack of Sigma1 and Sigma2: one call of the Sylvester solver
-    on the gram stack theta_k theta_k*, symmetrized to be exactly Hermitian."""
-    parts = solver(np.stack([theta1 @ _h(theta1), theta2 @ _h(theta2)]))
-    parts = 0.5 * (parts + _h(parts))
+    on the gram stack theta_k theta_k*, symmetrized to be exactly Hermitian.
+
+    Raises Overflow when an entry part of either is not finite or exceeds
+    numkit.ENTRY_LIMIT, as for a tiny A against large theta blocks; the
+    solve runs with floating-point warnings off, so none escapes first.
+    """
+    with np.errstate(all="ignore"):
+        parts = solver(np.stack([theta1 @ _h(theta1), theta2 @ _h(theta2)]))
+        parts = 0.5 * (parts + _h(parts))
+        # np.maximum and np.max keep a NaN, which fails the comparison below
+        worst = np.max(np.maximum(np.abs(parts.real), np.abs(parts.imag)))
+    if not worst <= numkit.ENTRY_LIMIT:
+        raise Overflow(
+            f"the origin parts Sigma1, Sigma2 have an entry part of magnitude "
+            f"{worst:.3e}, beyond the operating range {numkit.ENTRY_LIMIT:g}"
+        )
     parts.flags.writeable = False
     return parts
 
@@ -180,10 +204,11 @@ class GbdtTriple:
         """Read-only (2, n, n) stack of Sigma1 and Sigma2, the Hermitian
         solutions of A Sigma_k + Sigma_k A* = theta_k theta_k*.
 
-        S(x, t) is propagated from them. complete_triple caches them with
-        S0 = Sigma1 + (-1)^kappa Sigma2; a triple built directly solves for
-        them on first use. Raises SpectralClash like sylvester, and is then
-        not cached either.
+        S(x, t), and on grids M(x, t), are propagated from them.
+        complete_triple caches them with S0 = Sigma1 + (-1)^kappa Sigma2; a
+        triple built directly solves for them on first use. Raises
+        SpectralClash like sylvester, and is then not cached either, and
+        Overflow when they leave the operating range.
         """
         return _solve_origin_parts(self.sylvester, self.theta1, self.theta2)
 
@@ -630,111 +655,133 @@ class Grid:
 class SolutionField:
     """Grid samples of the constructed solution and its determinant data.
 
-    u has shape (nx, nt, m1, m2) with NaN entries at masked points; S has
-    shape (nx, nt, n, n). pi1 and pi2, shapes (nx, nt, n, m1) and
-    (nx, nt, n, m2), are the generating-matrix blocks Pi(x, t) splits into.
-    lower, shape (nx, nt, m2, m1) with NaN at masked points, is the lower
-    block -2i sigma Pi2(-x, t)* S(x, t)^{-1} Pi1(x, t) of the transferred
-    potential, taken from the same solve as u. All three are required, so
-    verification passes never recompute exponentials or solves.
+    u has shape (nx, nt, m1, m2) with NaN entries at masked points. M, shape
+    (nx, nt, n, n), is the reduced matrix with S(x, t) = E M E(-x, t)*, and
+    K, shape (nx, nt, n, m2), the right side e^{i(-2xA + 4tA^2)} theta2 of
+    its solve; K(-x, t), read as K[::-1], is e^{i(2xA + 4tA^2)} theta2.
+    detS is det S, taken from det M. lower, shape (nx, nt, m2, m1) with NaN
+    at masked points, is the lower block -2i sigma Pi2(-x, t)* S^{-1}
+    Pi1(x, t) of the transferred potential, taken from the same solve as u.
+    All are kept, so verification passes never recompute exponentials or
+    solves. The stacks u, M, K and lower are views of arrays that hold the
+    node axes last, the layout of numkit.stack_matmul and factor_solve.
     """
 
     grid: Grid
     u: np.ndarray
-    S: np.ndarray
+    M: np.ndarray
     detS: np.ndarray
     singular_mask: np.ndarray
-    pi1: np.ndarray = field(repr=False)
-    pi2: np.ndarray = field(repr=False)
+    K: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
 
 
 def _sandwich(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(nx, nt, n, n) view of left[k] mid[l] right[k]*, from stacks of nx,
-    nt and nx matrices.
+    """(n, n, nx, nt) stack, node axes last, of left[k] mid[l] right[k]*
+    from stacks of nx, nt and nx matrices.
 
-    left[k] mid[l] for every pair is one (nx n, n) @ (n, nt n) product; the
-    right factor is then one batched product per x.
+    mid[l] right[k]* for every pair is one (nx n, n) @ (n, n nt) product;
+    the left factor is then a batched product per x and row of the result,
+    written straight into the node-last stack.
     """
     nx, n = left.shape[:2]
     nt = mid.shape[0]
-    y = left.reshape(nx * n, n) @ mid.transpose(1, 0, 2).reshape(n, nt * n)
-    y = y.reshape(nx, n * nt, n) @ _h(right)
-    return y.reshape(nx, n, nt, n).transpose(0, 2, 1, 3)
+    # y[k, d, c, l] = (mid[l] right[k]*)[c, d]
+    y = np.conj(right).reshape(nx * n, n) @ mid.transpose(2, 1, 0).reshape(n, n * nt)
+    out = np.empty((n, n, nx, nt), dtype=np.complex128)
+    np.matmul(left[:, None], y.reshape(nx, n, n, nt), out=out.transpose(2, 1, 0, 3))
+    return out
+
+
+def _node_first(stack: np.ndarray) -> np.ndarray:
+    """(nx, nt, r, c) view of an (r, c, nx, nt) stack held node-last."""
+    return np.moveaxis(stack, (0, 1), (2, 3))
 
 
 def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
-    """Assemble u, S and det S on the whole grid.
+    """Assemble u, M and det S on the whole grid.
 
-    The exponential tables e^{ixA} over the x nodes and e^{-+2itA^2} over
-    the t nodes are one stacked numkit.expm call of nx + 2 nt matrices,
-    bit for bit the per-node exponentials. S is propagated from the
-    triple's origin parts, with no Sylvester solve per node:
-    T1[l] = e^{-2it A^2} Sigma1 (.)* and T2[l] = e^{2it A^2} Sigma2 (.)*
-    over the t nodes, then
+    With s = (-1)^kappa, h[k] = e^{-2i x_k A} and q[l] = e^{4i t_l A^2}, S
+    factors as S = E(x, t) M E(-x, t)* with
 
-        S[k, l] = fx[k] T1[l] fx[-k]* + (-1)^kappa fx[-k] T2[l] fx[k]*,
+        M[k, l] = Sigma1 + s h[k] (q[l] Sigma2 q[l]*) h[-k]*,
 
-    each term from two large matrix products, the second added into the
-    first in place. One LU per node gives det S and the solve: a single
-    numkit.factor_solve of S X = [Pi1 Pi2] over the stack, whose X gives u
-    from the Pi2 columns and the lower block from the Pi1 columns. Masked
-    nodes are set to NaN in u and the lower block afterwards.
+        u = -2i theta1* M^{-1} K,   K[k, l] = h[k] q[l] theta2,
 
-    Mirror samples at -x reuse the matrices computed at the mirrored node,
-    never a second exponential. Output is deterministic: the same triple
-    and grid give bit-identical arrays on every run.
+    since E commutes with A and E(x, t)^{-1} = E(-x, -t). The tables h and
+    q are the squares of e^{-ixA} and e^{2itA^2}, one stacked numkit.expm
+    call of nx + nt matrices at the argument norms of the pointwise route.
+    M is one sandwich of two large matrix products, and K one einsum. One LU
+    per node gives det M and the solve: a single numkit.factor_solve of
+    M X = [theta1 K] over the stack. Then
 
-    Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback).
+        det S = det M e^{2ix Re tr A} e^{4t Im tr A^2},
+
+    u = -2i theta1* X2 is one matrix product over all nodes, and the lower
+    block -2i sigma K(-x)* X1 is numkit.stack_matmul's multiply-adds.
+    Masked nodes, where |det S| is under SINGULAR_DET_FACTOR times its
+    largest value on the grid, are set to NaN in u and the lower block.
+
+    Mirror samples at -x reuse the tables at the mirrored node, never a
+    second exponential. Output is deterministic: the same triple and grid
+    give bit-identical arrays on every run.
+
+    Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback),
+    and Overflow when the squared tables or det S leave double range.
     """
     xs = grid.x_values
     ts = grid.t_values
     nx, nt = xs.size, ts.size
-    m1, m2 = triple.m1, triple.m2
+    n, m1 = triple.n, triple.m1
     a = triple.A
     a2 = a @ a
     sigma1, sigma2 = triple.origin_parts
 
     tables = numkit.expm(
-        np.concatenate(
-            [
-                1j * xs[:, None, None] * a,
-                -2j * ts[:, None, None] * a2,
-                2j * ts[:, None, None] * a2,
-            ]
-        )
+        np.concatenate([-1j * xs[:, None, None] * a, 2j * ts[:, None, None] * a2])
     )
-    fx, gt, gti = np.split(tables, [nx, nx + nt])
-    fx_m = fx[::-1]
+    # squaring doubles the exponents, so a table in range may square beyond
+    # it; the checks below, and factor_solve's on M and K, catch that
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, q = np.split(tables @ tables, [nx])
+        if not (np.isfinite(h).all() and np.isfinite(q).all()):
+            raise Overflow(
+                "e^{-2ixA} or e^{4itA^2} leaves double range on this grid"
+            )
 
-    # S[k,l] = fx[k] T1[l] fx[-k]* + (-1)^kappa fx[-k] T2[l] fx[k]*
-    s = np.ascontiguousarray(_sandwich(fx, gt @ sigma1 @ _h(gt), fx_m))
-    second = _sandwich(fx_m, gti @ sigma2 @ _h(gti), fx)
-    if triple.kappa == 1:
-        s -= second
-    else:
-        s += second
-    del second
+        # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
+        m = _sandwich(h, q @ sigma2 @ _h(q), h[::-1])
+        if triple.kappa == 1:
+            np.subtract(sigma1[..., None, None], m, out=m)
+        else:
+            m += sigma1[..., None, None]
 
-    # Pi blocks: pi1[k,l] = e^{i(x A - 2 t A^2)} theta1, pi2 the reflected
-    # factor, written side by side as the right sides [Pi1 Pi2] of the solve
-    blocks = np.empty((nx, nt, triple.n, m1 + m2), dtype=np.complex128)
-    pi1, pi2 = blocks[..., :m1], blocks[..., m1:]
-    np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, out=pi1, optimize=True)
-    np.einsum("kab,lbc->klac", fx_m, gti @ triple.theta2, out=pi2, optimize=True)
+        # right sides [theta1 K], K[k,l] = h[k] q[l] theta2
+        blocks = np.empty((n, triple.m, nx, nt), dtype=np.complex128)
+        blocks[:, :m1] = triple.theta1[..., None, None]
+        np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=blocks[:, m1:], optimize=True)
+    m, blocks = _node_first(m), _node_first(blocks)
+    k = blocks[..., m1:]
 
-    det, sol = numkit.factor_solve(s, blocks)
+    det, sol = numkit.factor_solve(m, blocks)
+    # det S = det E(x, t) det M conj(det E(-x, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det *= np.exp(2j * np.trace(a).real * xs)[:, None]
+        det *= np.exp(4.0 * np.trace(a2).imag * ts)
+    if not np.isfinite(det).all():
+        raise Overflow("det S leaves double range on this grid")
     det_scale = float(np.max(np.abs(det))) if det.size else 0.0
     mask = np.abs(det) < SINGULAR_DET_FACTOR * det_scale
 
-    # u = -2i Pi1(-x)* S^{-1} Pi2 and lower = -2i sigma Pi2(-x)* S^{-1} Pi1
-    u = _h(pi1[::-1]) @ sol[..., m1:]
+    # u = -2i theta1* X2, one (m1, n) @ (n, m2 nodes) product
+    x2 = np.moveaxis(sol[..., m1:], (2, 3), (0, 1))
+    u = (np.conj(triple.theta1.T) @ x2.reshape(n, -1)).reshape(m1, *x2.shape[1:])
+    u = _node_first(u)
     u *= -2j
-    lower = _h(pi2[::-1]) @ sol[..., :m1]
+    lower = numkit.stack_matmul(_h(k[::-1]), sol[..., :m1])
     lower *= -2j * triple.sigma
     u[mask] = lower[mask] = complex(np.nan, np.nan)
 
     return SolutionField(
-        grid=grid, u=u, S=s, detS=det, singular_mask=mask,
-        pi1=pi1, pi2=pi2, lower=lower,
+        grid=grid, u=u, M=m, detS=det, singular_mask=mask, K=k, lower=lower,
     )

@@ -22,7 +22,9 @@ multiplied pairwise, so each entry is one product of two exponentials.
 ``factor_solve`` LU-factors every matrix of a stack once and takes both the
 determinant and the solve of stacked right sides from those factors; its
 loops run over pivot steps and fixed-size chunks of the stack, never over
-matrices.
+matrices. ``stack_matmul`` multiplies two stacks of small matrices pairwise
+by multiply-adds with the stack axes last, one numpy call per row of the
+product and term of the inner index.
 """
 
 from __future__ import annotations
@@ -449,7 +451,8 @@ def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
     -------
     det, x
         ``det`` of shape ``s.shape[:-2]``, the product of the pivots times
-        the sign of the row permutation, and ``x`` of the shape of ``b``.
+        the sign of the row permutation, and ``x`` of the shape of ``b``,
+        a view of an array with the stack axes last.
         Elimination with partial pivoting on ``|Re| + |Im|`` (LAPACK's
         ``izamax`` rule, first row on ties) is applied to ``[s b]``, so both
         come from the same factors. A matrix with a zero pivot gives det 0
@@ -477,11 +480,12 @@ def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
     flat_s = s.reshape(-1, n, n)
     flat_b = b.reshape(-1, n, k)
     det = np.empty(flat_s.shape[0], dtype=np.complex128)
-    x = np.empty(flat_b.shape, dtype=np.complex128)
+    # the solves are held with the stack axis last, as each chunk makes them
+    x = np.empty((n, k, det.size), dtype=np.complex128)
     for lo in range(0, det.size, _FACTOR_CHUNK):
         hi = lo + _FACTOR_CHUNK
-        det[lo:hi], x[lo:hi] = _factor_solve_chunk(flat_s[lo:hi], flat_b[lo:hi])
-    return det.reshape(s.shape[:-2]), x.reshape(b.shape)
+        det[lo:hi], x[..., lo:hi] = _factor_solve_chunk(flat_s[lo:hi], flat_b[lo:hi])
+    return det.reshape(s.shape[:-2]), np.moveaxis(x, -1, 0).reshape(b.shape)
 
 
 def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,7 +533,48 @@ def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
         x[j] -= (aug[j, j + 1:n, None] * x[j + 1:]).sum(axis=0)
         x[j] /= pivots[j]
     x[..., singular] = complex(np.nan, np.nan)
-    return det, x.transpose(2, 0, 1)
+    return det, x
+
+
+def stack_matmul(a, b) -> np.ndarray:
+    """``a @ b`` for every pair of matrices of two stacks of small matrices.
+
+    The matrix axes are moved in front of the stack axes, and each row of
+    the product is built by one multiply-add over whole rows of the stacks
+    per step of the inner index. At the orders met here numpy's batched
+    ``@`` spends more on its call per matrix than on the arithmetic, and a
+    row at a time keeps the temporaries small.
+
+    Parameters
+    ----------
+    a, b
+        Stacks of shapes ``(..., p, q)`` and ``(..., q, r)`` whose leading
+        axes broadcast.
+
+    Returns
+    -------
+    numpy.ndarray
+        The products, shape ``(..., p, r)``: a view of an array with the
+        stack axes last. Each entry sums its q terms in index order.
+
+    Raises
+    ------
+    ValueError
+        If an operand has fewer than two axes or the inner orders differ.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"cannot multiply stacks of shapes {a.shape} and {b.shape}")
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.moveaxis(np.broadcast_to(a, lead + a.shape[-2:]), (-2, -1), (0, 1))
+    b = np.moveaxis(np.broadcast_to(b, lead + b.shape[-2:]), (-2, -1), (0, 1))
+    out = np.empty((a.shape[0], b.shape[1]) + lead, dtype=np.result_type(a, b))
+    for i, row in enumerate(out):
+        np.multiply(a[i, 0, None], b[0], out=row)
+        for j in range(1, b.shape[0]):
+            row += a[i, j, None] * b[j]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def eigenvalues(m) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Every check in this module reports a residual that an exact object would
 drive to zero: the evolution equation itself, the algebraic coupling
-identity, the mirror symmetry of S, the reduction tying the two triangular
+identity and the mirror symmetry, both stated on the reduced matrix M with
+S(x, t) = E(x, t) M E(-x, t)*, the reduction tying the two triangular
 blocks together, the deviation from a closed-form family, and the pair of
 first-order systems satisfied by the wave function.  Derivatives are
 second-order central differences, so refining the grid by two should shrink
@@ -21,7 +22,7 @@ from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from . import gbdt_core
+from . import gbdt_core, numkit
 from .errors import GridTooSmall
 from .gbdt_core import GbdtTriple, Grid, SolutionField, ValidationReport
 
@@ -180,7 +181,9 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
     u_mir = u[::-1, :][1:-1, 1:-1]
     u_t = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * ht)
     u_xx = (u[2:, 1:-1] - 2.0 * u_c + u[:-2, 1:-1]) / hx**2
-    cubic = u_c @ np.conj(np.swapaxes(u_mir, -1, -2)) @ u_c
+    cubic = numkit.stack_matmul(
+        numkit.stack_matmul(u_c, np.conj(np.swapaxes(u_mir, -1, -2))), u_c
+    )
     res = 1j * u_t - u_xx + 2.0 * sigma * cubic
 
     valid = _interior_validity(mask)
@@ -192,34 +195,55 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
     return _level("pde", grid, residual, used, int(valid.size - used))
 
 
-def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
-    """Pointwise relative residual of A S + S A^* against the coupling term.
+def _node_last(stack: np.ndarray) -> np.ndarray:
+    """(r, c, nodes) view of an (nx, nt, r, c) stack, or a copy when its
+    node axes do not merge; a field's stacks are held node-last, so for
+    them it is a view."""
+    r, c = stack.shape[-2:]
+    return np.moveaxis(stack, (-2, -1), (0, 1)).reshape(r, c, -1)
 
-    The coupling term is formed here from the field's Pi blocks, while the
-    field propagated S from the origin parts without it, so the check is
-    independent of the route that built S. Purely algebraic, so every grid
-    point participates regardless of the singular mask. A S and S A^* are
-    one matrix product each over the whole stack, read as
-    ``(nodes * n, n)`` rows: A S as the transpose of S^T A^T, whose
-    transposed copy of S is released before S A^* is formed. The difference
-    is taken in place, so the check holds about three stacks of S at once.
+
+def _node_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm at each node of an (r, c, nodes...) stack, as a flat
+    array: the squares of the real and imaginary parts summed over the r c
+    matrix entries, one multiply-add per entry over the whole row of
+    nodes."""
+    rows = stack.shape[0] * stack.shape[1]
+    parts = np.ascontiguousarray(stack).reshape(rows, -1).view(np.float64)
+    squares = np.einsum("ik,ik->k", parts, parts)
+    return np.sqrt(squares[0::2] + squares[1::2])
+
+
+def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
+    """Pointwise relative residual of A M + M A^* against the coupling term.
+
+    M = E(x, t)^{-1} S E(-x, t)^{-*} satisfies
+    A M + M A^* = theta1 theta1^* + (-1)^kappa K K(-x, t)^*. The coupling
+    term is formed here from the field's right side K, while the field
+    built M from the origin parts without it, so the check is independent
+    of the route that built M. Purely algebraic, so every grid point
+    participates regardless of the singular mask. With the node axes last,
+    A M is one matrix product over all nodes and M A^* one per row of M;
+    K K(-x, t)^* is numkit.stack_matmul's multiply-adds. The difference is
+    taken in place, so the check holds two stacks of M besides M.
     """
-    pi1, pi2 = field.pi1, field.pi2
     a = triple.A
-    s = field.S
     n = a.shape[0]
-    rhs = gbdt_core.coupling_term(triple.kappa, pi1, pi2, pi1[::-1], pi2[::-1])
-    s_t = np.swapaxes(s, -1, -2).reshape(-1, n)
-    lhs = np.swapaxes((s_t @ a.T).reshape(s.shape), -1, -2)
-    del s_t
-    lhs += (s.reshape(-1, n) @ a.conj().T).reshape(s.shape)
+    m = _node_last(field.M)
+    k = field.K
+    rhs = _node_last(numkit.stack_matmul(k, np.conj(np.swapaxes(k[::-1], -1, -2))))
+    gram = (triple.theta1 @ np.conj(triple.theta1.T))[..., None]
+    if triple.kappa == 1:
+        np.subtract(gram, rhs, out=rhs)
+    else:
+        rhs += gram
+    # (A M)[i, j] = a[i] . M[:, j]; (M A*)[i, j] = conj(a[j]) . M[i, :]
+    lhs = (a @ m.reshape(n, -1)).reshape(m.shape)
+    lhs += np.conj(a) @ m
     lhs -= rhs
-    diff = np.linalg.norm(lhs, axis=(-2, -1))
+    diff = _node_norms(lhs)
     del lhs
-    scale = (
-        2.0 * np.linalg.norm(a) * np.linalg.norm(s, axis=(-2, -1))
-        + np.linalg.norm(rhs, axis=(-2, -1))
-    )
+    scale = 2.0 * np.linalg.norm(a) * _node_norms(m) + _node_norms(rhs)
     rel = diff / np.maximum(scale, 1e-300)
     return _level(
         "identity", field.grid, float(np.max(rel)), int(rel.size),
@@ -228,16 +252,17 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
 
 
 def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
-    """Largest relative deviation of S(-x, t) from S(x, t)^* over the nodes.
+    """Largest relative deviation of M(-x, t) from M(x, t)^* over the nodes.
 
-    At each node the Frobenius norm of S(-x, t) - S(x, t)^* is divided by
-    that of S(x, t), so the bound holds whatever the magnitude of S.
+    S(-x, t) = S(x, t)^* holds exactly when M does. At each node the
+    Frobenius norm of M(-x, t) - M(x, t)^* is divided by that of M(x, t),
+    so the bound holds whatever the magnitude of M.
     """
-    s = field.S
-    diff = np.linalg.norm(
-        s[::-1] - np.conj(np.swapaxes(s, -1, -2)), axis=(-2, -1)
-    )
-    rel = diff / np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1e-300)
+    m = np.moveaxis(field.M, (-2, -1), (0, 1))
+    gap = np.empty(m.shape, dtype=np.complex128)
+    np.conjugate(np.swapaxes(m, 0, 1), out=gap)
+    np.subtract(m[:, :, ::-1], gap, out=gap)
+    rel = _node_norms(gap) / np.maximum(_node_norms(m), 1e-300)
     return _level(
         "mirror", field.grid, float(np.max(rel)), int(rel.size),
         tolerance=DEFAULT_IDENTITY_TOL,
@@ -248,7 +273,7 @@ def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
     """Relative deviation of the lower coupling block from -sigma u(-x, t)^*.
 
     The lower block is the field's stored ``lower``, taken from the same
-    solve S X = [Pi1 Pi2] as u, and is compared against the reflected
+    solve M X = [theta1 K] as u, and is compared against the reflected
     adjoint of the field itself on the nodes where neither x nor -x is
     masked. Each node's Frobenius gap is divided by the norm of u(-x, t)
     there, floored as in ``floored_relative``, so the bound holds whatever

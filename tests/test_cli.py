@@ -76,6 +76,22 @@ def test_shipped_levels_agree_with_their_record(name, tmp_path):
                 assert "passed" not in level and "tolerance" not in level
 
 
+@pytest.mark.parametrize("refine", [0, 1])
+def test_matrix_scenario_passes(refine, tmp_path):
+    """The shipped n = 4, m1 = m2 = 2, sigma = -1 datum runs a matrix field
+    through every gbdt check and writes all four entries of u per node."""
+    code = cli.main([
+        "run", str(SCENARIO_DIR / "gbdt_matrix.json"), "--out", str(tmp_path),
+        "--refine", str(refine),
+    ])
+    assert code == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [record["name"] for record in report["checks"]] == list(cli.KIND_CHECKS["gbdt"])
+    assert report["grid"]["levels"] == 2
+    header = (tmp_path / "u.csv").read_text().splitlines()[0].split(",")
+    assert len(header) == 2 + 2 * 2 * 2
+
+
 def test_report_structure(tmp_path):
     scenario = write_scenario(tmp_path, small_example1())
     code = cli.main(["run", str(scenario), "--out", str(tmp_path)])
@@ -492,10 +508,14 @@ def test_overflow_exits_3_with_error_report(tmp_path):
 
 def _cdiag(values):
     n = len(values)
-    return [[[values[i] if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+    return [
+        [[complex(values[i]).real, complex(values[i]).imag] if i == j else [0.0, 0.0]
+         for j in range(n)]
+        for i in range(n)
+    ]
 
 
-def _gbdt_probe(diagonal, theta1, s0_diagonal=None):
+def _gbdt_probe(diagonal, theta1, s0_diagonal=None, grid=None):
     n = len(diagonal)
     parameters = {
         "sigma": 1,
@@ -508,7 +528,10 @@ def _gbdt_probe(diagonal, theta1, s0_diagonal=None):
     return {
         "kind": "gbdt",
         "parameters": parameters,
-        "grid": {"x_max": 1.0, "nx": 21, "t_min": -0.2, "t_max": 0.2, "nt": 11},
+        "grid": {
+            "x_max": 1.0, "nx": 21, "t_min": -0.2, "t_max": 0.2, "nt": 11,
+            **(grid or {}),
+        },
     }
 
 
@@ -522,6 +545,18 @@ MAGNITUDE_PROBES = {
     ),
     "gbdt-n1-theta1-1e160": (_gbdt_probe([1.0], 1e160), errors.Overflow),
     "gbdt-n2-S0-1e200": (_gbdt_probe([1.0, 1.1], 1.0, 1e200), errors.Overflow),
+    # a tiny A against a large theta1: Sigma1 = theta1 theta1* / (2 A) is
+    # 5e309, beyond double range
+    "gbdt-n1-A-1e-300": (_gbdt_probe([1e-300], 1e5), errors.Overflow),
+    # A = 1 + i: det S grows like e^{8t}, e^{800} at t = 100
+    "gbdt-n1-detS-e800": (
+        _gbdt_probe([1.0 + 1.0j], 2.0, grid={"t_min": -1.0, "t_max": 100.0, "nt": 102}),
+        errors.Overflow,
+    ),
+    # A = 1 + i: e^{-2ixA} reaches e^{800} at x = 400
+    "gbdt-n1-x-400": (
+        _gbdt_probe([1.0 + 1.0j], 2.0, grid={"x_max": 400.0}), errors.Overflow,
+    ),
     # within the entry range: the determinant floor must not overflow, and
     # the identity A S0 + S0 A* = theta theta* fails
     "gbdt-n4-S0-1e100": (

@@ -553,7 +553,8 @@ def test_grid_rejects_bad_shapes():
 def test_solution_field_matches_pointwise(jordan_triple, small_grid):
     field = gbdt_core.solution_field(jordan_triple, small_grid)
     assert field.u.shape == (small_grid.nx, small_grid.nt, 1, 1)
-    assert field.S.shape == (small_grid.nx, small_grid.nt, 2, 2)
+    assert field.M.shape == (small_grid.nx, small_grid.nt, 2, 2)
+    assert field.K.shape == (small_grid.nx, small_grid.nt, 2, 1)
     rng = np.random.default_rng(50)
     for _ in range(6):
         k = int(rng.integers(0, small_grid.nx))
@@ -583,31 +584,39 @@ def test_solution_field_deterministic(wide_triple, small_grid):
     first = gbdt_core.solution_field(wide_triple, small_grid)
     second = gbdt_core.solution_field(wide_triple, small_grid)
     assert np.array_equal(first.u, second.u, equal_nan=True)
-    assert np.array_equal(first.S, second.S)
+    assert np.array_equal(first.M, second.M)
+    assert np.array_equal(first.K, second.K)
     assert np.array_equal(first.detS, second.detS)
 
 
 def test_solution_field_takes_one_stacked_exponential(monkeypatch):
-    """The x table and both t tables come from a single numkit.expm call on
-    nx + 2 nt matrices, not one call per node."""
+    """The x table and the t table come from a single numkit.expm call on
+    nx + nt matrices, not one call per node, and M from a single sandwich."""
     triple = make_random_triple(np.random.default_rng(70), 1, n=3)
     grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
-    calls = []
+    calls, sandwiches = [], []
     original = numkit.expm
+    original_sandwich = gbdt_core._sandwich
 
     def counting(m):
         calls.append(np.asarray(m).shape)
         return original(m)
 
+    def counting_sandwich(*args):
+        sandwiches.append([np.shape(arg) for arg in args])
+        return original_sandwich(*args)
+
     monkeypatch.setattr(numkit, "expm", counting)
+    monkeypatch.setattr(gbdt_core, "_sandwich", counting_sandwich)
     gbdt_core.solution_field(triple, grid)
-    assert calls == [(grid.nx + 2 * grid.nt, 3, 3)]
+    assert calls == [(grid.nx + grid.nt, 3, 3)]
+    assert sandwiches == [[(grid.nx, 3, 3), (grid.nt, 3, 3), (grid.nx, 3, 3)]]
 
 
 def test_solution_field_factors_each_node_once(monkeypatch):
-    """det S and the solve come from one numkit.factor_solve call on the
+    """det M and the solve come from one numkit.factor_solve call on the
     whole stack, never from np.linalg.det or np.linalg.solve on the node
-    stack. numkit.expm's Pade solve on the (nx + 2 nt, n, n) table stack
+    stack. numkit.expm's Pade solve on the (nx + nt, n, n) table stack
     is no node operand and may call np.linalg.solve."""
     triple = make_random_triple(np.random.default_rng(73), -1, n=3)
     grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
@@ -636,36 +645,45 @@ def test_solution_field_factors_each_node_once(monkeypatch):
 
 
 def _field_from_node_tables(triple, grid):
-    """(u, S, det S) by solution_field's steps, with every exponential of
+    """(u, M, det S) by solution_field's steps, with every exponential of
     the x and t tables taken on its own.
 
-    S is propagated from the origin parts by the same stacked products as
-    in solution_field: a loop of per-node products would differ from those
-    in the last bit at n = 2 and 3, where the BLAS kernel of the large
-    product accumulates in another order. det S and the solve come from
-    numkit.factor_solve on the whole stack for the same reason: its
-    rounding at a node depends on where the node sits in the stack, so a
-    per-node call is no bitwise reference.
+    M comes from the same stacked sandwich as in solution_field: a loop of
+    per-node products would differ from those in the last bit at n = 2 and
+    3, where the BLAS kernel of the large product accumulates in another
+    order. det M and the solve come from numkit.factor_solve on the whole
+    stack for the same reason: its rounding at a node depends on where the
+    node sits in the stack, so a per-node call is no bitwise reference.
     """
     xs, ts = grid.x_values, grid.t_values
     a = triple.A
     a2 = a @ a
-    fx = np.array([numkit.expm(1j * x * a) for x in xs])
-    gt = np.array([numkit.expm(-2j * t * a2) for t in ts])
-    gti = np.array([numkit.expm(2j * t * a2) for t in ts])
+    half = np.array(
+        [numkit.expm(-1j * x * a) for x in xs] + [numkit.expm(2j * t * a2) for t in ts]
+    )
+    h, q = np.split(half @ half, [xs.size])
     sigma1, sigma2 = triple.origin_parts
     mirror = np.arange(xs.size)[::-1]
-    s = np.ascontiguousarray(gbdt_core._sandwich(fx, gt @ sigma1 @ _hs(gt), fx[mirror]))
-    s += (-1.0) ** triple.kappa * gbdt_core._sandwich(
-        fx[mirror], gti @ sigma2 @ _hs(gti), fx
-    )
-    pi1 = np.einsum("kab,lbc->klac", fx, gt @ triple.theta1, optimize=True)
-    pi2 = np.einsum("kab,lbc->klac", fx[mirror], gti @ triple.theta2, optimize=True)
-    det, sol = numkit.factor_solve(s, np.concatenate([pi1, pi2], axis=-1))
+    m = gbdt_core._sandwich(h, q @ sigma2 @ _hs(q), h[mirror])
+    if triple.kappa == 1:
+        m = sigma1[..., None, None] - m
+    else:
+        m += sigma1[..., None, None]
+    m = np.moveaxis(m, (0, 1), (2, 3))
+    blocks = np.empty((triple.n, triple.m, xs.size, ts.size), dtype=complex)
+    blocks[:, : triple.m1] = triple.theta1[..., None, None]
+    np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=blocks[:, triple.m1 :], optimize=True)
+    det, sol = numkit.factor_solve(m, np.moveaxis(blocks, (0, 1), (2, 3)))
+    det = det * np.exp(2j * np.trace(a).real * xs)[:, None]
+    det *= np.exp(4.0 * np.trace(a2).imag * ts)
     mask = np.abs(det) < gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
-    u = -2j * (_hs(pi1[mirror]) @ sol[..., triple.m1:])
+    x2 = np.moveaxis(sol[..., triple.m1:], (2, 3), (0, 1))
+    u = (_h(triple.theta1) @ np.ascontiguousarray(x2).reshape(triple.n, -1)).reshape(
+        triple.m1, *x2.shape[1:]
+    )
+    u = -2j * np.moveaxis(u, (0, 1), (2, 3))
     u[mask] = np.nan + 1j * np.nan
-    return u, s, det
+    return u, m, det
 
 
 @pytest.mark.parametrize(
@@ -682,32 +700,38 @@ def _field_from_node_tables(triple, grid):
 def test_solution_field_matches_node_by_node_tables(triple):
     grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
     field = gbdt_core.solution_field(triple, grid)
-    u, s, det = _field_from_node_tables(triple, grid)
+    u, m, det = _field_from_node_tables(triple, grid)
     assert field.u.tobytes() == u.tobytes()
-    assert field.S.tobytes() == s.tobytes()
+    assert field.M.tobytes() == m.tobytes()
     assert field.detS.tobytes() == det.tobytes()
 
 
 def _field_by_kronecker_solves(triple, field):
-    """(u, S, det S) by one Kronecker Sylvester solve of the coupling
-    right side per node, from the field's own Pi blocks."""
-    pi1, pi2 = field.pi1, field.pi2
+    """(u, M, det S) by one Kronecker Sylvester solve of the coupling
+    right side theta1 theta1* + (-1)^kappa K K(-x, t)* per node, from the
+    field's own K; det S as np.linalg.det of E(x, t) M E(-x, t)*, with the
+    exponentials taken node by node."""
+    a = triple.A
+    a2 = a @ a
+    k_field = field.K
     nx, nt = field.grid.nx, field.grid.nt
-    s = np.empty_like(field.S)
-    for k in range(nx):
-        for l in range(nt):
-            rhs = gbdt_core.coupling_term(
-                triple.kappa, pi1[k, l], pi2[k, l], pi1[-1 - k, l], pi2[-1 - k, l]
-            )
-            s[k, l] = triple.sylvester(rhs)
-    det = np.linalg.det(s)
+    m = np.empty_like(field.M)
+    det = np.empty(field.detS.shape, dtype=complex)
     u = np.full_like(field.u, np.nan)
     for k in range(nx):
         for l in range(nt):
+            rhs = gbdt_core.coupling_term(
+                triple.kappa, triple.theta1, k_field[k, l], triple.theta1, k_field[-1 - k, l]
+            )
+            m[k, l] = triple.sylvester(rhs)
+            x, t = field.grid.x_values[k], field.grid.t_values[l]
+            e = numkit.expm(1j * (x * a - 2.0 * t * a2))
+            e_mirror = numkit.expm(1j * (-x * a - 2.0 * t * a2))
+            det[k, l] = np.linalg.det(e @ m[k, l] @ _h(e_mirror))
             if not field.singular_mask[k, l]:
-                sol = np.linalg.solve(s[k, l], pi2[k, l])
-                u[k, l] = -2j * _h(pi1[-1 - k, l]) @ sol
-    return u, s, det
+                sol = np.linalg.solve(m[k, l], k_field[k, l])
+                u[k, l] = -2j * _h(triple.theta1) @ sol
+    return u, m, det
 
 
 def _relative_gap(got, expected):
@@ -730,25 +754,76 @@ def _relative_gap(got, expected):
     + ["masked-column"],
 )
 def test_solution_field_matches_kronecker_solve_per_node(triple):
-    """The propagated S agrees with the per-node Kronecker solve of the
-    coupling identity within 1e-13 relative.
+    """The sandwiched M agrees with the per-node Kronecker solve of the
+    coupling identity A M + M A* = theta1 theta1* + (-1)^kappa K K(-x)*
+    within 1e-13 relative.
 
-    u and det S carry the error of S times the condition number of S
-    (|d det| <= |det| ||S^-1|| ||dS||, and likewise for S^-1 Pi), so their
-    1e-13 is scaled by the worst cond S over the unmasked nodes. At n = 8,
-    where cond S reaches 1.6e4 on this grid, both routes' u and det S are
-    off a 40-digit evaluation by up to 1.5e-13 and 1.7e-13 relative at
-    nodes of cond S near 1.5e3.
+    u and det S carry the error of M times the condition number of M
+    (|d det| <= |det| ||M^-1|| ||dM||, and likewise for M^-1 K), so their
+    1e-13 is scaled by the worst cond M over the unmasked nodes.
     """
     grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
     field = gbdt_core.solution_field(triple, grid)
-    u, s, det = _field_by_kronecker_solves(triple, field)
-    assert _relative_gap(field.S, s) <= 1e-13
+    u, m, det = _field_by_kronecker_solves(triple, field)
+    assert _relative_gap(field.M, m) <= 1e-13
     keep = ~field.singular_mask
     assert np.array_equal(np.isnan(field.u), np.isnan(u))
-    worst_cond = float(np.max(np.linalg.cond(s[keep])))
+    worst_cond = float(np.max(np.linalg.cond(m[keep])))
     assert _relative_gap(field.detS[keep], det[keep]) <= 1e-13 * worst_cond
     assert _relative_gap(field.u[keep], u[keep]) <= 1e-13 * worst_cond
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        *(
+            make_random_triple(np.random.default_rng(110 + n), sigma, n=n, m1=2, m2=1)
+            for n in (1, 2, 4)
+            for sigma in (1, -1)
+        ),
+    ],
+    ids=[f"n{n}s{sigma:+d}" for n in (1, 2, 4) for sigma in (1, -1)],
+)
+def test_grid_m_form_matches_the_pointwise_s(triple):
+    """At sampled nodes, E(x, t) M E(-x, t)* is s_at's S, propagated on its
+    own from the origin parts, and the field's det S, taken from det M and
+    the closed-form phase, is np.linalg.det of that S, both to 1e-12
+    relative."""
+    grid = gbdt_core.Grid.build(1.5, 21, -0.3, 0.4, 15)
+    field = gbdt_core.solution_field(triple, grid)
+    a = triple.A
+    a2 = a @ a
+    rng = np.random.default_rng(120)
+    for k, l in zip(rng.integers(0, grid.nx, 8), rng.integers(0, grid.nt, 8)):
+        x, t = float(grid.x_values[k]), float(grid.t_values[l])
+        s = gbdt_core.s_at(triple, x, t)
+        e = numkit.expm(1j * (x * a - 2.0 * t * a2))
+        e_mirror = numkit.expm(1j * (-x * a - 2.0 * t * a2))
+        assert _relative_gap(e @ field.M[k, l] @ _h(e_mirror), s) <= 1e-12
+        det = np.linalg.det(s)
+        assert abs(field.detS[k, l] - det) <= 1e-12 * abs(det)
+
+
+@pytest.mark.parametrize("n, m1, m2", [(1, 2, 1), (2, 2, 1), (8, 2, 1), (8, 1, 3)])
+def test_field_products_match_per_node_matmul(n, m1, m2):
+    """u = -2i theta1* X2 and the lower block -2i sigma K(-x)* X1 equal
+    per-node np.matmul of the field's own solve M X = [theta1 K] to 1e-14
+    relative; factor_solve gives the same X for the same stack."""
+    triple = make_random_triple(np.random.default_rng(130 + n), -1, n=n, m1=m1, m2=m2)
+    grid = gbdt_core.Grid.build(1.0, 11, -0.2, 0.2, 7)
+    field = gbdt_core.solution_field(triple, grid)
+    theta1 = np.broadcast_to(triple.theta1, field.K.shape[:-1] + (m1,))
+    _, sol = numkit.factor_solve(field.M, np.concatenate([theta1, field.K], axis=-1))
+    keep = ~field.singular_mask
+    u = np.empty_like(field.u)
+    lower = np.empty_like(field.lower)
+    for k in range(grid.nx):
+        for l in range(grid.nt):
+            u[k, l] = -2j * (_h(triple.theta1) @ sol[k, l, :, m1:])
+            lower[k, l] = 2j * (_h(field.K[-1 - k, l]) @ sol[k, l, :, :m1])
+    for got, expected in ((field.u, u), (field.lower, lower)):
+        gap = np.max(np.abs(got[keep] - expected[keep]))
+        assert gap <= 1e-14 * np.max(np.abs(expected[keep]))
 
 
 def test_solution_field_solves_two_right_hand_sides(monkeypatch):

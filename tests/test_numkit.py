@@ -81,8 +81,9 @@ def _expm_slices(n, rng):
 
 
 def _field_tables(a, x_max, nx, t_max, nt):
-    """The exponents of solution_field's table stack: i x A over the x
-    nodes, then -2i t A^2 and 2i t A^2 over the t nodes."""
+    """i x A over the x nodes, then -2i t A^2 and 2i t A^2 over the t
+    nodes: solution_field's tables of -i x A and 2i t A^2 are among them,
+    the x nodes being symmetric, and the pointwise route takes the rest."""
     xs = np.linspace(-x_max, x_max, nx)[:, None, None]
     ts = np.linspace(-t_max, t_max, nt)[:, None, None]
     a2 = a @ a
@@ -294,6 +295,57 @@ def test_factor_solve_repeats_bytes():
     second = numkit.factor_solve(s, b)
     assert first[0].tobytes() == second[0].tobytes()
     assert first[1].tobytes() == second[1].tobytes()
+
+
+def test_factor_solve_reads_node_last_stacks():
+    """Stacks held with their node axes last, as solution_field holds them,
+    give the bytes of their contiguous copies."""
+    rng = np.random.default_rng(43)
+    s = _cnormal(rng, 4, 4, 30, 40)
+    b = _cnormal(rng, 4, 3, 30, 40)
+    views = [np.moveaxis(a, (0, 1), (2, 3)) for a in (s, b)]
+    det, x = numkit.factor_solve(*views)
+    expected = numkit.factor_solve(*(np.ascontiguousarray(v) for v in views))
+    assert det.tobytes() == expected[0].tobytes()
+    assert x.tobytes() == expected[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "lead_a, lead_b, p, q, r",
+    [
+        ((5, 7), (5, 7), 2, 2, 2),
+        ((5, 7), (5, 7), 1, 3, 2),
+        ((5, 7), (5, 7), 8, 2, 8),
+        ((5, 7), (5, 7), 2, 8, 1),
+        ((), (5, 7), 2, 8, 3),
+        ((5, 1), (1, 7), 3, 1, 3),
+    ],
+)
+def test_stack_matmul_matches_per_matrix_matmul(lead_a, lead_b, p, q, r):
+    """Every product of the broadcast stacks equals np.matmul of its pair
+    to 1e-14 relative, for stacks held node-first or node-last."""
+    rng = np.random.default_rng(p * 100 + q * 10 + r)
+    a = _cnormal(rng, *lead_a, p, q)
+    b = _cnormal(rng, *lead_b, q, r)
+    lead = np.broadcast_shapes(lead_a, lead_b)
+    expected = np.empty(lead + (p, r), dtype=complex)
+    a_full = np.broadcast_to(a, lead + (p, q))
+    b_full = np.broadcast_to(b, lead + (q, r))
+    for index in np.ndindex(*lead):
+        expected[index] = a_full[index] @ b_full[index]
+    # the same b held with its stack axes last in memory
+    node_last = np.ascontiguousarray(np.moveaxis(b, (-2, -1), (0, 1)))
+    for operand in (b, np.moveaxis(node_last, (0, 1), (-2, -1))):
+        got = numkit.stack_matmul(a, operand)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_stack_matmul_rejects_mismatched_orders():
+    with pytest.raises(ValueError):
+        numkit.stack_matmul(np.ones((3, 2, 2)), np.ones((3, 3, 2)))
+    with pytest.raises(ValueError):
+        numkit.stack_matmul(np.ones(2), np.ones((2, 2)))
 
 
 def test_factor_solve_rejects_bad_operands():

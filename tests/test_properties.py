@@ -68,7 +68,8 @@ def test_common_theta_scaling_leaves_u_and_mask(seed, sigma, modulus, phase):
 @PROPERTY
 @given(seed=SEEDS, sigma=SIGMAS)
 def test_similarity_of_the_datum(seed, sigma):
-    """A -> P A P^-1, theta -> P theta: u is unchanged and S -> P S P*."""
+    """A -> P A P^-1, theta -> P theta: u is unchanged, S -> P S P*, and
+    on the grid M -> P M P* and K -> P K."""
     rng = np.random.default_rng(seed)
     base = make_random_triple(rng, sigma)
     n = base.n
@@ -79,7 +80,8 @@ def test_similarity_of_the_datum(seed, sigma):
         sigma, p @ base.A @ np.linalg.inv(p), p @ base.theta1, p @ base.theta2
     )
     field0, field1 = _assert_same_u(base, moved)
-    assert _close(field1.S, p @ field0.S @ _h(p))
+    assert _close(field1.M, p @ field0.M @ _h(p))
+    assert _close(field1.K, p @ field0.K)
     for x, t in POINTS:
         assert _close(
             gbdt_core.s_at(moved, x, t), p @ gbdt_core.s_at(base, x, t) @ _h(p)

@@ -78,16 +78,7 @@ def test_identity_residual_tight(scalar_triple, scalar_field):
 
 
 def test_identity_residual_detects_corruption(scalar_triple, scalar_field):
-    bad = gbdt_core.SolutionField(
-        grid=scalar_field.grid,
-        u=scalar_field.u,
-        S=scalar_field.S + 1e-6,
-        detS=scalar_field.detS,
-        singular_mask=scalar_field.singular_mask,
-        pi1=scalar_field.pi1,
-        pi2=scalar_field.pi2,
-        lower=scalar_field.lower,
-    )
+    bad = dataclasses.replace(scalar_field, M=scalar_field.M + 1e-6)
     report = verify.identity_residual(scalar_triple, bad)
     assert not report.passed
 
@@ -96,32 +87,25 @@ def test_mirror_residual(scalar_field):
     report = verify.hermitian_mirror_residual(scalar_field)
     assert report.passed and report.residual <= 1e-12
 
-    swapped = gbdt_core.SolutionField(
-        grid=scalar_field.grid,
-        u=scalar_field.u,
-        S=scalar_field.S + 1e-6 * 1j,
-        detS=scalar_field.detS,
-        singular_mask=scalar_field.singular_mask,
-        pi1=scalar_field.pi1,
-        pi2=scalar_field.pi2,
-        lower=scalar_field.lower,
-    )
+    swapped = dataclasses.replace(scalar_field, M=scalar_field.M + 1e-6 * 1j)
     assert not verify.hermitian_mirror_residual(swapped).passed
 
 
-def test_mirror_residual_is_relative_to_s():
-    """A benign datum whose S reaches ~1e5: its absolute mirror deviation
-    (7.4e-10) is rounding, about 2e-15 of |S| node by node."""
+def test_mirror_residual_is_relative_to_m():
+    """A benign datum whose M reaches ~5e10: its absolute mirror deviation
+    is above the tolerance, yet it is rounding, at most 1.9e-13 of |M| node
+    by node, where the products h T h(-x)* that make M meet no
+    cancellation."""
     triple = make_random_triple(np.random.default_rng(8), -1, n=4)
     field = gbdt_core.solution_field(
         triple, gbdt_core.Grid.build(4.0, 41, -1.0, 1.0, 21)
     )
-    s = field.S
-    absolute = np.linalg.norm(s[::-1] - np.conj(np.swapaxes(s, -1, -2)), axis=(-2, -1))
-    assert np.max(np.abs(s)) > 1e5 and np.max(absolute) > verify.DEFAULT_IDENTITY_TOL
+    m = field.M
+    absolute = np.linalg.norm(m[::-1] - np.conj(np.swapaxes(m, -1, -2)), axis=(-2, -1))
+    assert np.max(np.abs(m)) > 1e5 and np.max(absolute) > verify.DEFAULT_IDENTITY_TOL
     report = verify.hermitian_mirror_residual(field)
     assert report.passed
-    assert report.residual <= 1e-13
+    assert report.residual <= 1e-12
     assert report.points_used == field.grid.nx * field.grid.nt
 
 
@@ -131,24 +115,28 @@ def _identity_reference(triple, field):
     worst = 0.0
     for k in range(field.grid.nx):
         for l in range(field.grid.nt):
-            s = field.S[k, l]
+            m = field.M[k, l]
             rhs = gbdt_core.coupling_term(
-                triple.kappa, field.pi1[k, l], field.pi2[k, l],
-                field.pi1[-1 - k, l], field.pi2[-1 - k, l],
+                triple.kappa, triple.theta1, field.K[k, l],
+                triple.theta1, field.K[-1 - k, l],
             )
-            lhs = a @ s + s @ a.conj().T
-            scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(s) + np.linalg.norm(rhs)
+            lhs = a @ m + m @ a.conj().T
+            scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(m) + np.linalg.norm(rhs)
             worst = max(worst, np.linalg.norm(lhs - rhs) / max(scale, 1e-300))
     return worst
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
+#: Block sizes and sign per order n of the identity product test.
+_IDENTITY_CASES = {1: (2, 1, -1), 2: (1, 2, 1), 4: (2, 2, -1), 8: (3, 1, 1)}
+
+
+@pytest.mark.parametrize("n", sorted(_IDENTITY_CASES))
 def test_identity_residual_matches_per_node_products(n):
-    """The whole-stack products against per-node A S + S A*, on random S so
-    the residual is O(1) and not rounding noise."""
+    """The whole-stack products against per-node A M + M A* and
+    theta1 theta1* + (-1)^kappa K K(-x)*, on random M and K so the residual
+    is O(1) and not rounding noise."""
+    m1, m2, sigma = _IDENTITY_CASES[n]
     rng = np.random.default_rng(40 + n)
-    m1 = max(1, n // 2)
-    m2 = max(1, n - m1)
 
     def cnormal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -156,23 +144,48 @@ def test_identity_residual_matches_per_node_products(n):
     grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.2, 5)
     nodes = (grid.nx, grid.nt)
     triple = gbdt_core.GbdtTriple(
-        sigma=-1, A=cnormal(n, n), S0=cnormal(n, n),
+        sigma=sigma, A=cnormal(n, n), S0=cnormal(n, n),
         theta1=cnormal(n, m1), theta2=cnormal(n, m2),
     )
     field = gbdt_core.SolutionField(
         grid=grid,
         u=cnormal(*nodes, m1, m2),
-        S=cnormal(*nodes, n, n),
+        M=cnormal(*nodes, n, n),
         detS=cnormal(*nodes),
         singular_mask=np.zeros(nodes, dtype=bool),
-        pi1=cnormal(*nodes, n, m1),
-        pi2=cnormal(*nodes, n, m2),
+        K=cnormal(*nodes, n, m2),
         lower=cnormal(*nodes, m2, m1),
     )
     expected = _identity_reference(triple, field)
     report = verify.identity_residual(triple, field)
     assert expected > 1e-3
     assert abs(report.residual - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("m1, m2", [(1, 1), (2, 1), (1, 3)])
+def test_pde_residual_matches_per_node_products(m1, m2):
+    """The cubic u u(-x)* u by node-last multiply-adds against per-node
+    np.matmul, on a random u so the residual is O(1)."""
+    rng = np.random.default_rng(50 + m1 + m2)
+    grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.2, 7)
+    nodes = (grid.nx, grid.nt)
+    u = rng.normal(size=(*nodes, m1, m2)) + 1j * rng.normal(size=(*nodes, m1, m2))
+    field = gbdt_core.SolutionField(
+        grid=grid, u=u, M=None, detS=None,
+        singular_mask=np.zeros(nodes, dtype=bool), K=None, lower=None,
+    )
+    hx, ht = grid.hx, grid.ht
+    worst = 0.0
+    for k in range(1, grid.nx - 1):
+        for l in range(1, grid.nt - 1):
+            cubic = u[k, l] @ np.conj(u[-1 - k, l]).T @ u[k, l]
+            u_t = (u[k, l + 1] - u[k, l - 1]) / (2.0 * ht)
+            u_xx = (u[k + 1, l] - 2.0 * u[k, l] + u[k - 1, l]) / hx**2
+            res = 1j * u_t - u_xx + 2.0 * -1 * cubic
+            worst = max(worst, float(np.max(np.abs(res))))
+    report = verify.nnls_residual(field, -1)
+    assert report.points_used == (grid.nx - 2) * (grid.nt - 2)
+    assert abs(report.residual - worst) <= 1e-14 * worst
 
 
 def test_reduction_residual_both_branches():
