@@ -18,8 +18,9 @@ gbdt_core
 oracles
     Independent closed-form solutions used as cross-checks.
 verify
-    Residual reports for the PDE, the coupling identity, the closed forms
-    and the ODE pair, and the verdict of every check.
+    Residual reports for the PDE, the coupling identity, the closed forms,
+    the Darboux pair and the ODE pair, the admissibility of a triple, and
+    the verdict of every check.
 ag_theta
     Theta functions, branch-point data, and the stationary reduction.
 cli
@@ -58,10 +59,10 @@ from .gbdt_core import (
     s_via_integration,
     solution_field,
     u_tilde_at,
-    validate_triple,
     wave_at,
     xi_tilde_at,
 )
+from .verify import validate_triple
 
 __version__ = "0.1.0"
 

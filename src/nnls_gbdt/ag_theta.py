@@ -35,8 +35,8 @@ from .errors import (
     RangeExceeded,
     ThetaZero,
 )
-from .gbdt_core import ValidationEntry, ValidationReport
 from .verify import DEFAULT_PDE_TOL, ResidualReport, estimate_order
+from .verify import ValidationEntry, ValidationReport
 
 #: Relative tolerance used when classifying branch points.
 CLASSIFY_TOL = 1e-10
@@ -60,14 +60,16 @@ def theta(z: complex, tau: complex) -> complex:
     by an integer, which leaves the value unchanged and keeps the sum
     short.  Relative accuracy is about 1e-13 for Im(tau) >= 0.05 and
     |Im(z)| <= 5 Im(tau), degrading to absolute accuracy near the zeros
-    of theta.  Raises BadTau for Im(tau) <= 0 and RangeExceeded when the
-    peak term would overflow or the series would need more than
-    THETA_TERM_LIMIT terms per side.
+    of theta.  Raises BadTau for Im(tau) <= 0 and RangeExceeded when z is
+    not finite, the peak term would overflow or the series would need more
+    than THETA_TERM_LIMIT terms per side.
     """
     tau = complex(tau)
     if not tau.imag > 0:
         raise BadTau(f"Im(tau) must be positive, got tau={tau!r}")
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise RangeExceeded(f"theta argument z={z!r} is not finite")
     z = complex(z.real - round(z.real), z.imag)
     b = tau.imag
     y = abs(z.imag)
@@ -75,14 +77,13 @@ def theta(z: complex, tau: complex) -> complex:
         raise RangeExceeded(
             f"theta series peak exceeds double range for z={z!r}, tau={tau!r}"
         )
-    cutoff = (
-        int(math.ceil((y + math.sqrt(y * y + b * math.log(1e16) / math.pi)) / b))
-        + 2
-    )
-    if cutoff > THETA_TERM_LIMIT:
+    # infinite when Im(tau) or Im(z) is near the top of double range
+    span = (y + math.sqrt(y * y + b * math.log(1e16) / math.pi)) / b
+    if not span + 2 <= THETA_TERM_LIMIT:
         raise RangeExceeded(
-            f"theta series needs {cutoff:.3e} > {THETA_TERM_LIMIT} terms for tau={tau!r}"
+            f"theta series needs {span + 2:.3e} > {THETA_TERM_LIMIT} terms for tau={tau!r}"
         )
+    cutoff = int(math.ceil(span)) + 2
     total = complex(1.0)
     for m in range(1, cutoff + 1):
         quad = 1j * math.pi * m * m * tau

@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import importlib.resources
 import json
+import math
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
@@ -44,10 +45,10 @@ KIND_CHECKS = {
 
 #: Largest work of one run: the n^4 entries of the Kronecker matrix of the
 #: Sylvester map, plus grid nodes summed over every level the run builds,
-#: times n^2 for the n x n matrices each node carries. A run's peak memory
-#: grows by about 65 bytes per unit at n = 4, 40 at n = 8, 160 at n = 2 and
-#: 520 at n = 1, so the budget holds a run at n >= 2 below about 1.4 GB;
-#: at n = 1 it admits about 4.4 GB.
+#: times max(n, 2)^2 for the n x n matrices each node carries (below n = 2
+#: the vectors and CSV row of a node set its memory). At m1 = m2 = 2 a run
+#: peaks at about 94 bytes per unit at n = 1, 181 at n = 2, 75 at n = 4 and
+#: 44 at n = 8: under about 1.5 GB. Wider theta blocks are not weighed.
 NODE_BUDGET = 2**23
 
 
@@ -59,20 +60,40 @@ def _load_schema() -> dict:
         return json.load(handle)
 
 
-def _reject_constant(name: str):
-    """parse_constant hook: Python's json would read NaN and +-Infinity."""
-    raise ValueError(f"non-finite number {name} is not allowed")
+def _finite(parse):
+    """json hook reading a number literal with ``parse``, refusing it unless
+    it is a finite double: NaN, the infinities, which Python's json would
+    read, and literals beyond double range such as 1e400."""
+
+    def hook(literal: str):
+        value = parse(literal)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond double range
+            finite = False
+        if not finite:
+            shown = literal if len(literal) <= 40 else literal[:40] + "..."
+            raise ValueError(f"non-finite number {shown} is not allowed")
+        return value
+
+    return hook
 
 
 def load_scenario(path: Path) -> dict:
-    """Read and structurally validate one scenario file."""
+    """Read and structurally validate one scenario file, every number of
+    which must be a finite double."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle, parse_constant=_reject_constant)
+            document = json.load(
+                handle, parse_constant=_finite(float),
+                parse_float=_finite(float), parse_int=_finite(int),
+            )
     except OSError as exc:
         raise SchemaError(f"cannot read scenario {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON, invalid UTF-8 or a non-finite number
-        raise SchemaError(f"scenario {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or UTF-8, or a number refused above
+        raise SchemaError(
+            f"scenario {path} is not a JSON document of finite numbers: {exc}"
+        ) from exc
 
     validator = jsonschema.Draft202012Validator(_load_schema())
     errors = sorted(validator.iter_errors(document), key=str)
@@ -159,7 +180,7 @@ def _build_triple(datum: tuple, s0: Optional[np.ndarray]) -> GbdtTriple:
         return gbdt_core.complete_triple(*datum)
     sigma, a, theta1, theta2 = datum
     triple = GbdtTriple(sigma=sigma, A=a, S0=s0, theta1=theta1, theta2=theta2)
-    report = gbdt_core.validate_triple(triple)
+    report = verify.validate_triple(triple)
     if not report.passed:
         failed = [e.name for e in report.entries if not e.passed]
         raise DegenerateS(f"supplied triple failed validation: {', '.join(failed)}")
@@ -213,18 +234,19 @@ def _check_node_budget(nx: int, nt: int, levels: int, n: int) -> None:
     """Raise RangeExceeded when a run's work exceeds NODE_BUDGET.
 
     The work is the n^4 entries of the Kronecker matrix of the Sylvester
-    map, plus the nodes of every grid level times n^2. Level 0 is the
-    nx x nt grid, each further level its halving. Nothing is allocated
+    map, plus the nodes of every grid level times max(n, 2)^2. Level 0 is
+    the nx x nt grid, each further level its halving. Nothing is allocated
     here, so an oversized scenario fails before any matrix or stack is.
     """
     work = n**4
+    weight = max(n, 2) ** 2
     level_nx, level_nt = nx, nt
     for _ in range(levels):
-        work += level_nx * level_nt * n * n
+        work += level_nx * level_nt * weight
         if work > NODE_BUDGET:
             raise RangeExceeded(
                 f"{levels} grid level(s) from {nx} x {nt} nodes at n = {n} "
-                f"exceed the node budget of {NODE_BUDGET} (n^4 + nodes x n^2)"
+                f"exceed the node budget of {NODE_BUDGET} (n^4 + nodes x max(n, 2)^2)"
             )
         level_nx, level_nt = 2 * level_nx - 1, 2 * level_nt - 1
 

@@ -38,6 +38,11 @@ one sandwich per node; the pointwise route keeps S, as the independent
 evidence the grid is tested against. This module builds triples, evaluates
 Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
 wave function, pointwise and on grids.
+
+It only constructs, raising where a construction cannot go on
+(SpectralClash, the DET_FLOOR rule behind DegenerateS and SingularPoint,
+SpectralPole, Overflow) and masking near-singular grid nodes; every verdict
+on a triple or on what is built from it is verify's.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .errors import (
     DegenerateS,
     DimensionMismatch,
     Overflow,
+    RangeExceeded,
     SingularPoint,
     SpectralClash,
     SpectralPole,
@@ -61,7 +67,7 @@ from .errors import (
 # Grid-relative threshold under which det S is flagged singular.
 SINGULAR_DET_FACTOR = 1e-8
 
-# Floor of _relative_det at or under which S0, or S at a single point, is
+# Floor of relative_det at or under which S0, or S at a single point, is
 # singular.
 DET_FLOOR = 1e-12
 
@@ -71,7 +77,7 @@ def _h(m: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(m, -1, -2))
 
 
-def _relative_det(s: np.ndarray) -> float:
+def relative_det(s: np.ndarray) -> float:
     """|det s| / max(1, ||s||)^n, the determinant of s scaled by
     1 / max(1, ||s||): that matrix has norm at most 1, so its determinant
     is at most 1 and neither it nor the power can overflow."""
@@ -123,7 +129,7 @@ class GbdtTriple:
 
     sigma is -1 (focusing) or +1 (defocusing); kappa, the block sizes and j
     are derived. Construction checks shapes only; numerical admissibility is
-    the job of validate_triple.
+    the job of verify.validate_triple.
 
     The Sylvester solver of A X + X A* = C, the eigenvalues of A and the
     origin parts of S are cached on the instance (complete_triple fills the
@@ -218,87 +224,16 @@ class GbdtTriple:
         return numkit.eigenvalues(self.A)
 
 
-@dataclass(frozen=True)
-class ValidationEntry:
-    name: str
-    value: float
-    tolerance: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Named residuals of the admissibility checks for a triple."""
-
-    entries: tuple
-
-    def entry(self, name: str) -> ValidationEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    @property
-    def passed(self) -> bool:
-        """True iff every entry is within tolerance.
-
-        The spectral margin entry participates: grid assembly requires the
-        Sylvester route, so a clashing spectrum fails the report as a whole.
-        Pointwise evaluation still works on such data through the
-        integration fallback; consult the individual entries for that.
-        """
-        return all(e.passed for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            e.name: {"value": e.value, "tolerance": e.tolerance, "passed": e.passed}
-            for e in self.entries
-        }
-
-
-def validate_triple(candidate: GbdtTriple) -> ValidationReport:
-    """Check Hermiticity of S0, invertibility (|det S0| / max(1, ||S0||)^n
-    above DET_FLOOR), and the coupling identity.
-
-    Also reports the spectral-disjointness margin min |lambda_i + conj(lambda_j)|
-    of A, which decides whether the pointwise Sylvester route is usable.
-    Raises DimensionMismatch for inconsistent shapes (checked at triple
-    construction); never raises on numerical failure, which is what the
-    report is for.
-    """
-    t = candidate
-    norm_s = float(np.linalg.norm(t.S0))
-    norm_a = float(np.linalg.norm(t.A))
-    rhs = t.coupling_rhs()
-
-    herm = float(np.linalg.norm(t.S0 - _h(t.S0)))
-    herm_tol = 1e-12 * max(1.0, norm_s)
-
-    det_rel = _relative_det(t.S0)
-
-    ident = float(np.linalg.norm(t.A @ t.S0 + t.S0 @ _h(t.A) - rhs))
-    ident_tol = 1e-10 * max(1.0, 2.0 * norm_a * norm_s + float(np.linalg.norm(rhs)))
-
-    margin = numkit.spectral_margin(t.A, _h(t.A))
-    margin_tol = numkit.SPECTRAL_CLASH_FACTOR * 2.0 * norm_a
-
-    entries = (
-        ValidationEntry("hermiticity", herm, herm_tol, herm <= herm_tol),
-        ValidationEntry("determinant", det_rel, DET_FLOOR, det_rel > DET_FLOOR),
-        ValidationEntry("identity", ident, ident_tol, ident <= ident_tol),
-        ValidationEntry("sylvester_margin", margin, margin_tol, margin > margin_tol),
-    )
-    return ValidationReport(entries)
-
-
 def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
-    """Solve the coupling identity for S0 and return the validated triple.
+    """Solve the coupling identity for S0 and return the completed triple.
 
     One Sylvester solver solves once for the origin parts; by linearity
-    S0 = Sigma1 + (-1)^kappa Sigma2, exactly Hermitian. The triple caches
-    that solver and those parts, so no later call builds or solves again.
-    Raises SpectralClash if A's spectrum meets its reflected conjugate, and
-    DegenerateS if the resulting S0 is numerically singular.
+    S0 = Sigma1 + (-1)^kappa Sigma2, exactly Hermitian and solving the
+    identity by construction, so of validate_triple's entries only the
+    determinant floor can stop it. The triple caches that solver and those
+    parts, so no later call builds or solves again. Raises SpectralClash if
+    A's spectrum meets its reflected conjugate, and DegenerateS if S0 is
+    numerically singular: relative_det(S0) not above DET_FLOOR.
     """
     A = numkit.as_cmatrix(A, "A")
     theta1 = numkit.as_cmatrix(theta1, "theta1")
@@ -309,12 +244,10 @@ def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     triple = GbdtTriple(sigma=sigma, A=A, S0=s0, theta1=theta1, theta2=theta2)
     # prefill the cached properties: cached_property reads the instance __dict__
     vars(triple).update(sylvester=solver, origin_parts=parts)
-    report = validate_triple(triple)
-    det_entry = report.entry("determinant")
-    if not det_entry.passed:
+    det_rel = relative_det(s0)
+    if not det_rel > DET_FLOOR:
         raise DegenerateS(
-            f"|det S0| / max(1, ||S0||)^n = {det_entry.value:.3e} not above "
-            f"{det_entry.tolerance:.0e}; "
+            f"|det S0| / max(1, ||S0||)^n = {det_rel:.3e} not above {DET_FLOOR:.0e}; "
             "the completed triple does not define a solution"
         )
     return triple
@@ -381,37 +314,6 @@ def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return _propagated_s(triple, _exponentials(triple, (x, -x), t))
 
 
-def s_x_rate(triple: GbdtTriple, fx: np.ndarray, fxi: np.ndarray, t: float) -> np.ndarray:
-    """x-derivative of S, i Pi(x,t) j^{kappa+1} Pi(-x,t)*, at fixed t.
-
-    fx and fxi are stacks of e^{ixA} and e^{-ixA} over the x values; the
-    result is one n x n matrix per slice. A and A^2 commute, so with
-    p1 = e^{-2itA^2} theta1 and p2 = e^{2itA^2} theta2 the rate is
-    i (fx p1 p1* fxi* + (-1)^{kappa+1} fxi p2 p2* fx*).
-    """
-    a2 = triple.A @ triple.A
-    p1 = numkit.expm(-2j * t * a2) @ triple.theta1
-    p2 = numkit.expm(2j * t * a2) @ triple.theta2
-    sgn = (-1.0) ** (triple.kappa + 1)
-    return 1j * (fx @ (p1 @ _h(p1)) @ _h(fxi) + sgn * fxi @ (p2 @ _h(p2)) @ _h(fx))
-
-
-def s_t_rate(triple: GbdtTriple, gt: np.ndarray, gti: np.ndarray) -> np.ndarray:
-    """t-derivative of S along x = 0, the commutator form of the evolved
-    coupling.
-
-    gt and gti are stacks of e^{-2itA^2} and e^{2itA^2} over the t values;
-    with C_k = theta_k theta_k* A* - A theta_k theta_k* the rate is
-    2i (gt C1 gt* + (-1)^{kappa+1} gti C2 gti*).
-    """
-    a = triple.A
-    ah = _h(a)
-    g1 = triple.theta1 @ _h(triple.theta1)
-    g2 = triple.theta2 @ _h(triple.theta2)
-    sgn = (-1.0) ** (triple.kappa + 1)
-    return 2j * (gt @ (g1 @ ah - a @ g1) @ _h(gt) + sgn * gti @ (g2 @ ah - a @ g2) @ _h(gti))
-
-
 def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) -> np.ndarray:
     """S(x, t) by integrating its t-rate along x=0, then its x-rate at fixed t.
 
@@ -419,21 +321,33 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
     the fallback route when A's spectrum is not disjoint from -A*'s. Both
     legs start at 0, so their Simpson nodes are k h, and each leg's
     exponentials come as numkit.expm_steps tables of the node spacing h.
+
+    With s = (-1)^{kappa+1} and C_k = theta_k theta_k* A* - A theta_k theta_k*,
+    the t-rate is 2i (g C1 g* + s g^{-1} C2 g^{-*}), g = e^{-2itA^2}. A and
+    A^2 commute, so with p1 = e^{-2itA^2} theta1, p2 = e^{2itA^2} theta2 and
+    f = e^{ixA} the x-rate i Pi(x,t) j^{kappa+1} Pi(-x,t)* is
+    i (f p1 p1* f^{-*} + s f^{-1} p2 p2* f*).
     """
     a = triple.A
     a2 = a @ a
+    ah = _h(a)
+    g1 = triple.theta1 @ _h(triple.theta1)
+    g2 = triple.theta2 @ _h(triple.theta2)
+    sgn = (-1.0) ** (triple.kappa + 1)
 
     def t_rate(r: np.ndarray) -> np.ndarray:
         h = r[1] - r[0]
-        return s_t_rate(
-            triple, numkit.expm_steps(-2j * h * a2, r.size), numkit.expm_steps(2j * h * a2, r.size)
-        )
+        gt = numkit.expm_steps(-2j * h * a2, r.size)
+        gti = numkit.expm_steps(2j * h * a2, r.size)
+        return 2j * (gt @ (g1 @ ah - a @ g1) @ _h(gt) + sgn * gti @ (g2 @ ah - a @ g2) @ _h(gti))
 
     def x_rate(r: np.ndarray) -> np.ndarray:
         h = r[1] - r[0]
-        return s_x_rate(
-            triple, numkit.expm_steps(1j * h * a, r.size), numkit.expm_steps(-1j * h * a, r.size), t
-        )
+        fx = numkit.expm_steps(1j * h * a, r.size)
+        fxi = numkit.expm_steps(-1j * h * a, r.size)
+        p1 = numkit.expm(-2j * t * a2) @ triple.theta1
+        p2 = numkit.expm(2j * t * a2) @ triple.theta2
+        return 1j * (fx @ (p1 @ _h(p1)) @ _h(fxi) + sgn * fxi @ (p2 @ _h(p2)) @ _h(fx))
 
     leg_t = numkit.integrate_matrix(t_rate, 0.0, t, steps)
     leg_x = numkit.integrate_matrix(x_rate, 0.0, x, steps)
@@ -441,10 +355,10 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
 
 
 def _point(triple: GbdtTriple, x: float, t: float):
-    """(S(x, t), Pi(x, t), Pi(-x, t), e) at one point, each computed once.
+    """(S(x, t), Pi(x, t), Pi(-x, t)) at one point, each computed once.
 
-    e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)) comes from one stacked
-    numkit.expm call, and S is propagated from it, or integrated by
+    E(x, t), E(-x, -t), E(-x, t) and E(x, -t) come from one stacked
+    numkit.expm call, and S is propagated from them, or integrated by
     s_via_integration when the spectra of A and -A* meet. Raises
     SingularPoint when det S(x, t) is numerically zero.
     """
@@ -453,14 +367,21 @@ def _point(triple: GbdtTriple, x: float, t: float):
         s = _propagated_s(triple, e)
     except SpectralClash:
         s = s_via_integration(triple, x, t)
-    det_rel = _relative_det(s)
+    det_rel = relative_det(s)
     if det_rel <= DET_FLOOR:
         raise SingularPoint(
             x, t, det_rel,
             f"S(x, t) is singular at x={x!r}, t={t!r} "
             f"(|det S| / max(1, ||S||)^n = {det_rel:.3e})",
         )
-    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3]), e
+    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3])
+
+
+def _xi(triple: GbdtTriple, left: np.ndarray, s_inv_p: np.ndarray) -> np.ndarray:
+    """xi = i (j X0 j - X0), X0 = left s_inv_p = j^kappa Pi(-x,t)* S^{-1} Pi(x,t)."""
+    x0 = left @ s_inv_p
+    j = triple.j
+    return 1j * (j @ x0 @ j - x0)
 
 
 def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -468,7 +389,7 @@ def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
     Raises SingularPoint when det S(x, t) is numerically zero.
     """
-    s, p, pm, _ = _point(triple, x, t)
+    s, p, pm = _point(triple, x, t)
     m1 = triple.m1
     return -2j * _h(pm[:, :m1]) @ np.linalg.solve(s, p[:, m1:])
 
@@ -478,17 +399,17 @@ def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
     X0 = j^kappa Pi(-x,t)* S(x,t)^{-1} Pi(x,t). The diagonal blocks cancel
     exactly; the top-right block is u_tilde_at and the bottom-left block is
-    -sigma times the conjugate transpose of u at (-x, t).
+    -sigma times the conjugate transpose of u at (-x, t). darboux_at
+    returns the same matrix as its sample's xi.
     """
-    s, p, pm, _ = _point(triple, x, t)
-    x0 = triple.jk @ _h(pm) @ np.linalg.solve(s, p)
-    j = triple.j
-    return 1j * (j @ x0 @ j - x0)
+    s, p, pm = _point(triple, x, t)
+    return _xi(triple, triple.jk @ _h(pm), np.linalg.solve(s, p))
 
 
 @dataclass(frozen=True)
 class SpectralSample:
-    """Darboux matrix pair and wave function at one (x, t, z)."""
+    """Darboux matrix pair, wave function and transferred potential at one
+    (x, t, z); xi does not depend on z."""
 
     x: float
     t: float
@@ -496,17 +417,19 @@ class SpectralSample:
     wa: np.ndarray
     wb: np.ndarray
     wave: np.ndarray
+    xi: np.ndarray
 
 
 def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
-    """Darboux matrix w_A, its inverse w_B, and the wave function at (x, t, z).
+    """Darboux matrix w_A, its inverse w_B, the wave function and the
+    transferred potential xi at (x, t, z).
 
     w_A(x,t,z) = I - j^kappa Pi(-x,t)* S^{-1} (A - zI)^{-1} Pi(x,t) and
     w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t); the
     pair multiplies to the identity and w_B equals
-    j^kappa w_A(-x, t, -conj(z))* j^kappa. Both facts are asserted to 1e-9
-    at construction; the reduction check takes S(-x, t) from the point's
-    four exponentials, swapped, so it makes no further exponential.
+    j^kappa w_A(-x, t, -conj(z))* j^kappa. Neither fact is decided here:
+    verify.darboux_residual reports both. xi is xi_tilde_at's matrix, from
+    the solve S^{-1} Pi(x,t) that w_B makes. One S is propagated.
 
     Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
     spectrum of A, and SingularPoint on singular S.
@@ -520,44 +443,23 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     if np.min(np.abs(eigs + np.conj(z))) < 1e-9 * scale:
         raise SpectralPole(f"-conj(z) = {-np.conj(z)!r} is numerically an eigenvalue of A")
 
-    s, p, pm, e = _point(triple, x, t)
-    n = triple.n
-    eye_n = np.eye(n, dtype=np.complex128)
+    s, p, pm = _point(triple, x, t)
+    eye_n = np.eye(triple.n, dtype=np.complex128)
     eye_m = np.eye(triple.m, dtype=np.complex128)
-    jk = triple.jk
 
-    left = jk @ _h(pm)
+    left = triple.jk @ _h(pm)
+    s_inv_p = np.linalg.solve(s, p)
     wa = eye_m - left @ np.linalg.solve(s, np.linalg.solve(a - z * eye_n, p))
-    wb = eye_m - left @ np.linalg.solve(_h(a) + z * eye_n, np.linalg.solve(s, p))
-
-    prod_res = float(np.linalg.norm(wa @ wb - eye_m))
-    if prod_res > 1e-9 * max(1.0, float(np.linalg.norm(wa)) * float(np.linalg.norm(wb))):
-        raise ArithmeticError(
-            f"Darboux pair failed the inverse check: ||wa wb - I|| = {prod_res:.3e}"
-        )
-
-    # reduction: wB(x,t,z) equals j^kappa wA(-x,t,-conj(z))* j^kappa, with
-    # S(-x,t) propagated on its own from the swapped exponentials rather
-    # than taken as S*
-    try:
-        s_m = _propagated_s(triple, e[[2, 3, 0, 1]])
-    except SpectralClash:
-        s_m = s_via_integration(triple, -x, t)
-    wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
-        s_m, np.linalg.solve(a + np.conj(z) * eye_n, pm)
-    )
-    red_res = float(np.linalg.norm(wb - jk @ _h(wa_m) @ jk))
-    if red_res > 1e-9 * max(1.0, float(np.linalg.norm(wb))):
-        raise ArithmeticError(
-            f"Darboux pair failed the reduction check: residual = {red_res:.3e}"
-        )
+    wb = eye_m - left @ np.linalg.solve(_h(a) + z * eye_n, s_inv_p)
 
     phase = 1j * (z * x - 2.0 * z * z * t)
     diag = np.concatenate(
         [np.full(triple.m1, np.exp(-phase)), np.full(triple.m2, np.exp(phase))]
     )
     wave = wa * diag[None, :]
-    return SpectralSample(x=x, t=t, z=z, wa=wa, wb=wb, wave=wave)
+    return SpectralSample(
+        x=x, t=t, z=z, wa=wa, wb=wb, wave=wave, xi=_xi(triple, left, s_inv_p)
+    )
 
 
 def wave_at(triple: GbdtTriple, x: float, t: float, z: complex) -> np.ndarray:
@@ -601,7 +503,10 @@ class Grid:
         """Construct nodes by integer offsets from the origin.
 
         nx must be odd so x = 0 is a node; the t node nearest 0 is snapped
-        to exactly 0 and must land within 1e-9 * ht of it.
+        to exactly 0 and must land within 1e-9 * ht of it. The operating
+        range of the datum entries bounds the grid too: an extent beyond
+        numkit.ENTRY_LIMIT is an Overflow, and a spacing under its inverse,
+        whose square a second difference would divide by, RangeExceeded.
         """
         if nx < 2 or nx % 2 == 0:
             raise AsymmetricGrid(f"nx must be odd and >= 3, got {nx}")
@@ -611,10 +516,15 @@ class Grid:
             raise AsymmetricGrid(f"x_max must be positive, got {x_max}")
         if not (t_max > t_min):
             raise AsymmetricGrid(f"t range is empty: [{t_min}, {t_max}]")
+        limit = numkit.ENTRY_LIMIT
+        if max(x_max, abs(t_min), abs(t_max)) > limit:
+            raise Overflow(f"grid extent beyond the operating range {limit:g}")
         c = (nx - 1) // 2
         hx = x_max / c
         xs = (np.arange(nx) - c) * hx
         ht = (t_max - t_min) / (nt - 1)
+        if min(hx, ht) < 1.0 / limit:
+            raise RangeExceeded(f"grid spacings {hx!r}, {ht!r} not both >= {1 / limit:g}")
         l0 = int(round(-t_min / ht))
         if l0 < 0 or l0 > nt - 1 or abs(t_min + l0 * ht) > 1e-9 * ht:
             raise AsymmetricGrid(

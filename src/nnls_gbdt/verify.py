@@ -4,15 +4,18 @@ Every check in this module reports a residual that an exact object would
 drive to zero: the evolution equation itself, the algebraic coupling
 identity and the mirror symmetry, both stated on the reduced matrix M with
 S(x, t) = E(x, t) M E(-x, t)*, the reduction tying the two triangular
-blocks together, the deviation from a closed-form family, and the pair of
-first-order systems satisfied by the wave function.  Derivatives are
-second-order central differences, so refining the grid by two should shrink
-those residuals by about four; the pde record turns its levels' residuals
-into convergence orders and decides on them.
+blocks together, the deviation from a closed-form family, the Darboux pair
+w_A w_B = I with its reduction, and the pair of first-order systems
+satisfied by the wave function.  Derivatives are second-order central
+differences, so refining the grid by two should shrink those residuals by
+about four; the pde record turns its levels' residuals into convergence
+orders and decides on them.
 
-Every tolerance and verdict of ``nnls-gbdt run`` is decided here, and the
-check records of its report.json are built here, with ``json_number`` the
-one rule for writing a non-finite number.
+gbdt_core only constructs; the admissibility of a triple
+(``validate_triple``) and every verdict on what it built are decided here.
+That includes every tolerance and verdict of ``nnls-gbdt run``, whose check
+records of report.json are built here, with ``json_number`` the one rule
+for writing a non-finite number.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import gbdt_core, numkit
 from .errors import GridTooSmall
-from .gbdt_core import GbdtTriple, Grid, SolutionField, ValidationReport
+from .gbdt_core import GbdtTriple, Grid, SolutionField
 
 #: Bound on the finite-difference residuals of the wave function's two
 #: systems and of ag_theta's stationary equations.
@@ -42,6 +45,9 @@ ORDER_HIGH = 2.3
 
 #: Residual size under which the pde check passes without an order estimate.
 EXACT_FLOOR = 1e-9
+
+#: Bound on the relative residuals of the Darboux pair, darboux_residual.
+DARBOUX_TOL = 1e-9
 
 #: Central-difference step of wave_ode_residual; it also compares the
 #: residual at half this step.
@@ -105,22 +111,82 @@ class ResidualReport:
         return encoded
 
 
-def _level(
-    name: str, grid: Grid, residual: float, used: int, skipped: int = 0,
-    tolerance: Optional[float] = None,
+@dataclass(frozen=True)
+class ValidationEntry:
+    name: str
+    value: float
+    tolerance: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    """Named residuals of the admissibility checks for a triple."""
+
+    entries: tuple
+
+    def entry(self, name: str) -> ValidationEntry:
+        for e in self.entries:
+            if e.name == name:
+                return e
+        raise KeyError(name)
+
+    @property
+    def passed(self) -> bool:
+        """True iff every entry is within tolerance, the spectral margin's
+        included: a grid needs the Sylvester route, though pointwise
+        evaluation falls back to integration on a clashing spectrum."""
+        return all(e.passed for e in self.entries)
+
+
+def validate_triple(candidate: GbdtTriple) -> ValidationReport:
+    """Check Hermiticity of S0, invertibility (|det S0| / max(1, ||S0||)^n
+    above gbdt_core.DET_FLOOR), and the coupling identity.
+
+    Also reports the spectral-disjointness margin min |lambda_i + conj(lambda_j)|
+    of A, which decides whether the pointwise Sylvester route is usable.
+    Raises DimensionMismatch for inconsistent shapes (checked at triple
+    construction); never raises on numerical failure, which is what the
+    report is for.
+    """
+    t = candidate
+    a_h = t.A.conj().T
+    norm_s = float(np.linalg.norm(t.S0))
+    norm_a = float(np.linalg.norm(t.A))
+    rhs = t.coupling_rhs()
+
+    herm = float(np.linalg.norm(t.S0 - t.S0.conj().T))
+    herm_tol = 1e-12 * max(1.0, norm_s)
+
+    det_rel = gbdt_core.relative_det(t.S0)
+    det_floor = gbdt_core.DET_FLOOR
+
+    ident = float(np.linalg.norm(t.A @ t.S0 + t.S0 @ a_h - rhs))
+    ident_tol = 1e-10 * max(1.0, 2.0 * norm_a * norm_s + float(np.linalg.norm(rhs)))
+
+    margin = numkit.spectral_margin(t.A, a_h)
+    margin_tol = numkit.SPECTRAL_CLASH_FACTOR * 2.0 * norm_a
+
+    entries = (
+        ValidationEntry("hermiticity", herm, herm_tol, herm <= herm_tol),
+        ValidationEntry("determinant", det_rel, det_floor, det_rel > det_floor),
+        ValidationEntry("identity", ident, ident_tol, ident <= ident_tol),
+        ValidationEntry("sylvester_margin", margin, margin_tol, margin > margin_tol),
+    )
+    return ValidationReport(entries)
+
+
+def _report(
+    name: str, residual: float, tolerance: Optional[float] = None,
+    hx: float = 0.0, ht: float = 0.0, used: int = 1, skipped: int = 0,
+    order: Optional[float] = None,
 ) -> ResidualReport:
-    """Report of one check on one grid level, passed when ``residual`` is at
-    most ``tolerance``; with no tolerance it carries no verdict."""
+    """Report of one check, passed when ``residual`` is at most ``tolerance``
+    and with no verdict without one; the defaults describe a single point."""
     return ResidualReport(
-        name=name,
-        hx=grid.hx,
-        ht=grid.ht,
-        residual=residual,
-        order=None,
+        name=name, hx=hx, ht=ht, residual=residual, order=order,
         passed=None if tolerance is None else bool(residual <= tolerance),
-        tolerance=tolerance,
-        points_used=used,
-        points_skipped=skipped,
+        tolerance=tolerance, points_used=used, points_skipped=skipped,
     )
 
 
@@ -192,7 +258,7 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
         residual = float("inf")
     else:
         residual = float(np.max(np.abs(res[valid])))
-    return _level("pde", grid, residual, used, int(valid.size - used))
+    return _report("pde", residual, None, grid.hx, grid.ht, used, int(valid.size - used))
 
 
 def _node_last(stack: np.ndarray) -> np.ndarray:
@@ -245,9 +311,9 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
     del lhs
     scale = 2.0 * np.linalg.norm(a) * _node_norms(m) + _node_norms(rhs)
     rel = diff / np.maximum(scale, 1e-300)
-    return _level(
-        "identity", field.grid, float(np.max(rel)), int(rel.size),
-        tolerance=DEFAULT_IDENTITY_TOL,
+    grid = field.grid
+    return _report(
+        "identity", float(np.max(rel)), DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, int(rel.size)
     )
 
 
@@ -263,9 +329,9 @@ def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
     np.conjugate(np.swapaxes(m, 0, 1), out=gap)
     np.subtract(m[:, :, ::-1], gap, out=gap)
     rel = _node_norms(gap) / np.maximum(_node_norms(m), 1e-300)
-    return _level(
-        "mirror", field.grid, float(np.max(rel)), int(rel.size),
-        tolerance=DEFAULT_IDENTITY_TOL,
+    grid = field.grid
+    return _report(
+        "mirror", float(np.max(rel)), DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, int(rel.size)
     )
 
 
@@ -290,9 +356,10 @@ def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
         target = -sigma * np.conj(np.swapaxes(field.u[::-1][keep], -1, -2))
         gap = np.linalg.norm(field.lower[keep] - target, axis=(-2, -1))
         residual = floored_relative(gap, np.linalg.norm(target, axis=(-2, -1)))
-    return _level(
-        "reduction", field.grid, residual, used, int(keep.size - used),
-        DEFAULT_IDENTITY_TOL,
+    grid = field.grid
+    return _report(
+        "reduction", residual, DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, used,
+        int(keep.size - used),
     )
 
 
@@ -318,9 +385,9 @@ def oracle_residual(field: SolutionField, oracle: OracleFn) -> ResidualReport:
         scale = np.max(np.abs(expected), axis=(-2, -1))
         diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
         residual = floored_relative(diff, scale)
-    return _level(
-        "oracle", grid, residual, points_used, used.size - points_used,
-        ORACLE_TOL,
+    return _report(
+        "oracle", residual, ORACLE_TOL, grid.hx, grid.ht, points_used,
+        used.size - points_used,
     )
 
 
@@ -378,34 +445,49 @@ def constraints_record(report: ValidationReport) -> dict:
     }
 
 
-def _wave_x_residual(
+def darboux_residual(
+    triple: GbdtTriple, x: float, t: float, z: complex
+) -> Tuple[ResidualReport, ResidualReport]:
+    """Reports ``darboux_inverse``, ||w_A w_B - I|| / max(1, ||w_A|| ||w_B||),
+    and ``darboux_reduction``, ||w_B - j^kappa w_A(-x,t,-conj z)* j^kappa|| /
+    max(1, ||w_B||), at (x, t, z), passed at DARBOUX_TOL. The mirror sample
+    is darboux_at(-x, t, -conj z): S(-x, t) is propagated on its own, never
+    taken as S(x, t)*. Raises SpectralPole and SingularPoint as darboux_at."""
+    sample = gbdt_core.darboux_at(triple, x, t, z)
+    mirror = gbdt_core.darboux_at(triple, -x, t, -np.conj(complex(z)))
+    wa, wb, jk = sample.wa, sample.wb, triple.jk
+    norm = np.linalg.norm
+    inverse = norm(wa @ wb - np.eye(triple.m)) / max(1.0, norm(wa) * norm(wb))
+    reduction = norm(wb - jk @ np.conj(mirror.wa.T) @ jk) / max(1.0, norm(wb))
+    return (
+        _report("darboux_inverse", float(inverse), DARBOUX_TOL),
+        _report("darboux_reduction", float(reduction), DARBOUX_TOL),
+    )
+
+
+def _wave_residuals(
     triple: GbdtTriple, x: float, t: float, z: complex, h: float,
-    w0: np.ndarray, xi: np.ndarray,
-) -> float:
+    centre: gbdt_core.SpectralSample,
+) -> Tuple[float, float]:
+    """Residuals of the x and t systems at central step h, from darboux_at
+    samples at (x +- h, t) and (x, t +- h); the x samples also give the x
+    derivative of the potential."""
     j = triple.j
-    d_w = (
-        gbdt_core.wave_at(triple, x + h, t, z)
-        - gbdt_core.wave_at(triple, x - h, t, z)
-    ) / (2.0 * h)
+    w0, xi = centre.wave, centre.xi
+    east = gbdt_core.darboux_at(triple, x + h, t, z)
+    west = gbdt_core.darboux_at(triple, x - h, t, z)
+    north = gbdt_core.darboux_at(triple, x, t + h, z)
+    south = gbdt_core.darboux_at(triple, x, t - h, z)
+
+    d_w = (east.wave - west.wave) / (2.0 * h)
     g = -1j * z * j - j @ xi
-    return float(np.max(np.abs(d_w - g @ w0)))
+    res_x = float(np.max(np.abs(d_w - g @ w0)))
 
-
-def _wave_t_residual(
-    triple: GbdtTriple, x: float, t: float, z: complex, h: float,
-    w0: np.ndarray, xi: np.ndarray,
-) -> float:
-    j = triple.j
-    d_w = (
-        gbdt_core.wave_at(triple, x, t + h, z)
-        - gbdt_core.wave_at(triple, x, t - h, z)
-    ) / (2.0 * h)
-    xi_x = (
-        gbdt_core.xi_tilde_at(triple, x + h, t)
-        - gbdt_core.xi_tilde_at(triple, x - h, t)
-    ) / (2.0 * h)
+    d_w = (north.wave - south.wave) / (2.0 * h)
+    xi_x = (east.xi - west.xi) / (2.0 * h)
     f = 2j * z**2 * j + 2.0 * z * (j @ xi) - 1j * (j @ xi @ xi - xi_x)
-    return float(np.max(np.abs(d_w - f @ w0)))
+    res_t = float(np.max(np.abs(d_w - f @ w0)))
+    return res_x, res_t
 
 
 def wave_ode_residual(
@@ -421,31 +503,12 @@ def wave_ode_residual(
     """
     z = complex(z)
     h = WAVE_STEP
-    # the wave function and the potential at (x, t) serve all four stencils
-    w0 = gbdt_core.wave_at(triple, x, t, z)
-    xi = gbdt_core.xi_tilde_at(triple, x, t)
-    rx_h = _wave_x_residual(triple, x, t, z, h, w0, xi)
-    rx_h2 = _wave_x_residual(triple, x, t, z, h / 2.0, w0, xi)
-    rt_h = _wave_t_residual(triple, x, t, z, h, w0, xi)
-    rt_h2 = _wave_t_residual(triple, x, t, z, h / 2.0, w0, xi)
-    report_x = ResidualReport(
-        name="wave_x",
-        hx=h,
-        ht=0.0,
-        residual=rx_h,
-        order=estimate_order(rx_h, rx_h2),
-        passed=bool(rx_h <= DEFAULT_PDE_TOL),
-        tolerance=DEFAULT_PDE_TOL,
-        points_used=1,
+    # the sample at (x, t) gives the wave function and the potential for
+    # both step sizes
+    centre = gbdt_core.darboux_at(triple, x, t, z)
+    rx_h, rt_h = _wave_residuals(triple, x, t, z, h, centre)
+    rx_h2, rt_h2 = _wave_residuals(triple, x, t, z, h / 2.0, centre)
+    return (
+        _report("wave_x", rx_h, DEFAULT_PDE_TOL, hx=h, order=estimate_order(rx_h, rx_h2)),
+        _report("wave_t", rt_h, DEFAULT_PDE_TOL, ht=h, order=estimate_order(rt_h, rt_h2)),
     )
-    report_t = ResidualReport(
-        name="wave_t",
-        hx=0.0,
-        ht=h,
-        residual=rt_h,
-        order=estimate_order(rt_h, rt_h2),
-        passed=bool(rt_h <= DEFAULT_PDE_TOL),
-        tolerance=DEFAULT_PDE_TOL,
-        points_used=1,
-    )
-    return report_x, report_t

@@ -107,6 +107,16 @@ def test_theta_refuses_a_series_beyond_its_term_limit():
     ag_theta.theta(0.25j, 0.05j)
 
 
+def test_theta_refuses_arguments_at_the_ends_of_double_range():
+    """A non-finite z, and an Im tau whose term count overflows to an
+    infinity, are range errors, not an OverflowError from int()."""
+    for z in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(RangeExceeded, match="not finite"):
+            ag_theta.theta(z, 0.9j)
+    with pytest.raises(RangeExceeded, match="terms"):
+        ag_theta.theta(0.3, 1.7976931348623157e308j)
+
+
 # ------------------------------------------------------------ branch points
 
 

@@ -207,6 +207,25 @@ def test_non_finite_json_numbers_exit_3(tmp_path, document):
     assert "non-finite number" in error["message"]
 
 
+REFUSED_DIR = Path(__file__).resolve().parent / "data" / "refused"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in REFUSED_DIR.glob("*.json"))
+)
+def test_refused_scenarios(name, tmp_path):
+    """Each file is named exit<code>-<error type>-<what>.json; CI's runtime
+    job runs the same files without the test extra. Among them are number
+    literals that are valid JSON but no finite double (1e400, 401 digits),
+    which the loader refuses before any float conversion or matrix."""
+    code, error_type = name.split("-")[:2]
+    out = tmp_path / "out"
+    assert cli.main(["run", str(REFUSED_DIR / name), "--out", str(out)]) == int(code[4:])
+    report = json.loads((out / "report.json").read_text())
+    assert report["exit_code"] == int(code[4:]) and report["passed"] is False
+    assert report["error"]["type"] == error_type
+
+
 def test_even_nx_exits_3(tmp_path):
     document = small_example1()
     document["grid"]["nx"] = 20
@@ -663,6 +682,15 @@ def test_node_budget_counts_every_level():
         cli._check_node_budget(201, 201, 2, 8)
     with pytest.raises(errors.RangeExceeded):
         cli._check_node_budget(3, 3, 40, 1)
+
+
+def test_node_budget_weighs_n1_as_n2():
+    """1025 x 1025 with one halving is 5.25 M nodes: within the budget at
+    weight 1, over it at the weight 4 that n = 1 now shares with n = 2."""
+    for n in (1, 2):
+        cli._check_node_budget(641, 641, 2, n)
+        with pytest.raises(errors.RangeExceeded, match="max\\(n, 2\\)"):
+            cli._check_node_budget(1025, 1025, 2, n)
 
 
 def test_every_error_class_names_its_exit_code():

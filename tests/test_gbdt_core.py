@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from nnls_gbdt import gbdt_core, numkit, oracles
+from nnls_gbdt import gbdt_core, numkit, oracles, verify
 from nnls_gbdt.errors import (
     AsymmetricGrid,
     DegenerateS,
     DimensionMismatch,
     Overflow,
+    RangeExceeded,
     SingularPoint,
     SpectralClash,
     SpectralPole,
@@ -79,15 +80,13 @@ def test_complete_triple_zero_a_is_a_spectral_clash():
 
 
 def test_validate_triple_entries(scalar_triple):
-    report = gbdt_core.validate_triple(scalar_triple)
+    report = verify.validate_triple(scalar_triple)
     assert report.passed
     assert report.entry("sylvester_margin").passed
     names = {e.name for e in report.entries}
     assert names == {"hermiticity", "determinant", "identity", "sylvester_margin"}
     with pytest.raises(KeyError):
         report.entry("missing")
-    as_dict = report.as_dict()
-    assert as_dict["identity"]["passed"] is True
 
 
 def test_validate_triple_flags_broken_data(scalar_triple):
@@ -95,14 +94,14 @@ def test_validate_triple_flags_broken_data(scalar_triple):
         sigma=1, A=scalar_triple.A, S0=[[2.5 + 1j]],
         theta1=scalar_triple.theta1, theta2=scalar_triple.theta2,
     )
-    report = gbdt_core.validate_triple(skewed)
+    report = verify.validate_triple(skewed)
     assert not report.entry("hermiticity").passed
     assert not report.passed
 
     clashing = gbdt_core.GbdtTriple(
         sigma=1, A=[[1j]], S0=[[1.0]], theta1=[[1.0]], theta2=[[1.0]]
     )
-    clash_report = gbdt_core.validate_triple(clashing)
+    clash_report = verify.validate_triple(clashing)
     assert not clash_report.entry("sylvester_margin").passed
 
 
@@ -115,7 +114,7 @@ def test_validate_triple_takes_the_determinant_floor_without_overflow():
         sigma=1, A=np.diag([1.0, 1.1, 1.2, 1.3]), S0=1e100 * np.eye(n),
         theta1=np.ones((n, 1)), theta2=np.ones((n, 1)),
     )
-    report = gbdt_core.validate_triple(triple)
+    report = verify.validate_triple(triple)
     determinant = report.entry("determinant")
     assert determinant.passed
     assert determinant.value == pytest.approx(1.0 / 16.0)
@@ -367,6 +366,37 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
     assert calls == [(4, 2, 2)]
 
 
+def test_darboux_at_propagates_one_s(jordan_triple, monkeypatch):
+    """S(x, t) only: the mirror S(-x, t) belongs to verify.darboux_residual's
+    second sample."""
+    calls = []
+    original = gbdt_core._propagated_s
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(gbdt_core, "_propagated_s", counting)
+    sample = gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
+    assert len(calls) == 1
+    assert sample.xi.tobytes() == gbdt_core.xi_tilde_at(jordan_triple, 0.4, 0.1).tobytes()
+
+
+def test_complete_triple_takes_two_eigvals(monkeypatch):
+    """The Sylvester solver's spectral margin, of A and of A*; completion
+    applies only the determinant floor and takes no further spectrum."""
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    gbdt_core.complete_triple(1, [[1.0, 1.0], [0.0, 1.0]], [[0.0], [2.0]], [[0.0], [0.3]])
+    assert calls == [(2, 2), (2, 2)]
+
+
 def test_stacked_point_exponentials_match_single_calls(jordan_triple):
     """The stacked call gives, bit for bit, what four single calls give."""
     a = jordan_triple.A
@@ -507,9 +537,11 @@ def test_u_tilde_falls_back_to_integration():
 
 
 def test_darboux_at_passes_its_checks_on_spectral_clash():
+    """Both samples of the pair take S from the integration fallback."""
     triple = _clash_triple()
-    sample = gbdt_core.darboux_at(triple, 0.3, 0.1, 1.0 + 0.5j)
-    assert np.linalg.norm(sample.wa @ sample.wb - np.eye(2)) <= 1e-9
+    reports = verify.darboux_residual(triple, 0.3, 0.1, 1.0 + 0.5j)
+    assert [r.name for r in reports] == ["darboux_inverse", "darboux_reduction"]
+    assert all(r.passed for r in reports)
 
 
 # ------------------------------------------------------------------- grids
@@ -545,6 +577,23 @@ def test_grid_rejects_bad_shapes():
         gbdt_core.Grid(x_values=[0.0, 1.0, 2.0], t_values=[0.0, 0.1])
     with pytest.raises(AsymmetricGrid):
         gbdt_core.Grid(x_values=[-1.0, 0.0, 1.0], t_values=[0.1, 0.2])
+
+
+def test_grid_refuses_extents_and_spacings_beyond_the_operating_range():
+    """Extents beyond numkit.ENTRY_LIMIT would overflow the halving's
+    midpoints or the t spacing; spacings under its inverse would underflow
+    the pde check's hx^2 or the snap of 0 to a node."""
+    top = 1.7976931348623157e308
+    with pytest.raises(Overflow):
+        gbdt_core.Grid.build(2.0 * numkit.ENTRY_LIMIT, 5, -0.1, 0.1, 5)
+    with pytest.raises(Overflow):
+        gbdt_core.Grid.build(1.0, 5, -top, top, 5)
+    with pytest.raises(RangeExceeded):
+        gbdt_core.Grid.build(1e-300, 21, -0.1, 0.1, 5)
+    with pytest.raises(RangeExceeded):
+        gbdt_core.Grid.build(1.0, 5, -5e-324, 5e-324, 11)
+    grid = gbdt_core.Grid.build(2.0 / numkit.ENTRY_LIMIT, 5, -0.1, 0.1, 5)
+    assert grid.hx == 1.0 / numkit.ENTRY_LIMIT
 
 
 # ------------------------------------------------------------------- fields

@@ -232,9 +232,10 @@ def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
 
 
 def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch):
-    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 Darboux and
-    1 + 2 * 2 potential evaluations over the two step sizes."""
-    counts = {"darboux_at": 0, "xi_tilde_at": 0}
+    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 Darboux samples over
+    the two step sizes, which carry the potential too, and one propagated
+    S per sample."""
+    counts = {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 0}
     for name in counts:
         original = getattr(gbdt_core, name)
 
@@ -244,7 +245,67 @@ def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch)
 
         monkeypatch.setattr(gbdt_core, name, counting)
     verify.wave_ode_residual(jordan_triple, 0.4, 0.1, 0.5 - 0.3j)
-    assert counts == {"darboux_at": 9, "xi_tilde_at": 5}
+    assert counts == {"darboux_at": 9, "xi_tilde_at": 0, "_propagated_s": 9}
+
+
+def _hand_darboux_residuals(triple, x, t, z):
+    """The inverse and reduction residuals, absolute, from two darboux_at
+    samples, as test_darboux_inverse_pair, test_darboux_reflected_conjugate_inverse
+    and acceptance criterion 06 compute them, with the norms they are
+    relative to."""
+    sample = gbdt_core.darboux_at(triple, x, t, z)
+    partner = gbdt_core.darboux_at(triple, -x, t, -np.conj(z))
+    jk = triple.jk
+    inverse = np.linalg.norm(sample.wa @ sample.wb - np.eye(triple.m))
+    mirror = np.linalg.norm(sample.wb - jk @ partner.wa.conj().T @ jk)
+    return (
+        (inverse, max(1.0, np.linalg.norm(sample.wa) * np.linalg.norm(sample.wb))),
+        (mirror, max(1.0, np.linalg.norm(sample.wb))),
+    )
+
+
+def test_darboux_residual_matches_the_hand_computations(
+    scalar_triple, scalar_focusing_triple, jordan_triple
+):
+    rng = np.random.default_rng(40)
+    random4 = make_random_triple(np.random.default_rng(7), -1, n=4, m1=2, m2=1)
+    for triple in (scalar_triple, scalar_focusing_triple, jordan_triple, random4):
+        for _ in range(5):
+            x = float(rng.uniform(-1.5, 1.5))
+            t = float(rng.uniform(-0.3, 0.3))
+            z = complex(rng.normal(), rng.normal()) + 3.0
+            reports = verify.darboux_residual(triple, x, t, z)
+            hand = _hand_darboux_residuals(triple, x, t, z)
+            for report, name, (absolute, scale) in zip(
+                reports, ("darboux_inverse", "darboux_reduction"), hand
+            ):
+                assert report.name == name
+                assert report.tolerance == verify.DARBOUX_TOL == 1e-9
+                assert report.passed and report.points_used == 1
+                assert report.residual == pytest.approx(absolute / scale, rel=1e-12, abs=1e-300)
+                assert absolute <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "entry, inverse_fails, reduction_fails",
+    [((0, 0), True, False), ((0, 1), True, True)],
+    ids=["hermitian", "not-hermitian"],
+)
+def test_darboux_residual_fails_corrupted_origin_parts(
+    jordan_triple, entry, inverse_fails, reduction_fails
+):
+    """S propagated from a perturbed Sigma1 no longer solves the coupling
+    identity, so the pair stops being mutually inverse; when the
+    perturbation is not Hermitian, S(-x, t) = S(x, t)* breaks too, and with
+    it the reduction."""
+    triple = dataclasses.replace(jordan_triple)
+    corrupted = jordan_triple.origin_parts.copy()
+    corrupted[(0, *entry)] += 1e-3
+    vars(triple)["origin_parts"] = corrupted
+    inverse, reduction = verify.darboux_residual(triple, 0.4, 0.1, 2.0 + 0.5j)
+    assert inverse.passed is not inverse_fails
+    assert reduction.passed is not reduction_fails
+    assert max(inverse.residual, reduction.residual) > 1e-6
 
 
 def test_residual_report_json_round_trip():
