@@ -30,6 +30,7 @@ cli
 from .errors import (
     AsymmetricGrid,
     BadTau,
+    DarbouxMismatch,
     DegenerateCurve,
     DegenerateS,
     DimensionMismatch,
@@ -69,6 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymmetricGrid",
     "BadTau",
+    "DarbouxMismatch",
     "DegenerateCurve",
     "DegenerateS",
     "DimensionMismatch",

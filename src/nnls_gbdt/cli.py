@@ -45,10 +45,11 @@ KIND_CHECKS = {
 
 #: Largest work of one run: the n^4 entries of the Kronecker matrix of the
 #: Sylvester map, plus grid nodes summed over every level the run builds,
-#: times max(n, 2)^2 for the n x n matrices each node carries (below n = 2
-#: the vectors and CSV row of a node set its memory). At m1 = m2 = 2 a run
-#: peaks at about 94 bytes per unit at n = 1, 181 at n = 2, 75 at n = 4 and
-#: 44 at n = 8: under about 1.5 GB. Wider theta blocks are not weighed.
+#: times (n + 2 m1)(n + 2 m2) / 8. A node carries the n x n matrix M and its
+#: factors, the n x (m1 + m2) right sides and solves, and the m1 x m2
+#: blocks of u, the lower block, the pde check and the CSV row; its memory
+#: grows by 16 to 22 bytes per unit of (n + 2 m1)(n + 2 m2) from n = 1 to 8
+#: and m1, m2 = 1 to 8, so a run stays under about 1.5 GB.
 NODE_BUDGET = 2**23
 
 
@@ -230,23 +231,28 @@ def write_dets_csv(path: Path, field: SolutionField) -> None:
     _write_csv(path, ["x", "t", "re", "im", "singular"], field.grid, values)
 
 
-def _check_node_budget(nx: int, nt: int, levels: int, n: int) -> None:
+def _check_node_budget(
+    nx: int, nt: int, levels: int, n: int, m1: int, m2: int
+) -> None:
     """Raise RangeExceeded when a run's work exceeds NODE_BUDGET.
 
     The work is the n^4 entries of the Kronecker matrix of the Sylvester
-    map, plus the nodes of every grid level times max(n, 2)^2. Level 0 is
-    the nx x nt grid, each further level its halving. Nothing is allocated
-    here, so an oversized scenario fails before any matrix or stack is.
+    map, plus the nodes of every grid level times (n + 2 m1)(n + 2 m2) / 8.
+    Level 0 is the nx x nt grid, each further level its halving. Nothing is
+    allocated here, so an oversized scenario fails before any matrix or
+    stack is.
     """
     work = n**4
-    weight = max(n, 2) ** 2
+    eighths = (n + 2 * m1) * (n + 2 * m2)
     level_nx, level_nt = nx, nt
     for _ in range(levels):
-        work += level_nx * level_nt * weight
+        # integers throughout: a grid of any size compares without overflow
+        work += level_nx * level_nt * eighths // 8
         if work > NODE_BUDGET:
             raise RangeExceeded(
-                f"{levels} grid level(s) from {nx} x {nt} nodes at n = {n} "
-                f"exceed the node budget of {NODE_BUDGET} (n^4 + nodes x max(n, 2)^2)"
+                f"{levels} grid level(s) from {nx} x {nt} nodes at n = {n}, "
+                f"m1 = {m1}, m2 = {m2} exceed the node budget of {NODE_BUDGET} "
+                "(n^4 + nodes x (n + 2 m1)(n + 2 m2) / 8)"
             )
         level_nx, level_nt = 2 * level_nx - 1, 2 * level_nt - 1
 
@@ -262,7 +268,11 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     datum, s0, oracle = _parse_construction(kind, scenario["parameters"])
     g = scenario["grid"]
     deepest = max(refine, 1 if "pde" in requested else 0)
-    _check_node_budget(int(g["nx"]), int(g["nt"]), deepest + 1, len(datum[1]))
+    _, a, theta1, theta2 = datum
+    _check_node_budget(
+        int(g["nx"]), int(g["nt"]), deepest + 1, len(a),
+        np.shape(theta1)[1], np.shape(theta2)[1],
+    )
     triple = _build_triple(datum, s0)
     sigma = triple.sigma
     base = Grid.build(

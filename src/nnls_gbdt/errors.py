@@ -67,6 +67,12 @@ class SpectralPole(NnlsGbdtError):
     exit_code = BAD_DATA
 
 
+class DarbouxMismatch(NnlsGbdtError):
+    """A Darboux pair built at one point fails w_A w_B = I or its reduction."""
+
+    exit_code = BAD_DATA
+
+
 class SingularPoint(NnlsGbdtError):
     """Evaluation requested at a point where det S vanishes."""
 

@@ -39,22 +39,27 @@ evidence the grid is tested against. This module builds triples, evaluates
 Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
 wave function, pointwise and on grids.
 
-It only constructs, raising where a construction cannot go on
-(SpectralClash, the DET_FLOOR rule behind DegenerateS and SingularPoint,
-SpectralPole, Overflow) and masking near-singular grid nodes; every verdict
-on a triple or on what is built from it is verify's.
+It constructs, raising where a construction cannot go on (SpectralClash,
+the DET_FLOOR rule behind DegenerateS and SingularPoint, SpectralPole,
+Overflow) and masking near-singular grid nodes; the verdicts on a triple
+and on what is built from it are verify's. One check stays here:
+darboux_at asserts its pair's two facts (DarbouxMismatch), because the
+benchmark's pointwise Darboux operation is gated on that exception;
+verify.darboux_residual reports the same residuals without raising.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
 from . import numkit
 from .errors import (
     AsymmetricGrid,
+    DarbouxMismatch,
     DegenerateS,
     DimensionMismatch,
     Overflow,
@@ -70,6 +75,10 @@ SINGULAR_DET_FACTOR = 1e-8
 # Floor of relative_det at or under which S0, or S at a single point, is
 # singular.
 DET_FLOOR = 1e-12
+
+# Bound on the relative residuals of w_A w_B = I and of the reduction that
+# darboux_at asserts.
+DARBOUX_TOL = 1e-9
 
 
 def _h(m: np.ndarray) -> np.ndarray:
@@ -131,10 +140,11 @@ class GbdtTriple:
     are derived. Construction checks shapes only; numerical admissibility is
     the job of verify.validate_triple.
 
-    The Sylvester solver of A X + X A* = C, the eigenvalues of A and the
-    origin parts of S are cached on the instance (complete_triple fills the
-    first and the last; otherwise they are computed on first use), so A and
-    the theta blocks must not be mutated in place after construction.
+    The Sylvester solver of A X + X A* = C, the eigenvalues of A, the
+    origin parts of S, j and j^kappa are cached on the instance
+    (complete_triple fills the solver and the origin parts; the rest are
+    computed on first use), so A and the theta blocks must not be mutated
+    in place after construction.
     """
 
     sigma: int
@@ -182,15 +192,22 @@ class GbdtTriple:
     def kappa(self) -> int:
         return (1 - self.sigma) // 2
 
-    @property
+    @functools.cached_property
     def j(self) -> np.ndarray:
-        """Signature matrix diag(I_m1, -I_m2)."""
-        return np.diag(np.concatenate([np.ones(self.m1), -np.ones(self.m2)])).astype(np.complex128)
+        """Read-only signature matrix diag(I_m1, -I_m2)."""
+        j = np.diag(np.concatenate([np.ones(self.m1), -np.ones(self.m2)])).astype(np.complex128)
+        j.flags.writeable = False
+        return j
 
-    @property
+    @functools.cached_property
     def jk(self) -> np.ndarray:
-        """j^kappa: identity for the defocusing branch, j for the focusing one."""
-        return self.j if self.kappa == 1 else np.eye(self.m, dtype=np.complex128)
+        """Read-only j^kappa: identity for the defocusing branch, j for the
+        focusing one."""
+        if self.kappa == 1:
+            return self.j
+        jk = np.eye(self.m, dtype=np.complex128)
+        jk.flags.writeable = False
+        return jk
 
     def coupling_rhs(self) -> np.ndarray:
         """theta1 theta1* + (-1)^kappa theta2 theta2*."""
@@ -355,10 +372,10 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
 
 
 def _point(triple: GbdtTriple, x: float, t: float):
-    """(S(x, t), Pi(x, t), Pi(-x, t)) at one point, each computed once.
+    """(S(x, t), Pi(x, t), Pi(-x, t), e) at one point, each computed once.
 
-    E(x, t), E(-x, -t), E(-x, t) and E(x, -t) come from one stacked
-    numkit.expm call, and S is propagated from them, or integrated by
+    e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)) comes from one stacked
+    numkit.expm call, and S is propagated from it, or integrated by
     s_via_integration when the spectra of A and -A* meet. Raises
     SingularPoint when det S(x, t) is numerically zero.
     """
@@ -374,7 +391,7 @@ def _point(triple: GbdtTriple, x: float, t: float):
             f"S(x, t) is singular at x={x!r}, t={t!r} "
             f"(|det S| / max(1, ||S||)^n = {det_rel:.3e})",
         )
-    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3])
+    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3]), e
 
 
 def _xi(triple: GbdtTriple, left: np.ndarray, s_inv_p: np.ndarray) -> np.ndarray:
@@ -389,7 +406,7 @@ def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
     Raises SingularPoint when det S(x, t) is numerically zero.
     """
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, _ = _point(triple, x, t)
     m1 = triple.m1
     return -2j * _h(pm[:, :m1]) @ np.linalg.solve(s, p[:, m1:])
 
@@ -402,7 +419,7 @@ def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     -sigma times the conjugate transpose of u at (-x, t). darboux_at
     returns the same matrix as its sample's xi.
     """
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, _ = _point(triple, x, t)
     return _xi(triple, triple.jk @ _h(pm), np.linalg.solve(s, p))
 
 
@@ -420,16 +437,19 @@ class SpectralSample:
     xi: np.ndarray
 
 
-def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
-    """Darboux matrix w_A, its inverse w_B, the wave function and the
-    transferred potential xi at (x, t, z).
+def darboux_gaps(
+    triple: GbdtTriple, x: float, t: float, z: complex
+) -> Tuple[SpectralSample, float, float]:
+    """The sample at (x, t, z) with the relative residuals of its two facts,
+    ||w_A w_B - I|| / max(1, ||w_A|| ||w_B||) and
+    ||w_B - j^kappa w_A(-x,t,-conj z)* j^kappa|| / max(1, ||w_B||).
 
     w_A(x,t,z) = I - j^kappa Pi(-x,t)* S^{-1} (A - zI)^{-1} Pi(x,t) and
-    w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t); the
-    pair multiplies to the identity and w_B equals
-    j^kappa w_A(-x, t, -conj(z))* j^kappa. Neither fact is decided here:
-    verify.darboux_residual reports both. xi is xi_tilde_at's matrix, from
-    the solve S^{-1} Pi(x,t) that w_B makes. One S is propagated.
+    w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t). xi is
+    xi_tilde_at's matrix, from the solve S^{-1} Pi(x,t) that w_B makes. The
+    mirror w_A(-x, t, -conj z) takes S(-x, t) propagated on its own from the
+    point's four exponentials, swapped (integrated on a clashing spectrum),
+    never S(x, t)*, so it makes no further exponential.
 
     Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
     spectrum of A, and SingularPoint on singular S.
@@ -443,11 +463,12 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     if np.min(np.abs(eigs + np.conj(z))) < 1e-9 * scale:
         raise SpectralPole(f"-conj(z) = {-np.conj(z)!r} is numerically an eigenvalue of A")
 
-    s, p, pm = _point(triple, x, t)
+    s, p, pm, e = _point(triple, x, t)
     eye_n = np.eye(triple.n, dtype=np.complex128)
     eye_m = np.eye(triple.m, dtype=np.complex128)
+    jk = triple.jk
 
-    left = triple.jk @ _h(pm)
+    left = jk @ _h(pm)
     s_inv_p = np.linalg.solve(s, p)
     wa = eye_m - left @ np.linalg.solve(s, np.linalg.solve(a - z * eye_n, p))
     wb = eye_m - left @ np.linalg.solve(_h(a) + z * eye_n, s_inv_p)
@@ -456,10 +477,44 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
     diag = np.concatenate(
         [np.full(triple.m1, np.exp(-phase)), np.full(triple.m2, np.exp(phase))]
     )
-    wave = wa * diag[None, :]
-    return SpectralSample(
-        x=x, t=t, z=z, wa=wa, wb=wb, wave=wave, xi=_xi(triple, left, s_inv_p)
+    sample = SpectralSample(
+        x=x, t=t, z=z, wa=wa, wb=wb, wave=wa * diag[None, :],
+        xi=_xi(triple, left, s_inv_p),
     )
+
+    try:
+        s_m = _propagated_s(triple, e[[2, 3, 0, 1]])
+    except SpectralClash:
+        s_m = s_via_integration(triple, -x, t)
+    wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
+        s_m, np.linalg.solve(a + np.conj(z) * eye_n, pm)
+    )
+    norm = np.linalg.norm
+    inverse = float(norm(wa @ wb - eye_m)) / max(1.0, float(norm(wa)) * float(norm(wb)))
+    reduction = float(norm(wb - jk @ _h(wa_m) @ jk)) / max(1.0, float(norm(wb)))
+    return sample, inverse, reduction
+
+
+def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
+    """Darboux matrix w_A, its inverse w_B, the wave function and the
+    transferred potential xi at (x, t, z), built by darboux_gaps.
+
+    The pair multiplies to the identity and w_B equals
+    j^kappa w_A(-x, t, -conj(z))* j^kappa. Both facts are asserted to
+    DARBOUX_TOL at construction: DarbouxMismatch is raised when either
+    relative residual exceeds it. verify.darboux_residual reports the same
+    residuals without raising. Two S are propagated, at x and at -x.
+
+    Raises SpectralPole and SingularPoint as darboux_gaps.
+    """
+    sample, inverse, reduction = darboux_gaps(triple, x, t, z)
+    if not (inverse <= DARBOUX_TOL and reduction <= DARBOUX_TOL):
+        raise DarbouxMismatch(
+            f"Darboux pair at x={x!r}, t={t!r}, z={sample.z!r} fails its checks: "
+            f"relative residuals {inverse:.3e} (w_A w_B = I) and {reduction:.3e} "
+            f"(reduction), bound {DARBOUX_TOL:.0e}"
+        )
+    return sample
 
 
 def wave_at(triple: GbdtTriple, x: float, t: float, z: complex) -> np.ndarray:

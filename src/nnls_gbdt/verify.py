@@ -11,11 +11,12 @@ differences, so refining the grid by two should shrink those residuals by
 about four; the pde record turns its levels' residuals into convergence
 orders and decides on them.
 
-gbdt_core only constructs; the admissibility of a triple
-(``validate_triple``) and every verdict on what it built are decided here.
-That includes every tolerance and verdict of ``nnls-gbdt run``, whose check
-records of report.json are built here, with ``json_number`` the one rule
-for writing a non-finite number.
+gbdt_core constructs; the admissibility of a triple (``validate_triple``)
+and the verdicts on what it built are decided here. That includes every
+tolerance and verdict of ``nnls-gbdt run``, whose check records of
+report.json are built here, with ``json_number`` the one rule for writing
+a non-finite number. The one fact gbdt_core also asserts is the Darboux
+pair's, in darboux_at; darboux_residual reports it.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ ORDER_HIGH = 2.3
 
 #: Residual size under which the pde check passes without an order estimate.
 EXACT_FLOOR = 1e-9
-
-#: Bound on the relative residuals of the Darboux pair, darboux_residual.
-DARBOUX_TOL = 1e-9
 
 #: Central-difference step of wave_ode_residual; it also compares the
 #: residual at half this step.
@@ -176,17 +174,34 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
     return ValidationReport(entries)
 
 
-def _report(
-    name: str, residual: float, tolerance: Optional[float] = None,
-    hx: float = 0.0, ht: float = 0.0, used: int = 1, skipped: int = 0,
-    order: Optional[float] = None,
+def _level(
+    name: str, grid: Grid, residual: float, used: int, skipped: int = 0,
+    tolerance: Optional[float] = None,
 ) -> ResidualReport:
-    """Report of one check, passed when ``residual`` is at most ``tolerance``
-    and with no verdict without one; the defaults describe a single point."""
+    """Report of one check on one grid level, passed when ``residual`` is at
+    most ``tolerance``; with no tolerance it carries no verdict."""
+    return ResidualReport(
+        name=name,
+        hx=grid.hx,
+        ht=grid.ht,
+        residual=residual,
+        order=None,
+        passed=None if tolerance is None else bool(residual <= tolerance),
+        tolerance=tolerance,
+        points_used=used,
+        points_skipped=skipped,
+    )
+
+
+def _at_point(
+    name: str, residual: float, tolerance: float,
+    hx: float = 0.0, ht: float = 0.0, order: Optional[float] = None,
+) -> ResidualReport:
+    """Report of one check at a single point, passed when ``residual`` is at
+    most ``tolerance``; hx and ht are its finite-difference steps, if any."""
     return ResidualReport(
         name=name, hx=hx, ht=ht, residual=residual, order=order,
-        passed=None if tolerance is None else bool(residual <= tolerance),
-        tolerance=tolerance, points_used=used, points_skipped=skipped,
+        passed=bool(residual <= tolerance), tolerance=tolerance, points_used=1,
     )
 
 
@@ -258,7 +273,7 @@ def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
         residual = float("inf")
     else:
         residual = float(np.max(np.abs(res[valid])))
-    return _report("pde", residual, None, grid.hx, grid.ht, used, int(valid.size - used))
+    return _level("pde", grid, residual, used, int(valid.size - used))
 
 
 def _node_last(stack: np.ndarray) -> np.ndarray:
@@ -311,9 +326,9 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
     del lhs
     scale = 2.0 * np.linalg.norm(a) * _node_norms(m) + _node_norms(rhs)
     rel = diff / np.maximum(scale, 1e-300)
-    grid = field.grid
-    return _report(
-        "identity", float(np.max(rel)), DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, int(rel.size)
+    return _level(
+        "identity", field.grid, float(np.max(rel)), int(rel.size),
+        tolerance=DEFAULT_IDENTITY_TOL,
     )
 
 
@@ -329,9 +344,9 @@ def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
     np.conjugate(np.swapaxes(m, 0, 1), out=gap)
     np.subtract(m[:, :, ::-1], gap, out=gap)
     rel = _node_norms(gap) / np.maximum(_node_norms(m), 1e-300)
-    grid = field.grid
-    return _report(
-        "mirror", float(np.max(rel)), DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, int(rel.size)
+    return _level(
+        "mirror", field.grid, float(np.max(rel)), int(rel.size),
+        tolerance=DEFAULT_IDENTITY_TOL,
     )
 
 
@@ -356,10 +371,9 @@ def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
         target = -sigma * np.conj(np.swapaxes(field.u[::-1][keep], -1, -2))
         gap = np.linalg.norm(field.lower[keep] - target, axis=(-2, -1))
         residual = floored_relative(gap, np.linalg.norm(target, axis=(-2, -1)))
-    grid = field.grid
-    return _report(
-        "reduction", residual, DEFAULT_IDENTITY_TOL, grid.hx, grid.ht, used,
-        int(keep.size - used),
+    return _level(
+        "reduction", field.grid, residual, used, int(keep.size - used),
+        DEFAULT_IDENTITY_TOL,
     )
 
 
@@ -385,9 +399,9 @@ def oracle_residual(field: SolutionField, oracle: OracleFn) -> ResidualReport:
         scale = np.max(np.abs(expected), axis=(-2, -1))
         diff = np.max(np.abs(field.u[used] - expected), axis=(-2, -1))
         residual = floored_relative(diff, scale)
-    return _report(
-        "oracle", residual, ORACLE_TOL, grid.hx, grid.ht, points_used,
-        used.size - points_used,
+    return _level(
+        "oracle", grid, residual, points_used, used.size - points_used,
+        ORACLE_TOL,
     )
 
 
@@ -450,18 +464,14 @@ def darboux_residual(
 ) -> Tuple[ResidualReport, ResidualReport]:
     """Reports ``darboux_inverse``, ||w_A w_B - I|| / max(1, ||w_A|| ||w_B||),
     and ``darboux_reduction``, ||w_B - j^kappa w_A(-x,t,-conj z)* j^kappa|| /
-    max(1, ||w_B||), at (x, t, z), passed at DARBOUX_TOL. The mirror sample
-    is darboux_at(-x, t, -conj z): S(-x, t) is propagated on its own, never
-    taken as S(x, t)*. Raises SpectralPole and SingularPoint as darboux_at."""
-    sample = gbdt_core.darboux_at(triple, x, t, z)
-    mirror = gbdt_core.darboux_at(triple, -x, t, -np.conj(complex(z)))
-    wa, wb, jk = sample.wa, sample.wb, triple.jk
-    norm = np.linalg.norm
-    inverse = norm(wa @ wb - np.eye(triple.m)) / max(1.0, norm(wa) * norm(wb))
-    reduction = norm(wb - jk @ np.conj(mirror.wa.T) @ jk) / max(1.0, norm(wb))
+    max(1, ||w_B||), at (x, t, z), passed at gbdt_core.DARBOUX_TOL: the
+    residuals of gbdt_core.darboux_gaps, which darboux_at asserts. S(-x, t) is
+    propagated on its own, never taken as S(x, t)*. Raises SpectralPole and
+    SingularPoint as darboux_at."""
+    _, inverse, reduction = gbdt_core.darboux_gaps(triple, x, t, z)
     return (
-        _report("darboux_inverse", float(inverse), DARBOUX_TOL),
-        _report("darboux_reduction", float(reduction), DARBOUX_TOL),
+        _at_point("darboux_inverse", inverse, gbdt_core.DARBOUX_TOL),
+        _at_point("darboux_reduction", reduction, gbdt_core.DARBOUX_TOL),
     )
 
 
@@ -509,6 +519,6 @@ def wave_ode_residual(
     rx_h, rt_h = _wave_residuals(triple, x, t, z, h, centre)
     rx_h2, rt_h2 = _wave_residuals(triple, x, t, z, h / 2.0, centre)
     return (
-        _report("wave_x", rx_h, DEFAULT_PDE_TOL, hx=h, order=estimate_order(rx_h, rx_h2)),
-        _report("wave_t", rt_h, DEFAULT_PDE_TOL, ht=h, order=estimate_order(rt_h, rt_h2)),
+        _at_point("wave_x", rx_h, DEFAULT_PDE_TOL, hx=h, order=estimate_order(rx_h, rx_h2)),
+        _at_point("wave_t", rt_h, DEFAULT_PDE_TOL, ht=h, order=estimate_order(rt_h, rt_h2)),
     )

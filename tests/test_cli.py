@@ -667,30 +667,39 @@ def test_node_budget_counts_the_kronecker_factor(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "nx, nt, levels, n",
-    [(101, 101, 2, 8), (201, 101, 2, 2), (401, 201, 2, 2)],
+    "nx, nt, levels, n, m1, m2",
+    [(101, 101, 2, 8, 2, 2), (201, 101, 2, 2, 1, 1), (401, 201, 2, 2, 1, 1)],
     ids=["matrix-grid", "closed-form-grid", "example2-401"],
 )
-def test_node_budget_admits_benchmark_sizes(nx, nt, levels, n):
-    cli._check_node_budget(nx, nt, levels, n)
+def test_node_budget_admits_benchmark_sizes(nx, nt, levels, n, m1, m2):
+    cli._check_node_budget(nx, nt, levels, n, m1, m2)
 
 
 def test_node_budget_counts_every_level():
-    """201 x 201 at n = 8 fits on its own but not with its halving."""
-    cli._check_node_budget(201, 201, 1, 8)
+    """201 x 201 at n = m1 = m2 = 8 fits on its own but not with its
+    halving."""
+    cli._check_node_budget(201, 201, 1, 8, 8, 8)
     with pytest.raises(errors.RangeExceeded, match="from 201 x 201 nodes"):
-        cli._check_node_budget(201, 201, 2, 8)
+        cli._check_node_budget(201, 201, 2, 8, 8, 8)
     with pytest.raises(errors.RangeExceeded):
-        cli._check_node_budget(3, 3, 40, 1)
+        cli._check_node_budget(3, 3, 40, 1, 1, 1)
 
 
-def test_node_budget_weighs_n1_as_n2():
+def test_node_budget_weighs_the_theta_blocks():
     """1025 x 1025 with one halving is 5.25 M nodes: within the budget at
-    weight 1, over it at the weight 4 that n = 1 now shares with n = 2."""
-    for n in (1, 2):
-        cli._check_node_budget(641, 641, 2, n)
-        with pytest.raises(errors.RangeExceeded, match="max\\(n, 2\\)"):
-            cli._check_node_budget(1025, 1025, 2, n)
+    n = m1 = m2 = 1 (weight 9/8), over it once either block is wider, and
+    at n = 2 (weight 2); the same nodes at n = 8 with m1 = m2 = 2 weigh 18,
+    so 201 x 201 with its halving (201,202 nodes) fits there."""
+    cli._check_node_budget(1025, 1025, 2, 1, 1, 1)
+    for n, m1, m2 in ((1, 2, 1), (1, 1, 4), (2, 1, 1)):
+        with pytest.raises(errors.RangeExceeded, match=f"m1 = {m1}, m2 = {m2} exceed"):
+            cli._check_node_budget(1025, 1025, 2, n, m1, m2)
+    cli._check_node_budget(201, 201, 2, 8, 2, 2)
+    with pytest.raises(errors.RangeExceeded, match="\\(n \\+ 2 m1\\)\\(n \\+ 2 m2\\) / 8"):
+        cli._check_node_budget(401, 401, 2, 8, 2, 2)
+    # a node count beyond double range is refused, not an OverflowError
+    with pytest.raises(errors.RangeExceeded):
+        cli._check_node_budget(10**200 + 1, 10**200, 1, 1, 1, 1)
 
 
 def test_every_error_class_names_its_exit_code():

@@ -1,7 +1,9 @@
 """Tests of the transformation pipeline: data, grids, fields, Darboux algebra."""
 
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from nnls_gbdt import gbdt_core, numkit, oracles, verify
 from nnls_gbdt.errors import (
     AsymmetricGrid,
+    DarbouxMismatch,
     DegenerateS,
     DimensionMismatch,
     Overflow,
@@ -366,9 +369,9 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
     assert calls == [(4, 2, 2)]
 
 
-def test_darboux_at_propagates_one_s(jordan_triple, monkeypatch):
-    """S(x, t) only: the mirror S(-x, t) belongs to verify.darboux_residual's
-    second sample."""
+def test_darboux_at_propagates_s_and_its_mirror(jordan_triple, monkeypatch):
+    """S(x, t) for the pair and S(-x, t), on its own, for the reduction it
+    asserts; xi comes from the pair's own solve."""
     calls = []
     original = gbdt_core._propagated_s
 
@@ -378,7 +381,7 @@ def test_darboux_at_propagates_one_s(jordan_triple, monkeypatch):
 
     monkeypatch.setattr(gbdt_core, "_propagated_s", counting)
     sample = gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert sample.xi.tobytes() == gbdt_core.xi_tilde_at(jordan_triple, 0.4, 0.1).tobytes()
 
 
@@ -542,6 +545,23 @@ def test_darboux_at_passes_its_checks_on_spectral_clash():
     reports = verify.darboux_residual(triple, 0.3, 0.1, 1.0 + 0.5j)
     assert [r.name for r in reports] == ["darboux_inverse", "darboux_reduction"]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["hermitian", "not-hermitian"])
+def test_darboux_at_refuses_a_broken_pair(jordan_triple, entry):
+    """darboux_at raises where verify.darboux_residual reports a failure:
+    S propagated from a perturbed Sigma1 breaks w_A w_B = I."""
+    triple = dataclasses.replace(jordan_triple)
+    corrupted = jordan_triple.origin_parts.copy()
+    corrupted[(0, *entry)] += 1e-3
+    vars(triple)["origin_parts"] = corrupted
+    inverse, reduction = verify.darboux_residual(triple, 0.4, 0.1, 2.0 + 0.5j)
+    assert not inverse.passed
+    with pytest.raises(DarbouxMismatch, match=re.escape(f"{inverse.residual:.3e}")):
+        gbdt_core.darboux_at(triple, 0.4, 0.1, 2.0 + 0.5j)
+    # the intact pair at the same point passes both
+    assert all(r.passed for r in verify.darboux_residual(jordan_triple, 0.4, 0.1, 2.0 + 0.5j))
+    gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
 
 
 # ------------------------------------------------------------------- grids

@@ -233,8 +233,9 @@ def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
 
 def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch):
     """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 Darboux samples over
-    the two step sizes, which carry the potential too, and one propagated
-    S per sample."""
+    the two step sizes, which carry the potential too, and two propagated
+    S per sample, S(x, t) and the S(-x, t) of the reduction darboux_at
+    asserts."""
     counts = {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 0}
     for name in counts:
         original = getattr(gbdt_core, name)
@@ -245,7 +246,7 @@ def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch)
 
         monkeypatch.setattr(gbdt_core, name, counting)
     verify.wave_ode_residual(jordan_triple, 0.4, 0.1, 0.5 - 0.3j)
-    assert counts == {"darboux_at": 9, "xi_tilde_at": 0, "_propagated_s": 9}
+    assert counts == {"darboux_at": 9, "xi_tilde_at": 0, "_propagated_s": 18}
 
 
 def _hand_darboux_residuals(triple, x, t, z):
@@ -280,7 +281,7 @@ def test_darboux_residual_matches_the_hand_computations(
                 reports, ("darboux_inverse", "darboux_reduction"), hand
             ):
                 assert report.name == name
-                assert report.tolerance == verify.DARBOUX_TOL == 1e-9
+                assert report.tolerance == gbdt_core.DARBOUX_TOL == 1e-9
                 assert report.passed and report.points_used == 1
                 assert report.residual == pytest.approx(absolute / scale, rel=1e-12, abs=1e-300)
                 assert absolute <= 1e-9
