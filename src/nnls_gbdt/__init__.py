@@ -19,13 +19,18 @@ oracles
     Independent closed-form solutions used as cross-checks.
 verify
     Residual reports for the PDE, the coupling identity, the closed forms,
-    the Darboux pair and the ODE pair, the admissibility of a triple, and
-    the verdict of every check.
+    the Darboux pair, the ODE pair and the stationary equations, the
+    admissibility of a triple and of theta data, and the verdict of every
+    check.
 ag_theta
-    Theta functions, branch-point data, and the stationary reduction.
+    Theta functions, branch-point data, and the stationary reduction: it
+    builds and measures, and imports no other module of the package but
+    errors.
 cli
     Scenario runner producing CSV fields and JSON reports.
 """
+
+import importlib
 
 from .errors import (
     AsymmetricGrid,
@@ -49,21 +54,23 @@ from .errors import (
     SpectralPole,
     ThetaZero,
 )
-from .gbdt_core import (
-    GbdtTriple,
-    Grid,
-    SolutionField,
-    complete_triple,
-    darboux_at,
-    pi_at,
-    s_at,
-    s_via_integration,
-    solution_field,
-    u_tilde_at,
-    wave_at,
-    xi_tilde_at,
-)
-from .verify import validate_triple
+
+#: Names re-exported from gbdt_core and verify, imported on first access so
+#: that importing errors, numkit, oracles or ag_theta alone loads neither.
+_LAZY = dict.fromkeys(
+    "GbdtTriple Grid SolutionField complete_triple darboux_at pi_at s_at "
+    "s_via_integration solution_field u_tilde_at wave_at xi_tilde_at".split(),
+    "gbdt_core",
+) | {"validate_triple": "verify"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -9,9 +9,11 @@ where the sign s equals sigma: the defocusing branch carries the nonlinear
 term -i u^2 conj(u(-x)) and s = +1, the focusing branch +i u^2 conj(u(-x))
 and s = -1.  Genus-one solutions of the first-order system are quotients of
 translated theta functions along a line in the Jacobian; this module
-evaluates them, checks the reality constraints that make the reduction
-consistent, and computes the two periods entering those quotients when all
-four branch points are real.
+evaluates them, measures how far theta data are from the reality
+constraints that make the reduction consistent, and computes the two
+periods entering those quotients when all four branch points are real.
+The verdicts on those measures, and the stationary residuals of both
+equations, are verify's.
 """
 
 from __future__ import annotations
@@ -29,14 +31,11 @@ from .errors import (
     BadTau,
     DegenerateCurve,
     DimensionMismatch,
-    GridTooSmall,
     InvalidParams,
     QuadratureFailure,
     RangeExceeded,
     ThetaZero,
 )
-from .verify import DEFAULT_PDE_TOL, ResidualReport, estimate_order
-from .verify import ValidationEntry, ValidationReport
 
 #: Relative tolerance used when classifying branch points.
 CLASSIFY_TOL = 1e-10
@@ -57,20 +56,22 @@ def theta(z: complex, tau: complex) -> complex:
 
     The series sum_m exp(2 pi i m z + pi i m^2 tau) converges for
     Im(tau) > 0; terms are added symmetrically in m after shifting Re(z)
-    by an integer, which leaves the value unchanged and keeps the sum
-    short.  Relative accuracy is about 1e-13 for Im(tau) >= 0.05 and
-    |Im(z)| <= 5 Im(tau), degrading to absolute accuracy near the zeros
-    of theta.  Raises BadTau for Im(tau) <= 0 and RangeExceeded when z is
-    not finite, the peak term would overflow or the series would need more
-    than THETA_TERM_LIMIT terms per side.
+    by an integer, which keeps the sum short, and Re(tau) by an even
+    integer (math.remainder, exact, so |Re(tau)| <= 1 keeps its bits);
+    neither shift changes the value.  Relative accuracy is about 1e-13 for
+    Im(tau) >= 0.05 and |Im(z)| <= 5 Im(tau), degrading to absolute
+    accuracy near the zeros of theta.  Raises BadTau for Im(tau) <= 0 and
+    RangeExceeded when z or tau is not finite, the peak term would overflow
+    or the series would need more than THETA_TERM_LIMIT terms per side.
     """
     tau = complex(tau)
     if not tau.imag > 0:
         raise BadTau(f"Im(tau) must be positive, got tau={tau!r}")
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise RangeExceeded(f"theta argument z={z!r} is not finite")
+    if not (cmath.isfinite(z) and cmath.isfinite(tau)):
+        raise RangeExceeded(f"theta arguments z={z!r}, tau={tau!r} are not finite")
     z = complex(z.real - round(z.real), z.imag)
+    tau = complex(math.remainder(tau.real, 2.0), tau.imag)
     b = tau.imag
     y = abs(z.imag)
     if math.pi * y * y / b > THETA_EXP_LIMIT:
@@ -215,7 +216,8 @@ class ThetaParams:
 
     ``omega0_sq`` is optional; when given, the product C1 C2 must equal
     4 / omega0_sq, which is the normalization tying the amplitudes to the
-    leading coefficient of the second-kind differential.
+    leading coefficient of the second-kind differential. A target or a
+    product beyond double range matches nothing.
     """
 
     tau: complex
@@ -245,7 +247,11 @@ class ThetaParams:
             object.__setattr__(self, "omega0_sq", omega0_sq)
             product = self.C1 * self.C2
             target = 4.0 / omega0_sq
-            if abs(product - target) > 1e-10 * max(1.0, abs(target)):
+            try:  # abs raises OverflowError on a modulus beyond double range
+                gap, scale = abs(product - target), abs(target)
+            except OverflowError:
+                gap = scale = math.inf
+            if not (math.isfinite(scale) and gap <= 1e-10 * max(1.0, scale)):
                 raise InvalidParams(
                     f"C1*C2 = {product!r} does not match 4/omega0_sq = {target!r}"
                 )
@@ -286,91 +292,6 @@ def lemma61_forward(
     return v1, v2, AknsConstants(c1=c1, c2=c2)
 
 
-def snnls_residual(
-    u_samples: Sequence[complex],
-    constants: NnlsConstants,
-    h: float,
-) -> ResidualReport:
-    """Central-difference residual of the stationary nonlocal equation.
-
-    Samples must come from a uniform grid symmetric about x = 0, so that
-    reversing the array realizes x -> -x.  The nonlinear term carries the
-    coefficient -sigma i per the branch convention in the module docstring.
-    Passes at DEFAULT_PDE_TOL.
-    """
-    u = np.asarray(u_samples, dtype=np.complex128)
-    if u.ndim != 1:
-        raise DimensionMismatch(f"u_samples must be 1-D, got shape {u.shape}")
-    if u.size < 5:
-        raise GridTooSmall(f"need at least 5 samples, got {u.size}")
-    h = float(h)
-    u_mir = np.conj(u[::-1])
-    u_xx = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
-    u_x = (u[2:] - u[:-2]) / (2.0 * h)
-    res = (
-        0.5j * u_xx
-        - constants.sigma * 1j * u[1:-1] ** 2 * u_mir[1:-1]
-        - constants.c1_tilde * u_x
-        - 2j * constants.c2_tilde * u[1:-1]
-    )
-    residual = float(np.max(np.abs(res)))
-    return ResidualReport(
-        name="snnls",
-        hx=h,
-        ht=0.0,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_PDE_TOL),
-        tolerance=DEFAULT_PDE_TOL,
-        points_used=int(res.size),
-    )
-
-
-def sakns_residual(
-    v1_samples: Sequence[complex],
-    v2_samples: Sequence[complex],
-    constants: AknsConstants,
-    h: float,
-) -> ResidualReport:
-    """Central-difference residual of the stationary first-order system.
-
-    Both components are local in x, so no grid symmetry is needed; the
-    residual is the larger of the two component maxima. Passes at
-    DEFAULT_PDE_TOL.
-    """
-    v1 = np.asarray(v1_samples, dtype=np.complex128)
-    v2 = np.asarray(v2_samples, dtype=np.complex128)
-    if v1.ndim != 1 or v1.shape != v2.shape:
-        raise DimensionMismatch(
-            f"v1 and v2 must be matching 1-D arrays, got shapes "
-            f"{v1.shape} and {v2.shape}"
-        )
-    if v1.size < 5:
-        raise GridTooSmall(f"need at least 5 samples, got {v1.size}")
-    h = float(h)
-    c1, c2 = constants.c1, constants.c2
-
-    v1_xx = (v1[2:] - 2.0 * v1[1:-1] + v1[:-2]) / h**2
-    v1_x = (v1[2:] - v1[:-2]) / (2.0 * h)
-    v2_xx = (v2[2:] - 2.0 * v2[1:-1] + v2[:-2]) / h**2
-    v2_x = (v2[2:] - v2[:-2]) / (2.0 * h)
-    v1_c, v2_c = v1[1:-1], v2[1:-1]
-
-    r1 = 0.5j * v1_xx - 1j * v1_c**2 * v2_c - c1 * v1_x - 2j * c2 * v1_c
-    r2 = -0.5j * v2_xx + 1j * v1_c * v2_c**2 - c1 * v2_x + 2j * c2 * v2_c
-    residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    return ResidualReport(
-        name="sakns",
-        hx=h,
-        ht=0.0,
-        residual=residual,
-        order=None,
-        passed=bool(residual <= DEFAULT_PDE_TOL),
-        tolerance=DEFAULT_PDE_TOL,
-        points_used=int(r1.size),
-    )
-
-
 def v_from_theta(p: ThetaParams, x: float) -> Tuple[complex, complex]:
     """Evaluate the theta-quotient pair at one point of the line.
 
@@ -395,32 +316,23 @@ def v_from_theta(p: ThetaParams, x: float) -> Tuple[complex, complex]:
 _RATIO_SAMPLES = np.linspace(-1.5, 1.5, 16)
 
 
-def check_nnls_constraints(p: ThetaParams) -> ValidationReport:
-    """Reality constraints making the theta quotients a reduction pair.
+def check_nnls_constraints(p: ThetaParams) -> Tuple[float, float, float]:
+    """Deviations of theta data from the reality constraints that make the
+    theta quotients a reduction pair, in the order delta_re, a_im,
+    ratio_independence; verify.constraints_report decides on them.
 
-    Three report-only entries: the real part of Delta must sit on the
-    half-integer lattice selected by chi, the imaginary part of A must sit
-    on the half-period lattice selected by chi, and the cross ratio of
-    translated theta values must be independent of x.  Theta evaluation
-    failures inside the probe mark the entry failed instead of raising.
+    delta_re is the distance of Re(Delta) from the half-integer lattice
+    selected by chi, a_im that of Im(A) from the half-period lattice
+    selected by chi, both taken by math.remainder, which is exact and
+    cannot overflow. ratio_independence is the spread over x of the cross
+    ratio of translated theta values; a theta evaluation failing inside
+    that probe, or a spread beyond double range, makes it infinite instead
+    of raising.
     """
     half = p.chi / 2.0
-
-    shift = p.Delta.real - half
-    delta_dev = abs(shift - round(shift))
-    entry_delta = ValidationEntry(
-        name="delta_re", value=float(delta_dev), tolerance=1e-9,
-        passed=bool(delta_dev <= 1e-9),
-    )
-
+    delta_dev = abs(math.remainder(p.Delta.real - half, 1.0))
     im_tau = p.tau.imag
-    offset = p.A_theta.imag - half * im_tau
-    a_dev = abs(offset - im_tau * round(offset / im_tau))
-    entry_a = ValidationEntry(
-        name="a_im", value=float(a_dev), tolerance=1e-9,
-        passed=bool(a_dev <= 1e-9),
-    )
-
+    a_dev = abs(math.remainder(p.A_theta.imag - half * im_tau, im_tau))
     try:
         samples = []
         for x in _RATIO_SAMPLES:
@@ -432,14 +344,9 @@ def check_nnls_constraints(p: ThetaParams) -> ValidationReport:
                 raise ThetaZero("ratio denominator vanished during probe")
             samples.append(numer / denom)
         ratio_dev = max(abs(s - samples[0]) for s in samples)
-    except (ThetaZero, RangeExceeded):
+    except (ThetaZero, RangeExceeded, OverflowError):
         ratio_dev = float("inf")
-    entry_ratio = ValidationEntry(
-        name="ratio_independence", value=float(ratio_dev), tolerance=1e-8,
-        passed=bool(ratio_dev <= 1e-8),
-    )
-
-    return ValidationReport(entries=(entry_delta, entry_a, entry_ratio))
+    return float(delta_dev), float(a_dev), float(ratio_dev)
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,8 +11,10 @@ through the exit code:
     2  the construction data failed validation
     3  the scenario itself is malformed (schema, grid, or range errors)
 
-Every tolerance, verdict and check record comes from ``verify``; the
-runner parses, dispatches, and writes the CSV files and the report.
+Every tolerance, verdict and check record comes from ``verify``, the
+theta constraints' included: ``ag_theta`` measures their deviations and
+``verify.constraints_report`` judges them. The runner parses, dispatches,
+and writes the CSV files and the report.
 Outputs are deterministic: running the same scenario twice produces
 byte-identical files.
 """
@@ -320,22 +322,16 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
 def _run_theta(
     scenario: dict, out_dir: Path, requested: List[str]
 ) -> Tuple[int, dict]:
-    p = scenario["parameters"]
-    params = ag_theta.ThetaParams(
-        tau=_cnum(p["tau"]),
-        A_theta=_cnum(p["A_theta"]),
-        B_theta=_cnum(p["B_theta"]),
-        Delta=_cnum(p["Delta"]),
-        e0=float(p["e0"]),
-        C1=_cnum(p["C1"]),
-        C2=_cnum(p["C2"]),
-        chi=int(p["chi"]),
-        omega0_sq=_cnum(p["omega0_sq"]) if "omega0_sq" in p else None,
-    )
+    parse = {"e0": float, "chi": int}
+    params = ag_theta.ThetaParams(**{
+        name: parse.get(name, _cnum)(value)
+        for name, value in scenario["parameters"].items()
+    })
     records = []
     for check in requested:
         if check == "constraints":
-            report = ag_theta.check_nnls_constraints(params)
+            deviations = ag_theta.check_nnls_constraints(params)
+            report = verify.constraints_report(deviations)
             records.append(verify.constraints_record(report))
     return _finish_report(out_dir, {"kind": "theta"}, records, {})
 

@@ -5,33 +5,36 @@ drive to zero: the evolution equation itself, the algebraic coupling
 identity and the mirror symmetry, both stated on the reduced matrix M with
 S(x, t) = E(x, t) M E(-x, t)*, the reduction tying the two triangular
 blocks together, the deviation from a closed-form family, the Darboux pair
-w_A w_B = I with its reduction, and the pair of first-order systems
-satisfied by the wave function.  Derivatives are second-order central
-differences, so refining the grid by two should shrink those residuals by
-about four; the pde record turns its levels' residuals into convergence
-orders and decides on them.
+w_A w_B = I with its reduction, the pair of first-order systems satisfied
+by the wave function, and the stationary nonlocal equation and first-order
+system of ag_theta's genus-one reduction.  Derivatives are second-order
+central differences, so refining the grid by two should shrink those
+residuals by about four; the pde record turns its levels' residuals into
+convergence orders and decides on them.
 
-gbdt_core constructs; the admissibility of a triple (``validate_triple``)
-and the verdicts on what it built are decided here. That includes every
-tolerance and verdict of ``nnls-gbdt run``, whose check records of
-report.json are built here, with ``json_number`` the one rule for writing
-a non-finite number. The one fact gbdt_core also asserts is the Darboux
-pair's, in darboux_at; darboux_residual reports it.
+gbdt_core and ag_theta construct and measure; the admissibility of a
+triple (``validate_triple``), the theta data's reality constraints
+(``constraints_report``) and the verdicts on what was built are decided
+here. That includes every tolerance and verdict of ``nnls-gbdt run``,
+whose check records of report.json are built here, with ``json_number``
+the one rule for writing a non-finite number. The one fact gbdt_core also
+asserts is the Darboux pair's, in darboux_at; darboux_residual reports it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import gbdt_core, numkit
-from .errors import GridTooSmall
+from .ag_theta import AknsConstants, NnlsConstants
+from .errors import DimensionMismatch, GridTooSmall
 from .gbdt_core import GbdtTriple, Grid, SolutionField
 
 #: Bound on the finite-difference residuals of the wave function's two
-#: systems and of ag_theta's stationary equations.
+#: systems and of the stationary equations (snnls_residual, sakns_residual).
 DEFAULT_PDE_TOL = 0.05
 
 #: Bound on algebraic identities evaluated pointwise.
@@ -50,6 +53,12 @@ EXACT_FLOOR = 1e-9
 #: Central-difference step of wave_ode_residual; it also compares the
 #: residual at half this step.
 WAVE_STEP = 1e-3
+
+#: Bound on each deviation of theta data from the reality constraints, in
+#: the order ag_theta.check_nnls_constraints measures them.
+CONSTRAINT_TOLERANCES = (
+    ("delta_re", 1e-9), ("a_im", 1e-9), ("ratio_independence", 1e-8),
+)
 
 #: Floor of a relative residual's scale, as a fraction of the largest scale
 #: over the nodes compared, so that zeros of the compared field do not
@@ -163,7 +172,7 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
     ident_tol = 1e-10 * max(1.0, 2.0 * norm_a * norm_s + float(np.linalg.norm(rhs)))
 
     margin = numkit.spectral_margin(t.A, a_h)
-    margin_tol = numkit.SPECTRAL_CLASH_FACTOR * 2.0 * norm_a
+    margin_tol = numkit.clash_threshold(t.A, a_h)
 
     entries = (
         ValidationEntry("hermiticity", herm, herm_tol, herm <= herm_tol),
@@ -196,12 +205,15 @@ def _level(
 def _at_point(
     name: str, residual: float, tolerance: float,
     hx: float = 0.0, ht: float = 0.0, order: Optional[float] = None,
+    points_used: int = 1,
 ) -> ResidualReport:
-    """Report of one check at a single point, passed when ``residual`` is at
-    most ``tolerance``; hx and ht are its finite-difference steps, if any."""
+    """Report of one check off a Grid, at a single point or along
+    ``points_used`` samples, passed when ``residual`` is at most
+    ``tolerance``; hx and ht are its finite-difference steps, if any."""
     return ResidualReport(
         name=name, hx=hx, ht=ht, residual=residual, order=order,
-        passed=bool(residual <= tolerance), tolerance=tolerance, points_used=1,
+        passed=bool(residual <= tolerance), tolerance=tolerance,
+        points_used=points_used,
     )
 
 
@@ -442,6 +454,15 @@ def level_record(name: str, levels: List[ResidualReport]) -> dict:
     }
 
 
+def constraints_report(deviations: Sequence[float]) -> ValidationReport:
+    """Verdict on the deviations ag_theta.check_nnls_constraints measures,
+    one entry each, passed at its CONSTRAINT_TOLERANCES bound."""
+    return ValidationReport(tuple(
+        ValidationEntry(name, float(value), tolerance, bool(value <= tolerance))
+        for (name, tolerance), value in zip(CONSTRAINT_TOLERANCES, deviations, strict=True)
+    ))
+
+
 def constraints_record(report: ValidationReport) -> dict:
     """Record of the theta data's reality constraints, one entry each."""
     return {
@@ -521,4 +542,65 @@ def wave_ode_residual(
     return (
         _at_point("wave_x", rx_h, DEFAULT_PDE_TOL, hx=h, order=estimate_order(rx_h, rx_h2)),
         _at_point("wave_t", rt_h, DEFAULT_PDE_TOL, ht=h, order=estimate_order(rt_h, rt_h2)),
+    )
+
+
+def _line_stencils(h: float, *samples: Sequence[complex]) -> list:
+    """(interior values, first, second central difference at step h) of
+    each sample array, which must be 1-D, of one shape and at least 5 long."""
+    arrays = [np.asarray(v, dtype=np.complex128) for v in samples]
+    if arrays[0].ndim != 1 or any(v.shape != arrays[0].shape for v in arrays):
+        raise DimensionMismatch(
+            f"samples must be matching 1-D arrays, got shapes {[v.shape for v in arrays]}"
+        )
+    if arrays[0].size < 5:
+        raise GridTooSmall(f"need at least 5 samples, got {arrays[0].size}")
+    return [
+        (v[1:-1], (v[2:] - v[:-2]) / (2.0 * h), (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h**2)
+        for v in arrays
+    ]
+
+
+def snnls_residual(
+    u_samples: Sequence[complex], constants: NnlsConstants, h: float,
+) -> ResidualReport:
+    """Central-difference residual of the stationary nonlocal equation.
+
+    Samples must come from a uniform grid symmetric about x = 0, so that
+    reversing the array realizes x -> -x.  The nonlinear term carries the
+    coefficient -sigma i per the branch convention of ag_theta. Passes at
+    DEFAULT_PDE_TOL; every interior sample is used.
+    """
+    h = float(h)
+    [(u, u_x, u_xx)] = _line_stencils(h, u_samples)
+    res = (
+        0.5j * u_xx
+        - constants.sigma * 1j * u**2 * np.conj(u[::-1])
+        - constants.c1_tilde * u_x
+        - 2j * constants.c2_tilde * u
+    )
+    return _at_point(
+        "snnls", float(np.max(np.abs(res))), DEFAULT_PDE_TOL, hx=h,
+        points_used=int(res.size),
+    )
+
+
+def sakns_residual(
+    v1_samples: Sequence[complex], v2_samples: Sequence[complex],
+    constants: AknsConstants, h: float,
+) -> ResidualReport:
+    """Central-difference residual of the stationary first-order system.
+
+    Both components are local in x, so no grid symmetry is needed; the
+    residual is the larger of the two component maxima. Passes at
+    DEFAULT_PDE_TOL; every interior sample is used.
+    """
+    h = float(h)
+    (v1, v1_x, v1_xx), (v2, v2_x, v2_xx) = _line_stencils(h, v1_samples, v2_samples)
+    c1, c2 = constants.c1, constants.c2
+    r1 = 0.5j * v1_xx - 1j * v1**2 * v2 - c1 * v1_x - 2j * c2 * v1
+    r2 = -0.5j * v2_xx + 1j * v1 * v2**2 - c1 * v2_x + 2j * c2 * v2
+    residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    return _at_point(
+        "sakns", residual, DEFAULT_PDE_TOL, hx=h, points_used=int(r1.size),
     )

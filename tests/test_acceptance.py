@@ -330,7 +330,7 @@ def test_criterion_08_theta_identities_and_families():
         constants = ag_theta.NnlsConstants(
             c1_tilde=0.0, c2_tilde=-sigma * abs(rho) ** 2 / 2.0, sigma=sigma
         )
-        if ag_theta.snnls_residual(u, constants, 0.05).residual > 1e-10:
+        if verify.snnls_residual(u, constants, 0.05).residual > 1e-10:
             failures.append(f"constant family sigma={sigma}")
         residuals = []
         for h in (0.05, 0.025):
@@ -338,7 +338,7 @@ def test_criterion_08_theta_identities_and_families():
                   - int(round(2.0 / h))) * h
             us = np.full(xs.size, rho)
             v1, v2, akns = ag_theta.lemma61_forward(xs, us, 1.0, sigma, constants)
-            residuals.append(ag_theta.sakns_residual(v1, v2, akns, h).residual)
+            residuals.append(verify.sakns_residual(v1, v2, akns, h).residual)
         order = math.log2(residuals[0] / residuals[1])
         if not (verify.ORDER_LOW <= order <= verify.ORDER_HIGH):
             failures.append(f"twisted system order sigma={sigma}")
@@ -355,7 +355,7 @@ def test_criterion_08_theta_identities_and_families():
         C2=alpha * math.exp(-math.pi * tau.imag),
         chi=0,
     )
-    report = ag_theta.check_nnls_constraints(params)
+    report = verify.constraints_report(ag_theta.check_nnls_constraints(params))
     if not report.passed or report.entry("ratio_independence").value > 1e-8:
         failures.append("reduction constraints")
     closed_gap = max(
@@ -369,7 +369,7 @@ def test_criterion_08_theta_identities_and_families():
         xs = (np.arange(int(round(3.0 / h)) + 1) - int(round(1.5 / h))) * h
         v1 = np.array([ag_theta.v_from_theta(params, xv)[0] for xv in xs])
         nn = ag_theta.NnlsConstants(c1_tilde=0.0, c2_tilde=-2.5, sigma=1)
-        snnls_res.append(ag_theta.snnls_residual(v1, nn, h).residual)
+        snnls_res.append(verify.snnls_residual(v1, nn, h).residual)
     order = math.log2(snnls_res[0] / snnls_res[1])
     if not (verify.ORDER_LOW <= order <= verify.ORDER_HIGH):
         failures.append("theta-line equation order")

@@ -2,11 +2,15 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nnls_gbdt import ag_theta
+from nnls_gbdt import ag_theta, verify
 from nnls_gbdt.errors import (
     AsymmetricGrid,
     BadTau,
@@ -115,6 +119,16 @@ def test_theta_refuses_arguments_at_the_ends_of_double_range():
             ag_theta.theta(z, 0.9j)
     with pytest.raises(RangeExceeded, match="terms"):
         ag_theta.theta(0.3, 1.7976931348623157e308j)
+
+
+def test_theta_has_period_two_in_tau():
+    """theta(z, tau + 2k) = theta(z, tau): Re tau is reduced exactly, so a
+    huge Re tau gives a value, not a math domain error."""
+    z = 0.3 - 0.2j
+    tau = 0.25 + 0.8j
+    base = ag_theta.theta(z, tau)
+    for k in (1, -7, 2**40):
+        assert ag_theta.theta(z, tau + 2 * k) == base
 
 
 # ------------------------------------------------------------ branch points
@@ -234,7 +248,7 @@ def test_constant_family_exact_both_branches():
         constants = ag_theta.NnlsConstants(
             c1_tilde=0.0, c2_tilde=-sigma * abs(rho) ** 2 / 2.0, sigma=sigma
         )
-        report = ag_theta.snnls_residual(u, constants, 0.05)
+        report = verify.snnls_residual(u, constants, 0.05)
         assert report.residual <= 1e-10
 
 
@@ -245,7 +259,7 @@ def test_constant_family_off_constant_fails():
     constants = ag_theta.NnlsConstants(
         c1_tilde=0.0, c2_tilde=-rho * rho / 2.0 + 0.1, sigma=1
     )
-    report = ag_theta.snnls_residual(u, constants, 0.05)
+    report = verify.snnls_residual(u, constants, 0.05)
     assert report.residual == pytest.approx(0.2 * rho, abs=1e-12)
     assert not report.passed
 
@@ -263,7 +277,7 @@ def test_constant_family_through_lemma_map():
         x = _symmetric_grid(int(round(4.0 / h)) + 1, h)
         u = np.full(x.size, rho)
         v1, v2, akns = ag_theta.lemma61_forward(x, u, 1.0, sigma, constants)
-        residuals.append(ag_theta.sakns_residual(v1, v2, akns, h).residual)
+        residuals.append(verify.sakns_residual(v1, v2, akns, h).residual)
     order = math.log2(residuals[0] / residuals[1])
     assert 1.8 <= order <= 2.2
 
@@ -278,8 +292,26 @@ def test_wrong_pairing_sign_breaks_the_system():
     x = _symmetric_grid(81, h)
     u = np.full(x.size, rho + 0j)
     v1, v2, akns = ag_theta.lemma61_forward(x, u, 1.0, -sigma, constants)
-    report = ag_theta.sakns_residual(v1, v2, akns, h)
+    report = verify.sakns_residual(v1, v2, akns, h)
     assert report.residual > 0.1
+
+
+def test_stationary_reports_carry_step_and_interior_count():
+    """Both residuals report hx = h, ht = 0 and every interior sample, and
+    pass at verify.DEFAULT_PDE_TOL."""
+    u = np.full(41, 0.8 + 0j)
+    constants = ag_theta.NnlsConstants(c1_tilde=0.0, c2_tilde=-0.32, sigma=1)
+    akns = ag_theta.AknsConstants(c1=0.0, c2=-0.32)
+    for report in (
+        verify.snnls_residual(u, constants, 0.05),
+        verify.sakns_residual(u, u, akns, 0.05),
+    ):
+        assert (report.hx, report.ht, report.order) == (0.05, 0.0, None)
+        assert (report.points_used, report.points_skipped) == (39, 0)
+        assert report.tolerance == verify.DEFAULT_PDE_TOL
+        assert report.passed is (report.residual <= verify.DEFAULT_PDE_TOL)
+    with pytest.raises(DimensionMismatch):
+        verify.sakns_residual(u, u[:-1], akns, 0.05)
 
 
 # ------------------------------------------------------- theta-line solutions
@@ -331,9 +363,9 @@ def test_exponential_family_satisfies_both_systems(exponential_family):
         v1 = np.array([p[0] for p in pairs])
         v2 = np.array([p[1] for p in pairs])
         # at e0 = 0 the solution of the nonlocal equation is v1 itself
-        snnls_res.append(ag_theta.snnls_residual(v1, constants, h).residual)
+        snnls_res.append(verify.snnls_residual(v1, constants, h).residual)
         akns = ag_theta.AknsConstants(c1=0.0, c2=-2.5)
-        sakns_res.append(ag_theta.sakns_residual(v1, v2, akns, h).residual)
+        sakns_res.append(verify.sakns_residual(v1, v2, akns, h).residual)
         lemma_v1, lemma_v2, _ = ag_theta.lemma61_forward(
             x, v1, 0.0, constants.sigma, constants
         )
@@ -344,7 +376,7 @@ def test_exponential_family_satisfies_both_systems(exponential_family):
 
 def test_exponential_family_passes_constraints(exponential_family):
     params, _, _ = exponential_family
-    report = ag_theta.check_nnls_constraints(params)
+    report = verify.constraints_report(ag_theta.check_nnls_constraints(params))
     assert report.passed
     assert report.entry("ratio_independence").value <= 1e-10
 
@@ -354,13 +386,13 @@ def test_constraints_handcrafted_cases():
         tau=0.9j, A_theta=0.2 + 0.45j, B_theta=0.7j, Delta=0.5 + 0.3j,
         e0=0.0, C1=1.0, C2=1.0, chi=1,
     )
-    assert ag_theta.check_nnls_constraints(passing).passed
+    assert verify.constraints_report(ag_theta.check_nnls_constraints(passing)).passed
 
     shifted = ag_theta.ThetaParams(
         tau=0.9j, A_theta=0.2 + 0.30j, B_theta=0.7j, Delta=0.5 + 0.3j,
         e0=0.0, C1=1.0, C2=1.0, chi=1,
     )
-    report = ag_theta.check_nnls_constraints(shifted)
+    report = verify.constraints_report(ag_theta.check_nnls_constraints(shifted))
     assert not report.entry("a_im").passed
     assert not report.passed
 
@@ -368,7 +400,28 @@ def test_constraints_handcrafted_cases():
         tau=0.8j, A_theta=0.1 + 0.8j, B_theta=0.3, Delta=0.0,
         e0=0.5, C1=2.0, C2=0.5, chi=0,
     )
-    assert ag_theta.check_nnls_constraints(trivial).passed
+    assert verify.constraints_report(ag_theta.check_nnls_constraints(trivial)).passed
+
+
+def test_constraints_measure_in_ag_theta_and_decide_in_verify():
+    """check_nnls_constraints returns the deviations delta_re, a_im and
+    ratio_independence; constraints_report judges them at 1e-9, 1e-9 and
+    1e-8, the bounds held only in verify."""
+    shifted = ag_theta.ThetaParams(
+        tau=0.9j, A_theta=0.2 + 0.30j, B_theta=0.7j, Delta=0.5 + 0.3j,
+        e0=0.0, C1=1.0, C2=1.0, chi=1,
+    )
+    deviations = ag_theta.check_nnls_constraints(shifted)
+    assert len(deviations) == 3
+    assert deviations[:2] == (0.0, pytest.approx(0.15, abs=1e-15))
+    report = verify.constraints_report(deviations)
+    assert [(e.name, e.tolerance) for e in report.entries] == [
+        ("delta_re", 1e-9), ("a_im", 1e-9), ("ratio_independence", 1e-8),
+    ]
+    assert [e.value for e in report.entries] == list(deviations)
+    assert [e.passed for e in report.entries] == [True, False, deviations[2] <= 1e-8]
+    assert verify.constraints_report((1e-9, 1e-9, 1e-8)).passed
+    assert not verify.constraints_report((0.0, 0.0, math.inf)).passed
 
 
 def test_v_from_theta_plain_twist():
@@ -424,6 +477,7 @@ def test_theta_params_validation():
         e0=0.0, C1=2.0, C2=1.0, chi=0, omega0_sq=2.0,
     )
     assert kept.omega0_sq == 2.0
+
 
 
 # ----------------------------------------------------------------- periods
@@ -484,3 +538,20 @@ def test_periods_input_validation():
     squeezed = ag_theta.BranchData(E=(0.0, 1e-13, 1.0, 2.0), case_label="i")
     with pytest.raises(DegenerateCurve):
         ag_theta.periods_case_i(squeezed)
+
+
+def test_ag_theta_imports_no_construction_or_verdict_module():
+    """ag_theta builds and measures only: importing it in a fresh
+    interpreter loads neither verify nor gbdt_core."""
+    code = (
+        "import sys, nnls_gbdt.ag_theta\n"
+        "loaded = {'nnls_gbdt.verify', 'nnls_gbdt.gbdt_core'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(ag_theta.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

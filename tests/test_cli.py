@@ -322,6 +322,31 @@ def test_theta_beyond_the_term_limit_exits_1_with_report(tmp_path):
     assert entries["ratio_independence"]["passed"] is False
 
 
+@pytest.mark.parametrize("parameters, code", [
+    ({"tau": [0.0, 5e-324]}, 1),
+    ({"tau": [0.0, 1e-300], "A_theta": [0.0, 1e10]}, 1),
+    ({"tau": [1e308, 0.9]}, 0),
+])
+def test_theta_at_the_ends_of_double_range_ends_with_a_verdict(
+    parameters, code, tmp_path
+):
+    """theta.json with a tiny Im tau, where offset / Im tau overflows, fails
+    its ratio probe with a report; with Re tau = 1e308, an even integer
+    plus 0, it is the shipped scenario and passes with the same report."""
+    document = json.loads((SCENARIO_DIR / "theta.json").read_text())
+    document["parameters"].update(parameters)
+    scenario = write_scenario(tmp_path, document)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(scenario), "--out", str(out)]) == code
+    report = json.loads((out / "report.json").read_text())
+    entries = {e["name"]: e for e in report["checks"][0]["entries"]}
+    assert entries["ratio_independence"]["passed"] is (code == 0)
+    if code == 0:
+        shipped = tmp_path / "shipped"
+        cli.main(["run", str(SCENARIO_DIR / "theta.json"), "--out", str(shipped)])
+        assert report == json.loads((shipped / "report.json").read_text())
+
+
 # ----------------------------------------------------------- file formats
 
 

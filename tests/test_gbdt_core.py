@@ -108,6 +108,29 @@ def test_validate_triple_flags_broken_data(scalar_triple):
     assert not clash_report.entry("sylvester_margin").passed
 
 
+@pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_sylvester_margin_entry_agrees_with_the_solver(factor):
+    """A = diag(d + i, 1) has the margin 2 d; just below and just above
+    numkit.clash_threshold the margin entry fails exactly when the solver
+    raises SpectralClash, at the same threshold."""
+    base = np.diag([1j, 1.0])
+    d = factor * numkit.clash_threshold(base, _h(base)) / 2.0
+    a = np.diag([d + 1j, 1.0])
+    triple = gbdt_core.GbdtTriple(
+        sigma=1, A=a, S0=np.eye(2), theta1=np.ones((2, 1)), theta2=np.ones((2, 1)),
+    )
+    entry = verify.validate_triple(triple).entry("sylvester_margin")
+    assert entry.value == pytest.approx(2.0 * d, rel=1e-12)
+    assert entry.tolerance == numkit.clash_threshold(a, _h(a))
+    try:
+        numkit.sylvester_solver(a, _h(a))
+        clashed = False
+    except SpectralClash:
+        clashed = True
+    assert clashed is (factor < 1.0)
+    assert entry.passed is not clashed
+
+
 def test_validate_triple_takes_the_determinant_floor_without_overflow():
     """S0 = 1e100 I at n = 4: max(1, ||S0||)^4 is beyond double range, but
     the floor compares det(S0 / ||S0||) = 1/16, so the determinant entry

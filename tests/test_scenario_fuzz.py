@@ -15,7 +15,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nnls_gbdt import cli
@@ -205,6 +205,20 @@ def documents(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(document=documents(), refine=st.sampled_from([0, 1]))
+# theta.json with the 5e-324 literal in Im tau, where offset / Im tau
+# overflows: the a_im deviation must not
+@example(
+    document={
+        "kind": "theta",
+        "parameters": {
+            "tau": [0.0, Raw("5e-324")], "A_theta": [0.2, 0.45],
+            "B_theta": [0.0, 0.7], "Delta": [0.5, 0.3], "e0": 0.0,
+            "C1": [1.0, 0.0], "C2": [1.0, 0.0], "chi": 1,
+        },
+        "checks": ["constraints"],
+    },
+    refine=1,
+)
 def test_generated_scenarios_end_with_an_exit_code_and_a_report(document, refine):
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "scenario.json"
