@@ -41,9 +41,12 @@ wave function, pointwise and on grids.
 
 It constructs, raising where a construction cannot go on (SpectralClash,
 the DET_FLOOR rule behind DegenerateS and SingularPoint, SpectralPole,
-Overflow) and masking near-singular grid nodes; the verdicts on a triple
-and on what is built from it are verify's. One check stays here:
-darboux_at asserts its pair's two facts (DarbouxMismatch), because the
+Overflow) and masking grid nodes where the smallest LU pivot of M is at
+most SINGULAR_PIVOT_FACTOR times ||Sigma1|| + ||M - Sigma1||; the verdicts
+on a triple and on what is built from it are verify's. spectral_sample
+builds the Darboux pair, the wave function and xi at one (x, t, z), and
+every pointwise consumer builds from it. One check stays here: only
+darboux_at asserts the pair's two facts (DarbouxMismatch), because the
 benchmark's pointwise Darboux operation is gated on that exception;
 verify.darboux_residual reports the same residuals without raising.
 """
@@ -69,8 +72,9 @@ from .errors import (
     SpectralPole,
 )
 
-# Grid-relative threshold under which det S is flagged singular.
-SINGULAR_DET_FACTOR = 1e-8
+# Fraction of ||Sigma1|| + ||M - Sigma1|| (Frobenius) at or under which the
+# smallest LU pivot of M(x, t) flags a grid node singular.
+SINGULAR_PIVOT_FACTOR = 1e-8
 
 # Floor of relative_det at or under which S0, or S at a single point, is
 # singular.
@@ -371,19 +375,24 @@ def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) 
     return triple.S0 + leg_t + leg_x
 
 
+def _s_point(triple: GbdtTriple, e: np.ndarray, x: float, t: float) -> np.ndarray:
+    """S(x, t) propagated from e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)),
+    or integrated by s_via_integration when the spectra of A and -A* meet."""
+    try:
+        return _propagated_s(triple, e)
+    except SpectralClash:
+        return s_via_integration(triple, x, t)
+
+
 def _point(triple: GbdtTriple, x: float, t: float):
     """(S(x, t), Pi(x, t), Pi(-x, t), e) at one point, each computed once.
 
     e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)) comes from one stacked
-    numkit.expm call, and S is propagated from it, or integrated by
-    s_via_integration when the spectra of A and -A* meet. Raises
-    SingularPoint when det S(x, t) is numerically zero.
+    numkit.expm call, and S from _s_point. Raises SingularPoint when
+    det S(x, t) is numerically zero.
     """
     e = _exponentials(triple, (x, -x), t)
-    try:
-        s = _propagated_s(triple, e)
-    except SpectralClash:
-        s = s_via_integration(triple, x, t)
+    s = _s_point(triple, e, x, t)
     det_rel = relative_det(s)
     if det_rel <= DET_FLOOR:
         raise SingularPoint(
@@ -402,13 +411,13 @@ def _xi(triple: GbdtTriple, left: np.ndarray, s_inv_p: np.ndarray) -> np.ndarray
 
 
 def u_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
-    """The constructed solution u(x, t), shape (m1, m2).
+    """The constructed solution u(x, t), shape (m1, m2): the top-right block
+    of xi_tilde_at.
 
     Raises SingularPoint when det S(x, t) is numerically zero.
     """
-    s, p, pm, _ = _point(triple, x, t)
     m1 = triple.m1
-    return -2j * _h(pm[:, :m1]) @ np.linalg.solve(s, p[:, m1:])
+    return xi_tilde_at(triple, x, t)[:m1, m1:]
 
 
 def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -437,23 +446,9 @@ class SpectralSample:
     xi: np.ndarray
 
 
-def darboux_gaps(
-    triple: GbdtTriple, x: float, t: float, z: complex
-) -> Tuple[SpectralSample, float, float]:
-    """The sample at (x, t, z) with the relative residuals of its two facts,
-    ||w_A w_B - I|| / max(1, ||w_A|| ||w_B||) and
-    ||w_B - j^kappa w_A(-x,t,-conj z)* j^kappa|| / max(1, ||w_B||).
-
-    w_A(x,t,z) = I - j^kappa Pi(-x,t)* S^{-1} (A - zI)^{-1} Pi(x,t) and
-    w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t). xi is
-    xi_tilde_at's matrix, from the solve S^{-1} Pi(x,t) that w_B makes. The
-    mirror w_A(-x, t, -conj z) takes S(-x, t) propagated on its own from the
-    point's four exponentials, swapped (integrated on a clashing spectrum),
-    never S(x, t)*, so it makes no further exponential.
-
-    Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
-    spectrum of A, and SingularPoint on singular S.
-    """
+def _sample(triple: GbdtTriple, x: float, t: float, z: complex):
+    """(spectral_sample's sample, Pi(x, t), Pi(-x, t), e), so that the
+    mirror of darboux_gaps reuses the point's Pi and exponentials."""
     z = complex(z)
     a = triple.A
     eigs = triple.eigenvalues
@@ -466,11 +461,13 @@ def darboux_gaps(
     s, p, pm, e = _point(triple, x, t)
     eye_n = np.eye(triple.n, dtype=np.complex128)
     eye_m = np.eye(triple.m, dtype=np.complex128)
-    jk = triple.jk
+    m = triple.m
 
-    left = jk @ _h(pm)
-    s_inv_p = np.linalg.solve(s, p)
-    wa = eye_m - left @ np.linalg.solve(s, np.linalg.solve(a - z * eye_n, p))
+    left = triple.jk @ _h(pm)
+    # S^{-1} Pi(x, t) and S^{-1} (A - zI)^{-1} Pi(x, t), from one solve
+    sol = np.linalg.solve(s, np.hstack([p, np.linalg.solve(a - z * eye_n, p)]))
+    s_inv_p = sol[:, :m]
+    wa = eye_m - left @ sol[:, m:]
     wb = eye_m - left @ np.linalg.solve(_h(a) + z * eye_n, s_inv_p)
 
     phase = 1j * (z * x - 2.0 * z * z * t)
@@ -481,13 +478,47 @@ def darboux_gaps(
         x=x, t=t, z=z, wa=wa, wb=wb, wave=wa * diag[None, :],
         xi=_xi(triple, left, s_inv_p),
     )
+    return sample, p, pm, e
 
-    try:
-        s_m = _propagated_s(triple, e[[2, 3, 0, 1]])
-    except SpectralClash:
-        s_m = s_via_integration(triple, -x, t)
+
+def spectral_sample(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
+    """Darboux matrix w_A, its inverse w_B, the wave function and the
+    transferred potential xi at (x, t, z), constructed only.
+
+    w_A(x,t,z) = I - j^kappa Pi(-x,t)* S^{-1} (A - zI)^{-1} Pi(x,t),
+    w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t), and
+    the wave function is w_A(x,t,z) e^{-i(zx - 2z^2 t) j}. xi is
+    xi_tilde_at's matrix, from the solve S^{-1} Pi(x,t) that w_B makes. One
+    S is propagated (integrated on a clashing spectrum) and factored twice:
+    by the determinant floor and by one solve of [Pi, (A - zI)^{-1} Pi].
+
+    Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
+    spectrum of A, and SingularPoint on singular S; never DarbouxMismatch.
+    """
+    return _sample(triple, x, t, z)[0]
+
+
+def darboux_gaps(
+    triple: GbdtTriple, x: float, t: float, z: complex
+) -> Tuple[SpectralSample, float, float]:
+    """spectral_sample at (x, t, z) with the relative residuals of its two
+    facts, ||w_A w_B - I|| / max(1, ||w_A|| ||w_B||) and
+    ||w_B - j^kappa w_A(-x,t,-conj z)* j^kappa|| / max(1, ||w_B||).
+
+    The mirror w_A(-x, t, -conj z) takes S(-x, t) propagated on its own from
+    the point's four exponentials, swapped (integrated on a clashing
+    spectrum), never S(x, t)*, so it makes no further exponential. Raises
+    as spectral_sample.
+    """
+    sample, p, pm, e = _sample(triple, x, t, z)
+    eye_n = np.eye(triple.n, dtype=np.complex128)
+    eye_m = np.eye(triple.m, dtype=np.complex128)
+    jk = triple.jk
+    wa, wb = sample.wa, sample.wb
+
+    s_m = _s_point(triple, e[[2, 3, 0, 1]], -x, t)
     wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
-        s_m, np.linalg.solve(a + np.conj(z) * eye_n, pm)
+        s_m, np.linalg.solve(triple.A + np.conj(sample.z) * eye_n, pm)
     )
     norm = np.linalg.norm
     inverse = float(norm(wa @ wb - eye_m)) / max(1.0, float(norm(wa)) * float(norm(wb)))
@@ -496,16 +527,16 @@ def darboux_gaps(
 
 
 def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
-    """Darboux matrix w_A, its inverse w_B, the wave function and the
-    transferred potential xi at (x, t, z), built by darboux_gaps.
+    """spectral_sample at (x, t, z), with the Darboux pair asserted.
 
     The pair multiplies to the identity and w_B equals
     j^kappa w_A(-x, t, -conj(z))* j^kappa. Both facts are asserted to
-    DARBOUX_TOL at construction: DarbouxMismatch is raised when either
-    relative residual exceeds it. verify.darboux_residual reports the same
-    residuals without raising. Two S are propagated, at x and at -x.
+    DARBOUX_TOL: DarbouxMismatch is raised when either relative residual
+    of darboux_gaps exceeds it. verify.darboux_residual reports the same
+    residuals without raising. Two S are propagated, at x and at -x; this
+    is the one assertion gbdt_core makes.
 
-    Raises SpectralPole and SingularPoint as darboux_gaps.
+    Raises SpectralPole and SingularPoint as spectral_sample.
     """
     sample, inverse, reduction = darboux_gaps(triple, x, t, z)
     if not (inverse <= DARBOUX_TOL and reduction <= DARBOUX_TOL):
@@ -519,8 +550,9 @@ def darboux_at(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSa
 
 def wave_at(triple: GbdtTriple, x: float, t: float, z: complex) -> np.ndarray:
     """Wave function w_A(x,t,z) e^{-i(zx - 2z^2 t) j}; the trivial-seed solution
-    of the transferred linear system in both variables."""
-    return darboux_at(triple, x, t, z).wave
+    of the transferred linear system in both variables. Built by
+    spectral_sample, so the Darboux pair is not asserted."""
+    return spectral_sample(triple, x, t, z).wave
 
 
 @dataclass(frozen=True)
@@ -677,15 +709,19 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     q are the squares of e^{-ixA} and e^{2itA^2}, one stacked numkit.expm
     call of nx + nt matrices at the argument norms of the pointwise route.
     M is one sandwich of two large matrix products, and K one einsum. One LU
-    per node gives det M and the solve: a single numkit.factor_solve of
-    M X = [theta1 K] over the stack. Then
+    per node gives det M, its smallest pivot and the solve: a single
+    numkit.factor_solve of M X = [theta1 K] over the stack. Then
 
         det S = det M e^{2ix Re tr A} e^{4t Im tr A^2},
 
     u = -2i theta1* X2 is one matrix product over all nodes, and the lower
     block -2i sigma K(-x)* X1 is numkit.stack_matmul's multiply-adds.
-    Masked nodes, where |det S| is under SINGULAR_DET_FACTOR times its
-    largest value on the grid, are set to NaN in u and the lower block.
+    A node is masked, and set to NaN in u and the lower block, when the
+    smallest pivot modulus of M's LU is at most SINGULAR_PIVOT_FACTOR times
+    ||Sigma1|| + ||M - Sigma1|| (Frobenius, M - Sigma1 being the sandwich).
+    The pivot is at least sigma_min(M) / n, so a well-conditioned node is
+    never masked, and a node's flag depends on that node alone, not on how
+    far the grid extends.
 
     Mirror samples at -x reuse the tables at the mirrored node, never a
     second exponential. Output is deterministic: the same triple and grid
@@ -716,6 +752,18 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
 
         # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
         m = _sandwich(h, q @ sigma2 @ _h(q), h[::-1])
+        # the mask's threshold SINGULAR_PIVOT_FACTOR (||Sigma1|| +
+        # ||M - Sigma1||) per node: the squares of the real and imaginary
+        # parts summed over the entries, with no temporary of the stack's
+        # size; they overflow only beyond 1e154, where hypot takes over
+        parts = m.reshape(n * n, -1).view(np.float64)
+        floor = np.einsum("ik,ik->k", parts, parts)
+        floor = np.sqrt(floor[0::2] + floor[1::2]).reshape(nx, nt)
+        huge = np.isinf(floor)
+        if huge.any():
+            floor[huge] = np.hypot.reduce(np.abs(m[:, :, huge]).reshape(n * n, -1), axis=0)
+        floor += np.linalg.norm(sigma1)
+        floor *= SINGULAR_PIVOT_FACTOR
         if triple.kappa == 1:
             np.subtract(sigma1[..., None, None], m, out=m)
         else:
@@ -728,15 +776,14 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     m, blocks = _node_first(m), _node_first(blocks)
     k = blocks[..., m1:]
 
-    det, sol = numkit.factor_solve(m, blocks)
+    det, sol, pivot = numkit.factor_solve(m, blocks)
     # det S = det E(x, t) det M conj(det E(-x, t))
     with np.errstate(over="ignore", invalid="ignore"):
         det *= np.exp(2j * np.trace(a).real * xs)[:, None]
         det *= np.exp(4.0 * np.trace(a2).imag * ts)
     if not np.isfinite(det).all():
         raise Overflow("det S leaves double range on this grid")
-    det_scale = float(np.max(np.abs(det))) if det.size else 0.0
-    mask = np.abs(det) < SINGULAR_DET_FACTOR * det_scale
+    mask = pivot <= floor
 
     # u = -2i theta1* X2, one (m1, n) @ (n, m2 nodes) product
     x2 = np.moveaxis(sol[..., m1:], (2, 3), (0, 1))

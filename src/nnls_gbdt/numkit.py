@@ -21,12 +21,12 @@ n^2 x n^2 system is built and solved once per triple, never node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 multiplied pairwise, so each entry is one product of two exponentials.
-``factor_solve`` LU-factors every matrix of a stack once and takes both the
-determinant and the solve of stacked right sides from those factors; its
-loops run over pivot steps and fixed-size chunks of the stack, never over
-matrices. ``stack_matmul`` multiplies two stacks of small matrices pairwise
-by multiply-adds with the stack axes last, one numpy call per row of the
-product and term of the inner index.
+``factor_solve`` LU-factors every matrix of a stack once and takes the
+determinant, the smallest pivot and the solve of stacked right sides from
+those factors; its loops run over pivot steps and fixed-size chunks of the
+stack, never over matrices. ``stack_matmul`` multiplies two stacks of
+small matrices pairwise by multiply-adds with the stack axes last, one
+numpy call per row of the product and term of the inner index.
 """
 
 from __future__ import annotations
@@ -444,9 +444,9 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
     return solve_many
 
 
-def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
-    """``det s`` and ``X = s^{-1} b`` for every matrix of a stack, from one
-    LU factorisation each.
+def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``det s``, ``X = s^{-1} b`` and the smallest pivot modulus for every
+    matrix of a stack, from one LU factorisation each.
 
     Parameters
     ----------
@@ -457,16 +457,18 @@ def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    det, x
+    det, x, pivot
         ``det`` of shape ``s.shape[:-2]``, the product of the pivots times
-        the sign of the row permutation, and ``x`` of the shape of ``b``,
-        a view of an array with the stack axes last.
+        the sign of the row permutation, ``x`` of the shape of ``b``,
+        a view of an array with the stack axes last, and ``pivot`` of the
+        shape of ``det``, the smallest modulus of a pivot (0 for a zero
+        pivot), which is at least the smallest singular value over n.
         Elimination with partial pivoting on ``|Re| + |Im|`` (LAPACK's
-        ``izamax`` rule, first row on ties) is applied to ``[s b]``, so both
-        come from the same factors. A matrix with a zero pivot gives det 0
-        and an all-NaN ``x``, with no exception and no warning. The same
-        stack gives the same bytes on every call; a matrix's last bits may
-        depend on its position in the stack.
+        ``izamax`` rule, first row on ties) is applied to ``[s b]``, so all
+        three come from the same factors. A matrix with a zero pivot gives
+        det and pivot 0 and an all-NaN ``x``, with no exception and no
+        warning. The same stack gives the same bytes on every call; a
+        matrix's last bits may depend on its position in the stack.
 
     Raises
     ------
@@ -488,15 +490,21 @@ def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray]:
     flat_s = s.reshape(-1, n, n)
     flat_b = b.reshape(-1, n, k)
     det = np.empty(flat_s.shape[0], dtype=np.complex128)
+    pivot = np.empty(det.size)
     # the solves are held with the stack axis last, as each chunk makes them
     x = np.empty((n, k, det.size), dtype=np.complex128)
     for lo in range(0, det.size, _FACTOR_CHUNK):
         hi = lo + _FACTOR_CHUNK
-        det[lo:hi], x[..., lo:hi] = _factor_solve_chunk(flat_s[lo:hi], flat_b[lo:hi])
-    return det.reshape(s.shape[:-2]), np.moveaxis(x, -1, 0).reshape(b.shape)
+        det[lo:hi], x[..., lo:hi], pivot[lo:hi] = _factor_solve_chunk(
+            flat_s[lo:hi], flat_b[lo:hi]
+        )
+    lead = s.shape[:-2]
+    return det.reshape(lead), np.moveaxis(x, -1, 0).reshape(b.shape), pivot.reshape(lead)
 
 
-def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor_solve_chunk(
+    s: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """factor_solve on a ``(count, n, n)`` and ``(count, n, k)`` chunk.
 
     The augmented matrices [s b] are held with the matrix axis last, so
@@ -515,6 +523,7 @@ def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
     # flat offset of entry (0, c) of matrix i: c * count + i
     row0 = np.arange(width)[:, None] * count + np.arange(count)
     det = np.ones(count, dtype=np.complex128)
+    smallest = np.full(count, np.inf)
     pivots = np.empty((n, count), dtype=np.complex128)
     singular = np.zeros(count, dtype=bool)
     for j in range(n):
@@ -529,6 +538,7 @@ def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
             np.negative(det, out=det, where=swap)
         pivot = aug[j, j]
         det *= pivot
+        np.minimum(smallest, np.abs(pivot), out=smallest)
         # a zero pivot has a zero column below it: dividing by 1 leaves the
         # rows as they are, as LAPACK does, and det stays 0
         zero = pivot == 0
@@ -541,7 +551,7 @@ def _factor_solve_chunk(s: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nd
         x[j] -= (aug[j, j + 1:n, None] * x[j + 1:]).sum(axis=0)
         x[j] /= pivots[j]
     x[..., singular] = complex(np.nan, np.nan)
-    return det, x
+    return det, x, smallest
 
 
 def stack_matmul(a, b) -> np.ndarray:

@@ -10,7 +10,10 @@ by the wave function, and the stationary nonlocal equation and first-order
 system of ag_theta's genus-one reduction.  Derivatives are second-order
 central differences, so refining the grid by two should shrink those
 residuals by about four; the pde record turns its levels' residuals into
-convergence orders and decides on them.
+convergence orders and decides on them. Grid checks skip the nodes
+solution_field masks, those where the smallest LU pivot of M is at most
+gbdt_core.SINGULAR_PIVOT_FACTOR times ||Sigma1|| + ||M - Sigma1||, a rule
+that reads each node alone.
 
 gbdt_core and ag_theta construct and measure; the admissibility of a
 triple (``validate_triple``), the theta data's reality constraints
@@ -18,7 +21,9 @@ triple (``validate_triple``), the theta data's reality constraints
 here. That includes every tolerance and verdict of ``nnls-gbdt run``,
 whose check records of report.json are built here, with ``json_number``
 the one rule for writing a non-finite number. The one fact gbdt_core also
-asserts is the Darboux pair's, in darboux_at; darboux_residual reports it.
+asserts is the Darboux pair's, and only in darboux_at; darboux_residual
+reports it, and wave_ode_residual builds its samples with
+gbdt_core.spectral_sample, which asserts nothing.
 """
 
 from __future__ import annotations
@@ -151,7 +156,8 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
     above gbdt_core.DET_FLOOR), and the coupling identity.
 
     Also reports the spectral-disjointness margin min |lambda_i + conj(lambda_j)|
-    of A, which decides whether the pointwise Sylvester route is usable.
+    of A, from the triple's cached eigenvalues, against
+    numkit.clash_threshold; it decides whether the Sylvester route is usable.
     Raises DimensionMismatch for inconsistent shapes (checked at triple
     construction); never raises on numerical failure, which is what the
     report is for.
@@ -171,7 +177,8 @@ def validate_triple(candidate: GbdtTriple) -> ValidationReport:
     ident = float(np.linalg.norm(t.A @ t.S0 + t.S0 @ a_h - rhs))
     ident_tol = 1e-10 * max(1.0, 2.0 * norm_a * norm_s + float(np.linalg.norm(rhs)))
 
-    margin = numkit.spectral_margin(t.A, a_h)
+    eigs = t.eigenvalues
+    margin = float(np.min(np.abs(eigs[:, None] + np.conj(eigs)[None, :])))
     margin_tol = numkit.clash_threshold(t.A, a_h)
 
     entries = (
@@ -488,7 +495,7 @@ def darboux_residual(
     max(1, ||w_B||), at (x, t, z), passed at gbdt_core.DARBOUX_TOL: the
     residuals of gbdt_core.darboux_gaps, which darboux_at asserts. S(-x, t) is
     propagated on its own, never taken as S(x, t)*. Raises SpectralPole and
-    SingularPoint as darboux_at."""
+    SingularPoint as gbdt_core.spectral_sample."""
     _, inverse, reduction = gbdt_core.darboux_gaps(triple, x, t, z)
     return (
         _at_point("darboux_inverse", inverse, gbdt_core.DARBOUX_TOL),
@@ -500,15 +507,15 @@ def _wave_residuals(
     triple: GbdtTriple, x: float, t: float, z: complex, h: float,
     centre: gbdt_core.SpectralSample,
 ) -> Tuple[float, float]:
-    """Residuals of the x and t systems at central step h, from darboux_at
+    """Residuals of the x and t systems at central step h, from spectral
     samples at (x +- h, t) and (x, t +- h); the x samples also give the x
     derivative of the potential."""
     j = triple.j
     w0, xi = centre.wave, centre.xi
-    east = gbdt_core.darboux_at(triple, x + h, t, z)
-    west = gbdt_core.darboux_at(triple, x - h, t, z)
-    north = gbdt_core.darboux_at(triple, x, t + h, z)
-    south = gbdt_core.darboux_at(triple, x, t - h, z)
+    east = gbdt_core.spectral_sample(triple, x + h, t, z)
+    west = gbdt_core.spectral_sample(triple, x - h, t, z)
+    north = gbdt_core.spectral_sample(triple, x, t + h, z)
+    south = gbdt_core.spectral_sample(triple, x, t - h, z)
 
     d_w = (east.wave - west.wave) / (2.0 * h)
     g = -1j * z * j - j @ xi
@@ -530,13 +537,16 @@ def wave_ode_residual(
     fixed x; the coefficient of the t system needs the x derivative of the
     potential, taken with the same central step.  Each system is evaluated
     at steps WAVE_STEP and WAVE_STEP / 2 so the pair of reports carries
-    convergence orders.
+    convergence orders. The wave function and the potential come from 9
+    gbdt_core.spectral_sample calls, one propagated S each; the Darboux
+    pair is darboux_residual's to judge, so this check never raises
+    DarbouxMismatch.
     """
     z = complex(z)
     h = WAVE_STEP
     # the sample at (x, t) gives the wave function and the potential for
     # both step sizes
-    centre = gbdt_core.darboux_at(triple, x, t, z)
+    centre = gbdt_core.spectral_sample(triple, x, t, z)
     rx_h, rt_h = _wave_residuals(triple, x, t, z, h, centre)
     rx_h2, rt_h2 = _wave_residuals(triple, x, t, z, h / 2.0, centre)
     return (

@@ -392,6 +392,38 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
     assert calls == [(4, 2, 2)]
 
 
+def test_spectral_sample_propagates_s_once_and_factors_it_twice(jordan_triple, monkeypatch):
+    """One propagated S, factored by the determinant floor and by one solve
+    of [Pi, (A - zI)^{-1} Pi]; the other solves are numkit.expm's Pade
+    solve, (A - zI)^{-1} Pi and (A* + zI)^{-1} S^{-1} Pi. darboux_at builds
+    the same sample, bit for bit."""
+    calls = {"propagated": 0, "det": 0, "solve": 0}
+    original_s = gbdt_core._propagated_s
+    original_det = np.linalg.det
+    original_solve = np.linalg.solve
+
+    def counting(name, original):
+        def call(*args):
+            calls[name] += 1
+            return original(*args)
+        return call
+
+    monkeypatch.setattr(gbdt_core, "_propagated_s", counting("propagated", original_s))
+    monkeypatch.setattr(np.linalg, "det", counting("det", original_det))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", original_solve))
+    sample = gbdt_core.spectral_sample(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
+    assert calls == {"propagated": 1, "det": 1, "solve": 4}
+    checked = gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
+    for name in ("wa", "wb", "wave", "xi"):
+        assert getattr(sample, name).tobytes() == getattr(checked, name).tobytes()
+
+
+def test_u_tilde_at_is_the_top_right_block_of_xi(jordan_triple):
+    xi = gbdt_core.xi_tilde_at(jordan_triple, 0.4, 0.1)
+    u = gbdt_core.u_tilde_at(jordan_triple, 0.4, 0.1)
+    assert u.tobytes() == xi[:1, 1:].tobytes()
+
+
 def test_darboux_at_propagates_s_and_its_mirror(jordan_triple, monkeypatch):
     """S(x, t) for the pair and S(-x, t), on its own, for the reduction it
     asserts; xi comes from the pair's own solve."""
@@ -421,6 +453,27 @@ def test_complete_triple_takes_two_eigvals(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     gbdt_core.complete_triple(1, [[1.0, 1.0], [0.0, 1.0]], [[0.0], [2.0]], [[0.0], [0.3]])
     assert calls == [(2, 2), (2, 2)]
+
+
+def test_supplied_s0_used_pointwise_takes_three_eigvals(jordan_triple, monkeypatch):
+    """validate_triple's margin reads the cached spectrum of A, one eigvals;
+    the Sylvester solver of the origin parts takes A's and A*'s; the pole
+    test of the Darboux sample reads the cache again."""
+    triple = gbdt_core.GbdtTriple(
+        sigma=jordan_triple.sigma, A=jordan_triple.A, S0=jordan_triple.S0,
+        theta1=jordan_triple.theta1, theta2=jordan_triple.theta2,
+    )
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert verify.validate_triple(triple).passed
+    gbdt_core.darboux_at(triple, 0.4, 0.1, 2.0 + 0.5j)
+    assert calls == [(2, 2)] * 3
 
 
 def test_stacked_point_exponentials_match_single_calls(jordan_triple):
@@ -672,6 +725,42 @@ def test_solution_field_masks_singular_column():
     assert np.all(np.isfinite(off_mask))
 
 
+def test_extending_the_grid_keeps_the_mask_on_shared_nodes():
+    """A node's flag depends on that node alone. Wide-t example1, whose
+    |det S| drifts over 11 decades in t, masks no node on t in [-3, 3] nor
+    on t in [-3, 4.5]; the standing zero of det S at x = 0 stays masked on
+    every t of a longer grid."""
+    wide = gbdt_core.complete_triple(
+        *oracles.Example1Params(a=1 + 1j, theta1=2.0, theta2=1.0, kappa=1).datum()
+    )
+    column = gbdt_core.GbdtTriple(
+        sigma=-1, A=[[1.0]], S0=[[0.0]], theta1=[[1.0]], theta2=[[1.0]]
+    )
+    cases = [
+        (wide, (2.0, 41, -3.0, 3.0, 61), (2.0, 41, -3.0, 4.5, 76), 0),
+        (column, (1.0, 9, -0.2, 0.2, 5), (1.0, 9, -0.2, 0.6, 9), 5),
+    ]
+    for triple, short_args, long_args, masked in cases:
+        short = gbdt_core.Grid.build(*short_args)
+        long = gbdt_core.Grid.build(*long_args)
+        assert np.array_equal(long.t_values[: short.nt], short.t_values)
+        short_mask = gbdt_core.solution_field(triple, short).singular_mask
+        long_mask = gbdt_core.solution_field(triple, long).singular_mask
+        assert int(short_mask.sum()) == masked
+        assert np.array_equal(long_mask[:, : short.nt], short_mask)
+
+
+def test_solution_field_masks_no_node_of_a_huge_m():
+    """|M| reaches 1.6e155 at t = -0.45, where the squares of its entries
+    leave double range; the mask scale is still that node's norm, so no
+    node is masked and u is finite."""
+    triple = gbdt_core.complete_triple(1, [[10 * cmath.exp(0.25j * math.pi)]], [[1.0]], [[1.0]])
+    field = gbdt_core.solution_field(triple, gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4))
+    assert np.abs(field.M).max() > 1e155
+    assert not field.singular_mask.any()
+    assert np.isfinite(field.u).all()
+
+
 def test_solution_field_deterministic(wide_triple, small_grid):
     first = gbdt_core.solution_field(wide_triple, small_grid)
     second = gbdt_core.solution_field(wide_triple, small_grid)
@@ -765,10 +854,12 @@ def _field_from_node_tables(triple, grid):
     blocks = np.empty((triple.n, triple.m, xs.size, ts.size), dtype=complex)
     blocks[:, : triple.m1] = triple.theta1[..., None, None]
     np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=blocks[:, triple.m1 :], optimize=True)
-    det, sol = numkit.factor_solve(m, np.moveaxis(blocks, (0, 1), (2, 3)))
+    det, sol, pivot = numkit.factor_solve(m, np.moveaxis(blocks, (0, 1), (2, 3)))
     det = det * np.exp(2j * np.trace(a).real * xs)[:, None]
     det *= np.exp(4.0 * np.trace(a2).imag * ts)
-    mask = np.abs(det) < gbdt_core.SINGULAR_DET_FACTOR * np.max(np.abs(det))
+    # each node against its own scale ||Sigma1|| + ||M - Sigma1||
+    scale = np.linalg.norm(sigma1) + np.linalg.norm(m - sigma1, axis=(-2, -1))
+    mask = pivot <= gbdt_core.SINGULAR_PIVOT_FACTOR * scale
     x2 = np.moveaxis(sol[..., triple.m1:], (2, 3), (0, 1))
     u = (_h(triple.theta1) @ np.ascontiguousarray(x2).reshape(triple.n, -1)).reshape(
         triple.m1, *x2.shape[1:]
@@ -905,7 +996,7 @@ def test_field_products_match_per_node_matmul(n, m1, m2):
     grid = gbdt_core.Grid.build(1.0, 11, -0.2, 0.2, 7)
     field = gbdt_core.solution_field(triple, grid)
     theta1 = np.broadcast_to(triple.theta1, field.K.shape[:-1] + (m1,))
-    _, sol = numkit.factor_solve(field.M, np.concatenate([theta1, field.K], axis=-1))
+    _, sol, _ = numkit.factor_solve(field.M, np.concatenate([theta1, field.K], axis=-1))
     keep = ~field.singular_mask
     u = np.empty_like(field.u)
     lower = np.empty_like(field.lower)

@@ -204,15 +204,21 @@ def _cnormal(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _assert_matches_lapack(s, b, det, x):
+def _assert_matches_lapack(s, b, det, x, pivot):
     """det and x against np.linalg.det and np.linalg.solve, per matrix, to
     1e-13 relative times cond s (LU's backward error times the condition
-    number bounds the forward error of both)."""
+    number bounds the forward error of both); pivot against the smallest
+    diagonal modulus of LAPACK's U, which pivots by the same rule, and
+    against its lower bound sigma_min(s) / n."""
     n, k = b.shape[-2:]
     s, b = s.reshape(-1, n, n), b.reshape(-1, n, k)
-    det, x = det.reshape(-1), x.reshape(-1, n, k)
+    det, x, pivot = det.reshape(-1), x.reshape(-1, n, k), pivot.reshape(-1)
     if s.shape[0] == 0:
         return
+    lapack_pivot = [np.min(np.abs(np.diag(scipy.linalg.lu_factor(m)[0]))) for m in s]
+    sigma_min = np.linalg.svd(s, compute_uv=False)[:, -1]
+    assert np.all(np.abs(pivot - lapack_pivot) <= 1e-13 * np.linalg.cond(s) * pivot)
+    assert np.all(pivot >= (1.0 - 1e-12) * sigma_min / n)
     cond = np.linalg.cond(s)
     expected_det = np.linalg.det(s)
     expected_x = np.linalg.solve(s, b)
@@ -238,9 +244,9 @@ def test_factor_solve_matches_lapack(seed, n, k, count, zero_lead):
     b = _cnormal(rng, count, n, k)
     if zero_lead and n > 1:
         s[::2, 0, 0] = 0.0
-    det, x = numkit.factor_solve(s, b)
-    assert det.shape == (count,) and x.shape == (count, n, k)
-    _assert_matches_lapack(s, b, det, x)
+    det, x, pivot = numkit.factor_solve(s, b)
+    assert det.shape == pivot.shape == (count,) and x.shape == (count, n, k)
+    _assert_matches_lapack(s, b, det, x, pivot)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1, 1027])
@@ -251,9 +257,9 @@ def test_factor_solve_across_chunks(offset):
     rng = np.random.default_rng(40 + offset)
     s = _cnormal(rng, count, 3, 3).reshape(count, 1, 3, 3)
     b = _cnormal(rng, count, 3, 2).reshape(count, 1, 3, 2)
-    det, x = numkit.factor_solve(s, b)
-    assert det.shape == (count, 1) and x.shape == (count, 1, 3, 2)
-    _assert_matches_lapack(s, b, det, x)
+    det, x, pivot = numkit.factor_solve(s, b)
+    assert det.shape == pivot.shape == (count, 1) and x.shape == (count, 1, 3, 2)
+    _assert_matches_lapack(s, b, det, x, pivot)
 
 
 def test_factor_solve_pivots_rows():
@@ -262,17 +268,18 @@ def test_factor_solve_pivots_rows():
     perm = np.eye(4)[[2, 0, 3, 1]]
     swap = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 1j]])
     b_perm = np.arange(8.0).reshape(4, 2)
-    det, x = numkit.factor_solve(perm, b_perm)
-    assert det == np.linalg.det(perm)
+    det, x, pivot = numkit.factor_solve(perm, b_perm)
+    assert det == np.linalg.det(perm) and pivot == 1.0
     assert np.array_equal(x, perm.T @ b_perm)
-    det, x = numkit.factor_solve(swap, np.eye(3))
+    det, x, _ = numkit.factor_solve(swap, np.eye(3))
     assert abs(det - np.linalg.det(swap)) <= 1e-15 * abs(det)
     assert np.allclose(x, np.linalg.inv(swap), rtol=0, atol=1e-15)
 
 
 def test_factor_solve_singular_node_is_quiet():
-    """An exactly singular matrix gives det 0 and NaN in x without a
-    warning, and leaves the other matrices of its chunk as they are."""
+    """An exactly singular matrix gives det 0, pivot 0 and NaN in x
+    without a warning, and leaves the other matrices of its chunk as they
+    are."""
     rng = np.random.default_rng(41)
     s = _cnormal(rng, 5, 2, 2)
     b = _cnormal(rng, 5, 2, 3)
@@ -280,11 +287,12 @@ def test_factor_solve_singular_node_is_quiet():
     s[3] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        det, x = numkit.factor_solve(s, b)
+        det, x, pivot = numkit.factor_solve(s, b)
     assert det[1] == 0 and det[3] == 0
+    assert pivot[1] == 0 and pivot[3] == 0
     assert np.isnan(x[[1, 3]]).all()
     keep = [0, 2, 4]
-    _assert_matches_lapack(s[keep], b[keep], det[keep], x[keep])
+    _assert_matches_lapack(s[keep], b[keep], det[keep], x[keep], pivot[keep])
 
 
 def test_factor_solve_repeats_bytes():
@@ -293,8 +301,8 @@ def test_factor_solve_repeats_bytes():
     b = _cnormal(rng, 1500, 4, 2)
     first = numkit.factor_solve(s, b)
     second = numkit.factor_solve(s, b)
-    assert first[0].tobytes() == second[0].tobytes()
-    assert first[1].tobytes() == second[1].tobytes()
+    for one, two in zip(first, second, strict=True):
+        assert one.tobytes() == two.tobytes()
 
 
 def test_factor_solve_reads_node_last_stacks():
@@ -304,10 +312,10 @@ def test_factor_solve_reads_node_last_stacks():
     s = _cnormal(rng, 4, 4, 30, 40)
     b = _cnormal(rng, 4, 3, 30, 40)
     views = [np.moveaxis(a, (0, 1), (2, 3)) for a in (s, b)]
-    det, x = numkit.factor_solve(*views)
+    got = numkit.factor_solve(*views)
     expected = numkit.factor_solve(*(np.ascontiguousarray(v) for v in views))
-    assert det.tobytes() == expected[0].tobytes()
-    assert x.tobytes() == expected[1].tobytes()
+    for one, two in zip(got, expected, strict=True):
+        assert one.tobytes() == two.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nnls_gbdt import gbdt_core, verify
-from nnls_gbdt.errors import GridTooSmall
+from nnls_gbdt.errors import DarbouxMismatch, GridTooSmall
 from conftest import make_random_triple
 
 
@@ -232,12 +232,14 @@ def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
 
 
 def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch):
-    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 Darboux samples over
-    the two step sizes, which carry the potential too, and two propagated
-    S per sample, S(x, t) and the S(-x, t) of the reduction darboux_at
-    asserts."""
-    counts = {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 0}
-    for name in counts:
+    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 spectral samples over
+    the two step sizes, which carry the potential too, one propagated S
+    each, and no darboux_at, so no S(-x, t) for the pair's reduction. Each
+    sample makes 4 solves: numkit.expm's Pade solve, (A - zI)^{-1} Pi,
+    S^{-1} [Pi, (A - zI)^{-1} Pi] and (A* + zI)^{-1} S^{-1} Pi."""
+    counts = {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 0, "solve": 0}
+    points = []
+    for name in ("darboux_at", "xi_tilde_at", "_propagated_s"):
         original = getattr(gbdt_core, name)
 
         def counting(*args, _name=name, _original=original):
@@ -245,8 +247,40 @@ def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch)
             return _original(*args)
 
         monkeypatch.setattr(gbdt_core, name, counting)
+    original_sample = gbdt_core.spectral_sample
+    original_solve = np.linalg.solve
+
+    def sampling(triple, x, t, z):
+        points.append((x, t))
+        return original_sample(triple, x, t, z)
+
+    def solving(a, b):
+        counts["solve"] += 1
+        return original_solve(a, b)
+
+    monkeypatch.setattr(gbdt_core, "spectral_sample", sampling)
+    monkeypatch.setattr(np.linalg, "solve", solving)
     verify.wave_ode_residual(jordan_triple, 0.4, 0.1, 0.5 - 0.3j)
-    assert counts == {"darboux_at": 9, "xi_tilde_at": 0, "_propagated_s": 18}
+    assert counts == {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 9, "solve": 36}
+    assert len(points) == 9 and points.count((0.4, 0.1)) == 1
+
+
+def test_only_darboux_at_asserts_the_pair(jordan_triple):
+    """On S propagated from a perturbed Sigma1 the pair fails: darboux_at
+    raises and darboux_residual reports the failure, while the wave
+    function and its check, which build the same sample, return."""
+    triple = dataclasses.replace(jordan_triple)
+    corrupted = jordan_triple.origin_parts.copy()
+    corrupted[0, 0, 0] += 1e-3
+    vars(triple)["origin_parts"] = corrupted
+    x, t, z = 0.4, 0.1, 2.0 + 0.5j
+    with pytest.raises(DarbouxMismatch):
+        gbdt_core.darboux_at(triple, x, t, z)
+    assert not all(r.passed for r in verify.darboux_residual(triple, x, t, z))
+    reports = verify.wave_ode_residual(triple, x, t, z)
+    assert [r.name for r in reports] == ["wave_x", "wave_t"]
+    wave = gbdt_core.wave_at(triple, x, t, z)
+    assert wave.tobytes() == gbdt_core.spectral_sample(triple, x, t, z).wave.tobytes()
 
 
 def _hand_darboux_residuals(triple, x, t, z):
