@@ -16,13 +16,17 @@ theta constraints' included: ``ag_theta`` measures their deviations and
 ``verify.constraints_report`` judges them. The runner parses, dispatches,
 and writes the CSV files and the report.
 Outputs are deterministic: running the same scenario twice produces
-byte-identical files.
+byte-identical files. Every number in the CSV files is the exact bytes of
+``"%.17g" % v``, formatted in numpy one block of rows at a time, with
+Python's own ``%`` as the exact route for the values whose rounding the
+numpy arithmetic cannot certify.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib.resources
 import json
 import math
@@ -190,26 +194,289 @@ def _build_triple(datum: tuple, s0: Optional[np.ndarray]) -> GbdtTriple:
     return triple
 
 
+#: Values the CSV writers format per block. A block's temporaries take
+#: about 430 bytes a value, so the writers hold under 4 MB whatever the
+#: grid; of 2^11 to 2^15 values, 2^13 wrote the benchmark's fields fastest.
+_CSV_BLOCK_VALUES = 2**13
+
+#: Dekker's splitting constant 2^27 + 1: it cuts a double into two halves
+#: of at most 26 significant bits, whose products are exact.
+_SPLIT = 134217729.0
+
+#: Words of the %.17g slots: little-endian, so byte j of a slot is bits
+#: 8j..8j+7 of its word j // 8 on every host.
+_WORD = np.dtype("<u8")
+
+#: Strings of the values the slot layout writes whole, in layout-column
+#: order after the 2 * 22 * 17 columns of the finite nonzero values.
+_SPECIAL_TEXT = (b"0", b"-0", b"inf", b"-inf", b"nan")
+_SPECIAL_COLUMN = 2 * 22 * 17
+
+
+def _pow10_parts() -> Tuple[np.ndarray, ...]:
+    """10^k for -300 <= k <= 300 as ``hi + lo`` doubles, ``hi`` the rounded
+    power and ``lo`` the rounded remainder, with ``hi`` also split into
+    Dekker halves: arrays (hi, hi_head, hi_tail, lo) indexed by k + 300."""
+    hi, lo = [], []
+    for k in range(-300, 301):
+        head = float(f"1e{k}")
+        num, den = head.as_integer_ratio()
+        # 10^k - num/den over a common denominator, rounded once
+        if k >= 0:
+            lo.append((10**k * den - num) / den)
+        else:
+            lo.append((den - num * 10**-k) / (den * 10**-k))
+        hi.append(head)
+    hi = np.array(hi)
+    scaled = hi * _SPLIT
+    hi_head = scaled - (scaled - hi)
+    return hi, hi_head, hi - hi_head, np.array(lo)
+
+
+def _notation(x: int) -> int:
+    """Layout notation of decimal exponent x: x + 4 for the fixed range
+    -4 <= x < 17, 21 for exponential."""
+    return x + 4 if -4 <= x < 17 else 21
+
+
+def _slot_layout() -> np.ndarray:
+    """Layout of the 24-byte slot body, one column per (sign, notation,
+    index of the last nonzero digit), then one per ``_SPECIAL_TEXT``.
+
+    Each column holds ten words: three of constant bytes (sign, the
+    ``0.000`` of x < 0, the point), three masking the digit string shifted
+    right by the lead's length, three masking it shifted one byte further
+    (the digits after the point), and the shift in bits.
+    """
+    columns = []
+    for negative in range(2):
+        for notation in range(22):
+            for last in range(17):
+                lead = b"-" if negative else b""
+                if notation == 21:
+                    point, keep = 1, last
+                elif notation >= 4:
+                    # the integer digits stay, zeros or not
+                    point, keep = notation - 3, max(last, notation - 4)
+                else:
+                    lead += b"0." + b"0" * (3 - notation)
+                    point, keep = 18, last
+                m = len(lead)
+                const, before, after = bytearray(24), bytearray(24), bytearray(24)
+                const[:m] = lead
+                whole = min(point, keep + 1)
+                before[m:m + whole] = b"\xff" * whole
+                if keep >= point:
+                    const[m + point] = ord(".")
+                    after[m + point + 1:m + keep + 2] = b"\xff" * (keep + 1 - point)
+                columns.append(bytes(const + before + after) + (8 * m).to_bytes(8, "little"))
+    columns += [text.ljust(80, b"\0") for text in _SPECIAL_TEXT]
+    layout = np.frombuffer(b"".join(columns), _WORD).reshape(len(columns), 10)
+    return np.ascontiguousarray(layout.T)
+
+
+@functools.lru_cache(maxsize=None)
+def _g17_tables() -> tuple:
+    """The %.17g kernel's read-only tables, built on first use: the powers
+    of ten, the four ASCII digits of 0..9999 as one word each, the number
+    of trailing zero digits of those four, the slot layout, the first
+    layout column of each (sign, x) with x from -330 to 330, and the last
+    word of each x's slot: ``e±XX`` (``e±XXX``) for an exponential x, then
+    the separator in byte 7."""
+    group = np.arange(10000)
+    digits = np.stack(
+        [group // 1000, group // 100 % 10, group // 10 % 10, group % 10], axis=1
+    )
+    quad = (digits + ord("0")).astype(np.uint8).view("<u4").ravel().astype(_WORD)
+    zeros = np.zeros(10000, dtype=np.intp)
+    for place in range(4):
+        zeros += np.all(digits[:, 3 - place:] == 0, axis=1)
+    exponents = range(-330, 331)
+    first = np.array(
+        [(negative * 22 + _notation(x)) * 17 for negative in range(2) for x in exponents]
+    )
+    exponent = np.frombuffer(
+        b"".join(
+            (b"e%+03d" % x if _notation(x) == 21 else b"").ljust(7, b"\0") + b","
+            for x in exponents
+        ),
+        _WORD,
+    )
+    tables = _pow10_parts() + (quad, zeros, _slot_layout(), first, exponent)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _scaled(a: np.ndarray, k: np.ndarray, tables: tuple):
+    """``a * 10^(k - 300)`` as an unevaluated sum ``p + e``: Dekker's exact
+    product of a with the power's head, plus a times its tail. For a
+    result below 1e17 the sum is off by less than 1e-14."""
+    hi, hi_head, hi_tail, lo = (np.take(t, k) for t in tables[:4])
+    p = a * hi
+    c = a * _SPLIT
+    a_head = c - (c - a)
+    a_tail = a - a_head
+    e = a_head * hi_head
+    e -= p
+    e += a_head * hi_tail
+    e += a_tail * hi_head
+    e += a_tail * hi_tail
+    e += a * lo
+    return p, e
+
+
+def _off_decade(p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Where floor(p + e) lies outside [10^16, 10^17)."""
+    return (p > 1e17) | ((p == 1e17) & (e >= 0)) | (p < 1e16) | ((p == 1e16) & (e < 0))
+
+
+def _format_g17(values: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` for every double of a 1-D array, as rows of a uint8
+    array: each row one slot of 24 or 32 bytes, the text padded with NUL
+    bytes anywhere and a ``,`` in its last byte.
+
+    The 17 significant digits are those of N = round(|v| 10^(16 - x)) in
+    [10^16, 10^17): x comes from ``log10``, corrected by one where N falls
+    outside, and the product is a double-double from a table of 10^k as
+    hi + lo. N's two halves of 9 and 8 digits are split into digit groups
+    in float arithmetic, and the %g layout (fixed for -4 <= x < 17, else
+    ``d.ddde±XX``, trailing zeros and a bare point dropped) comes from
+    word masks per (sign, x, last nonzero digit). ±0, ±inf and nan have
+    layout columns of their own. Python's own %.17g writes, one at a time,
+    each value the arithmetic cannot certify: |v| outside [1e-280, 1e280],
+    a fraction of |v| 10^(16 - x) within 1e-9 of a half, or an x still
+    off after the correction.
+    """
+    tables = _g17_tables()
+    quad, zeros, layout, first, exponent = tables[4:]
+    v = np.asarray(values, dtype=np.float64)
+    n = v.size
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    x = np.floor(np.log10(a)).astype(np.intp)
+    p, e = _scaled(a, 316 - x, tables)
+    off = np.flatnonzero(_off_decade(p, e))
+    if off.size:
+        x[off] += np.where(p[off] > 1e16, 1, -1)
+        p[off], e[off] = _scaled(a[off], 316 - x[off], tables)
+        fast[off[_off_decade(p[off], e[off])]] = False
+    # N = round(p + e), with p an integer above 2^53 and |e| below 32:
+    # N = head 10^8 + tail, head of 9 digits and tail of 8
+    whole = np.floor(e)
+    e -= whole
+    fast &= np.abs(e - 0.5) >= 1e-9
+    whole += e > 0.5
+    head = np.floor(p / 1e8)
+    tail = p - head * 1e8
+    tail += whole
+    fix = np.flatnonzero((tail < 0) | (tail >= 1e8))
+    step = np.where(tail[fix] < 0, -1.0, 1.0)
+    head[fix] += step
+    tail[fix] -= step * 1e8
+    carry = np.flatnonzero(head >= 1e9)
+    head[carry] = 1e8
+    x[carry] += 1
+    # the lead digit, then four groups of four digits
+    lead = np.floor(head / 1e8)
+    eights = np.stack([head - lead * 1e8, tail])
+    fours = np.floor(eights / 1e4)
+    eights -= fours * 1e4
+    groups = np.stack([fours[0], eights[0], fours[1], eights[1]]).astype(np.intp)
+    last = 16 - np.take(zeros, groups[3])
+    for j in (2, 1, 0):
+        idx = np.flatnonzero(last == 4 * j + 4)
+        last[idx] -= np.take(zeros, groups[j, idx])
+    # the digit string: lead digit in byte 0, the four groups in bytes 1..16
+    w = np.take(quad, groups)
+    d0 = lead.astype(_WORD)
+    d0 += ord("0")
+    d0 |= w[0] << 8
+    d0 |= w[1] << 40
+    d1 = w[1] >> 24
+    d1 |= w[2] << 8
+    d1 |= w[3] << 40
+    d2 = w[3] >> 24
+    column = np.take(first, np.signbit(v) * 661 + x + 330) + last
+    finite = np.isfinite(v)
+    nonzero = v != 0
+    special = np.flatnonzero(~(finite & nonzero))
+    if special.size:
+        s = v[special]
+        column[special] = _SPECIAL_COLUMN + np.where(
+            np.isnan(s), 4, np.where(np.isinf(s), 2, 0) + np.signbit(s)
+        )
+    exact = np.flatnonzero(finite & nonzero & ~fast)
+    words = 3 + bool(exact.size or np.any(fast & ((x < -4) | (x > 16))))
+    const, before, after = (
+        [np.take(layout[3 * part + j], column) for j in range(3)] for part in range(3)
+    )
+    # the digit string shifted right by the lead, then one byte further
+    shift = np.take(layout[9], column)
+    back = 63 - shift
+    s0 = d0 << shift
+    s1 = d1 << shift
+    s1 |= (d0 >> 1) >> back
+    s2 = d2 << shift
+    s2 |= (d1 >> 1) >> back
+    t0 = s0 << 8
+    t1 = s1 << 8
+    t1 |= s0 >> 56
+    t2 = s2 << 8
+    t2 |= s1 >> 56
+    out = np.empty((n, words), dtype=_WORD)
+    for j, (s_j, t_j) in enumerate(((s0, t0), (s1, t1), (s2, t2))):
+        s_j &= before[j]
+        t_j &= after[j]
+        s_j |= t_j
+        s_j |= const[j]
+        out[:, j] = s_j
+    if words == 4:
+        out[:, 3] = np.take(exponent, x + 330)
+    else:
+        out[:, 2] |= np.uint64(ord(",")) << np.uint64(56)
+    slots = out.view(np.uint8)
+    for i in exact.tolist():
+        text = b"%.17g" % v[i]
+        slots[i, :-1] = 0
+        slots[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return slots
+
+
 def _write_csv(
     path: Path, header: List[str], grid: Grid, values: np.ndarray
 ) -> None:
     """``header``, then one row per grid node in x-major order: x, t and the
     node's entries ``values[i, l]`` of the ``(nx, nt, k)`` array.
 
-    Every number is written with %.17g so floats round-trip exactly. Each
-    x and each t is formatted once per axis, and the rows are streamed to
-    the file one x block of nt rows at a time, each block by a single %.
+    Every number is written as the exact bytes of ``"%.17g" % v``, so
+    floats round-trip exactly. The numbers are formatted in numpy by
+    ``_format_g17``, each x and each t once per axis, and the rows are
+    streamed to the file one block of rows, about ``_CSV_BLOCK_VALUES``
+    entries, at a time, so the writer's memory is bounded whatever the
+    grid; a block may end inside an x row.
     """
-    nt, k = values.shape[1:]
-    row = ",%s," + ",".join(["%.17g"] * k) + "\n"
-    cells = np.empty((nt, k + 1), dtype=object)
-    cells[:, 0] = ["%.17g" % t for t in grid.t_values.tolist()]
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for x, block in zip(grid.x_values.tolist(), values):
-            cells[:, 1:] = block
-            block_format = ("%.17g" % x + row) * nt
-            handle.write(block_format % tuple(cells.ravel().tolist()))
+    nx, nt, k = values.shape
+    x_slots = _format_g17(grid.x_values)
+    t_slots = _format_g17(grid.t_values)
+    flat = values.reshape(nx * nt, k)
+    rows = max(1, _CSV_BLOCK_VALUES // k)
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\n").encode())
+        for start in range(0, nx * nt, rows):
+            node = np.arange(start, min(start + rows, nx * nt))
+            entries = _format_g17(flat[start:start + node.size].ravel())
+            block = np.concatenate(
+                [
+                    np.take(x_slots, node // nt, axis=0),
+                    np.take(t_slots, node % nt, axis=0),
+                    entries.reshape(node.size, -1),
+                ],
+                axis=1,
+            )
+            block[:, -1] = ord("\n")
+            handle.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_u_csv(path: Path, field: SolutionField) -> None:

@@ -61,7 +61,11 @@ SPECTRAL_CLASH_FACTOR = 1e-8
 # Matrices per chunk of factor_solve: enough that every numpy call of a
 # pivot step runs over a long vector of matrices, few enough that the
 # chunk's augmented stack stays in cache at the orders met here (n <= 8).
-_FACTOR_CHUNK = 1024
+# On the level-1 stacks of the benchmark grids, 2048 beat 1024 at every
+# n (6.6 against 7.4 ms at n = 1, 142 against 158 ms at n = 8, median of
+# 7) and 4096 lost at n = 8 (161 ms). Every chunk from 256 to 65536 gives
+# bit-identical fields.
+_FACTOR_CHUNK = 2048
 
 # Coefficients b_k of the degree-13 Pade approximant to e^x, divided by b_0
 # so that the constant terms are exactly 1.
@@ -388,11 +392,12 @@ def clash_threshold(a, b) -> float:
 
 
 def spectral_margin(a, b) -> float:
-    """Smallest ``|lambda_i(a) + mu_j(b)|`` over all eigenvalue pairs."""
+    """Smallest ``|lambda_i(a) + mu_j(b)|`` over all eigenvalue pairs. When
+    b is exactly a*, its spectrum is taken as the conjugate of a's."""
     a = _square(a, "a")
     b = _square(b, "b")
     la = eigenvalues(a)
-    lb = eigenvalues(b)
+    lb = la.conj() if np.array_equal(b, a.conj().T) else eigenvalues(b)
     return float(np.min(np.abs(la[:, None] + lb[None, :])))
 
 

@@ -7,10 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nnls_gbdt import cli, errors, gbdt_core, numkit, oracles, verify
 from conftest import make_random_triple
@@ -480,6 +484,152 @@ def test_csv_writers_match_rowwise_bytes(tmp_path):
     assert b",nan," in written["u"] and b"e-300," in written["u"]
     for text in (b",-0,", b"e+300,", b"e-324,", b",1\n"):
         assert text in written["detS"]
+
+
+def _percent_csv(path, header, grid, values):
+    """Reference writer, the runner's before it formatted in numpy: every
+    number by Python's %.17g, one % over each x block of nt rows."""
+    nt, k = values.shape[1:]
+    row = ",%s," + ",".join(["%.17g"] * k) + "\n"
+    cells = np.empty((nt, k + 1), dtype=object)
+    cells[:, 0] = ["%.17g" % t for t in grid.t_values.tolist()]
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for x, block in zip(grid.x_values.tolist(), values):
+            cells[:, 1:] = block
+            handle.write((("%.17g" % x + row) * nt) % tuple(cells.ravel().tolist()))
+
+
+def _assert_percent_bytes(tmp_path, doubles, nx, nt, k):
+    """cli._write_csv writes the reference's bytes for a grid whose x, t
+    and entries are the doubles, in that order."""
+    doubles = np.asarray(doubles, dtype=np.float64)
+    grid = types.SimpleNamespace(x_values=doubles[:nx], t_values=doubles[nx:nx + nt])
+    values = doubles[nx + nt:].reshape(nx, nt, k)
+    header = ["x", "t"] + [f"v{l}" for l in range(k)]
+    cli._write_csv(tmp_path / "written.csv", header, grid, values)
+    _percent_csv(tmp_path / "reference.csv", header, grid, values)
+    written = (tmp_path / "written.csv").read_bytes()
+    assert written == (tmp_path / "reference.csv").read_bytes()
+    return written
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_write_csv_gives_percent_bytes_for_raw_bit_patterns(data, tmp_path):
+    nx, nt, k = (data.draw(st.integers(1, 3)) for _ in range(3))
+    size = nx + nt + nx * nt * k
+    words = data.draw(
+        st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size)
+    )
+    doubles = np.array(words, dtype=np.uint64).view(np.float64)
+    _assert_percent_bytes(tmp_path, doubles, nx, nt, k)
+
+
+def test_write_csv_gives_percent_bytes_for_uniform_bit_patterns(tmp_path):
+    """21,005 doubles drawn uniformly over all 2^64 patterns: every exponent,
+    subnormals, nan payloads and both infinities."""
+    words = np.random.default_rng(22).integers(0, 2**64, size=21_005, dtype=np.uint64)
+    _assert_percent_bytes(tmp_path, words.view(np.float64), 5, 1000, 4)
+
+
+def test_write_csv_gives_percent_bytes_at_the_edges_of_the_format(tmp_path):
+    """Signed zeros and infinities, nan with sign and payload, the ends of
+    double range, 10^k and its neighbours, three-digit exponents, and the
+    fixed/exponential boundaries at 1e-5, 1e16 and 1e17."""
+    nan_words = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0xFFF00000DEADBEEF, 0x7FFFFFFFFFFFFFFF]
+    doubles = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1e100, -1e-100, 1.5e-250, 2.5e299,
+               1e280, 1e-280, 1e-300, 1e300, 0.1, 0.5, 123.5, 1e22, 1e23]
+    doubles += list(np.array(nan_words, dtype=np.uint64).view(np.float64))
+    centres = [10.0**k for k in range(-30, 31)] + [1e-5, 1e-4, 1e16, 1e17, 1e280, 1e-280]
+    for centre in centres:
+        doubles += [centre, np.nextafter(centre, 0.0), np.nextafter(centre, math.inf)]
+    doubles += [-d for d in doubles]
+    doubles = np.array(doubles)
+    # one node at x = t = 0, every double an entry of it
+    written = _assert_percent_bytes(
+        tmp_path, np.concatenate([[0.0, 0.0], doubles]), 1, 1, doubles.size
+    )
+    for text in (b",-0,", b",nan,", b",-inf,", b",4.9406564584124654e-324,",
+                 b",10000000000000000,", b",1e+17,", b",1.0000000000000001e-05,",
+                 b",0.0001,", b",1e+100,"):
+        assert text in written
+
+
+def test_write_csv_takes_the_exact_route_for_ties_and_extremes(tmp_path):
+    """1 + 2^-17 = 1.00000762939453125 lies exactly halfway between two
+    17-digit decimals, so the numpy path must hand it to Python's %.17g,
+    which rounds it to even; so must the values outside [1e-280, 1e280]."""
+    tie = 1.0 + 2.0**-17
+    scaled = Fraction(tie) * 10**16
+    assert scaled - math.floor(scaled) == Fraction(1, 2)
+    doubles = [tie, -tie, 3 * tie, 1e-300, -1e300, 1e-290, 5e-324, 1e305]
+    written = _assert_percent_bytes(tmp_path, [0.0, 0.0] + doubles, 1, 1, len(doubles))
+    assert b",1.0000076293945312," in written
+
+
+def test_csv_writers_write_a_fully_masked_column(tmp_path):
+    """Every node at one t masked: 4,004 nan in u.csv and 1,001 singular
+    flags in detS.csv, the reference's bytes."""
+    triple = make_random_triple(np.random.default_rng(23), 1, n=2, m1=2, m2=1)
+    grid = gbdt_core.Grid.build(1.0, 1001, -0.1, 0.1, 5)
+    field = gbdt_core.solution_field(triple, grid)
+    u, mask = field.u.copy(), field.singular_mask.copy()
+    u[:, 3] = complex(math.nan, math.nan)
+    mask[:, 3] = True
+    edited = dataclasses.replace(field, u=u, singular_mask=mask)
+    cli.write_u_csv(tmp_path / "u.csv", edited)
+    cli.write_dets_csv(tmp_path / "detS.csv", edited)
+    entries = np.ascontiguousarray(u).reshape(1001, 5, 2).view(np.float64)
+    dets = np.stack([field.detS.real, field.detS.imag, mask.astype(np.float64)], axis=-1)
+    written = {}
+    for name, values in (("u", entries), ("detS", dets)):
+        written[name] = (tmp_path / f"{name}.csv").read_bytes()
+        header = written[name].split(b"\n", 1)[0].decode().split(",")
+        _percent_csv(tmp_path / f"{name}_ref.csv", header, grid, values)
+        assert written[name] == (tmp_path / f"{name}_ref.csv").read_bytes()
+    assert written["u"].count(b",nan,nan,nan,nan\n") == 1001
+
+
+@pytest.mark.parametrize("block_values", [None, 1, 7])
+def test_write_csv_streams_blocks_that_split_x_rows(tmp_path, monkeypatch, block_values):
+    """37,023 values over more than two blocks of the default size, each
+    block ending inside an x row, or one value or seven per block: the
+    whole file is the reference's."""
+    if block_values is not None:
+        monkeypatch.setattr(cli, "_CSV_BLOCK_VALUES", block_values)
+    nx, nt, k = (41, 301, 3) if block_values is None else (5, 7, 3)
+    assert block_values is not None or nx * nt * k > 2 * cli._CSV_BLOCK_VALUES
+    assert max(1, cli._CSV_BLOCK_VALUES // k) % nt != 0
+    rng = np.random.default_rng(24)
+    size = nx + nt + nx * nt * k
+    doubles = rng.normal(size=size) * 10.0 ** rng.integers(-12, 20, size=size)
+    _assert_percent_bytes(tmp_path, doubles, nx, nt, k)
+
+
+def test_write_u_csv_memory_is_bounded_by_its_blocks(tmp_path):
+    """A 401 x 401 scalar field: the writer's peak stays under 16 MB, where
+    formatting the 321,602 values at once would take about 100 MB."""
+    grid = gbdt_core.Grid.build(1.0, 401, -0.5, 0.5, 401)
+    rng = np.random.default_rng(25)
+    u = (rng.normal(size=(401, 401, 1, 1)) + 1j * rng.normal(size=(401, 401, 1, 1)))
+    field = types.SimpleNamespace(grid=grid, u=u)
+    tracemalloc.start()
+    try:
+        cli.write_u_csv(tmp_path / "u.csv", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -440,9 +440,10 @@ def test_darboux_at_propagates_s_and_its_mirror(jordan_triple, monkeypatch):
     assert sample.xi.tobytes() == gbdt_core.xi_tilde_at(jordan_triple, 0.4, 0.1).tobytes()
 
 
-def test_complete_triple_takes_two_eigvals(monkeypatch):
-    """The Sylvester solver's spectral margin, of A and of A*; completion
-    applies only the determinant floor and takes no further spectrum."""
+def test_complete_triple_takes_one_eigvals(monkeypatch):
+    """The Sylvester solver's spectral margin takes A's spectrum and reads
+    A*'s as its conjugate; completion applies only the determinant floor
+    and takes no further spectrum."""
     calls = []
     original = np.linalg.eigvals
 
@@ -452,13 +453,14 @@ def test_complete_triple_takes_two_eigvals(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     gbdt_core.complete_triple(1, [[1.0, 1.0], [0.0, 1.0]], [[0.0], [2.0]], [[0.0], [0.3]])
-    assert calls == [(2, 2), (2, 2)]
+    assert calls == [(2, 2)]
 
 
-def test_supplied_s0_used_pointwise_takes_three_eigvals(jordan_triple, monkeypatch):
+def test_supplied_s0_used_pointwise_takes_two_eigvals(jordan_triple, monkeypatch):
     """validate_triple's margin reads the cached spectrum of A, one eigvals;
-    the Sylvester solver of the origin parts takes A's and A*'s; the pole
-    test of the Darboux sample reads the cache again."""
+    the Sylvester solver of the origin parts takes A's and reads A*'s as
+    its conjugate; the pole test of the Darboux sample reads the cache
+    again."""
     triple = gbdt_core.GbdtTriple(
         sigma=jordan_triple.sigma, A=jordan_triple.A, S0=jordan_triple.S0,
         theta1=jordan_triple.theta1, theta2=jordan_triple.theta2,
@@ -473,7 +475,7 @@ def test_supplied_s0_used_pointwise_takes_three_eigvals(jordan_triple, monkeypat
     monkeypatch.setattr(np.linalg, "eigvals", counting)
     assert verify.validate_triple(triple).passed
     gbdt_core.darboux_at(triple, 0.4, 0.1, 2.0 + 0.5j)
-    assert calls == [(2, 2)] * 3
+    assert calls == [(2, 2)] * 2
 
 
 def test_stacked_point_exponentials_match_single_calls(jordan_triple):

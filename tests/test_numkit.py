@@ -530,3 +530,27 @@ def test_spectral_margin_scalar():
     assert numkit.spectral_margin([[1.0]], [[1.0]]) == pytest.approx(2.0)
     # purely imaginary eigenvalue meets its own conjugate pair head on
     assert numkit.spectral_margin([[1j]], [[-1j]]) == pytest.approx(0.0)
+
+
+def test_spectral_margin_reads_an_exact_adjoint_as_the_conjugate(monkeypatch):
+    """b = a* exactly takes one eigvals and gives the two-spectrum margin
+    to rounding; a b one ulp away from a* takes its own spectrum."""
+    rng = np.random.default_rng(12)
+    a = _cnormal(rng, 4, 4)
+    adjoint = a.conj().T
+    lam, mu = np.linalg.eigvals(a), np.linalg.eigvals(adjoint)
+    reference = np.min(np.abs(lam[:, None] + mu[None, :]))
+    nudged = adjoint.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, np.inf) + 1j * nudged[0, 0].imag
+    calls = []
+    original = np.linalg.eigvals
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert numkit.spectral_margin(a, adjoint) == pytest.approx(reference, rel=1e-12)
+    assert len(calls) == 1
+    numkit.spectral_margin(a, nudged)
+    assert len(calls) == 3
