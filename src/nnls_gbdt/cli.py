@@ -38,7 +38,7 @@ import numpy as np
 
 from . import ag_theta, gbdt_core, oracles, verify
 from .errors import DegenerateS, NnlsGbdtError, RangeExceeded, SchemaError
-from .gbdt_core import GbdtTriple, Grid, SolutionField
+from .gbdt_core import FieldSamples, GbdtTriple, Grid, SolutionField
 
 #: Checks each scenario kind supports, in their default running order.
 KIND_CHECKS = {
@@ -53,9 +53,10 @@ KIND_CHECKS = {
 #: Sylvester map, plus grid nodes summed over every level the run builds,
 #: times (n + 2 m1)(n + 2 m2) / 8. A node carries the n x n matrix M and its
 #: factors, the n x (m1 + m2) right sides and solves, and the m1 x m2
-#: blocks of u, the lower block, the pde check and the CSV row; its memory
-#: grows by 16 to 22 bytes per unit of (n + 2 m1)(n + 2 m2) from n = 1 to 8
-#: and m1, m2 = 1 to 8, so a run stays under about 1.5 GB.
+#: blocks of u, the lower block, the pde check and the CSV row. With the pde
+#: level at --refine 0, its memory grows by 6 to 26 bytes per unit of
+#: (n + 2 m1)(n + 2 m2) from n = 1 to 8 and m1, m2 = 1 to 8 (ru_maxrss, 51^2
+#: to 201^2), so a run stays under about 1.8 GB.
 NODE_BUDGET = 2**23
 
 
@@ -445,28 +446,31 @@ def _format_g17(values: np.ndarray) -> np.ndarray:
 
 
 def _write_csv(
-    path: Path, header: List[str], grid: Grid, values: np.ndarray
+    path: Path, header: List[str], grid: Grid, columns: List[np.ndarray]
 ) -> None:
     """``header``, then one row per grid node in x-major order: x, t and the
-    node's entries ``values[i, l]`` of the ``(nx, nt, k)`` array.
+    node's entry of each ``(nx, nt)`` array of ``columns``.
 
     Every number is written as the exact bytes of ``"%.17g" % v``, so
     floats round-trip exactly. The numbers are formatted in numpy by
     ``_format_g17``, each x and each t once per axis, and the rows are
     streamed to the file one block of rows, about ``_CSV_BLOCK_VALUES``
-    entries, at a time, so the writer's memory is bounded whatever the
-    grid; a block may end inside an x row.
+    entries, at a time; a block may end inside an x row. Each block takes
+    its entries straight from the columns, which are read as flat views
+    (the two node axes of a field's stacks merge), so the writer's memory
+    is bounded by the block's whatever the grid.
     """
-    nx, nt, k = values.shape
+    nx, nt = np.shape(columns[0])
     x_slots = _format_g17(grid.x_values)
     t_slots = _format_g17(grid.t_values)
-    flat = values.reshape(nx * nt, k)
-    rows = max(1, _CSV_BLOCK_VALUES // k)
+    flat = [np.reshape(column, nx * nt) for column in columns]
+    rows = max(1, _CSV_BLOCK_VALUES // len(flat))
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\n").encode())
         for start in range(0, nx * nt, rows):
             node = np.arange(start, min(start + rows, nx * nt))
-            entries = _format_g17(flat[start:start + node.size].ravel())
+            values = np.stack([column[start:start + node.size] for column in flat], axis=1)
+            entries = _format_g17(values.ravel())
             block = np.concatenate(
                 [
                     np.take(x_slots, node // nt, axis=0),
@@ -479,25 +483,24 @@ def _write_csv(
             handle.write(block.tobytes().translate(None, b"\0"))
 
 
-def write_u_csv(path: Path, field: SolutionField) -> None:
+def write_u_csv(path: Path, field: FieldSamples) -> None:
     """Field entries in x-major order, one row per grid point."""
-    nx, nt, m1, m2 = field.u.shape
+    m1, m2 = field.u.shape[2:]
     header = ["x", "t"]
+    columns = []
     for i in range(m1):
         for k in range(m2):
             header += [f"re_{i + 1}_{k + 1}", f"im_{i + 1}_{k + 1}"]
-    # complex entries read as float pairs give re, im in header order
-    entries = np.ascontiguousarray(field.u).reshape(nx, nt, m1 * m2)
-    _write_csv(path, header, field.grid, entries.view(np.float64))
+            entry = field.u[:, :, i, k]
+            columns += [entry.real, entry.imag]
+    _write_csv(path, header, field.grid, columns)
 
 
 def write_dets_csv(path: Path, field: SolutionField) -> None:
     """Determinant of S with the singular flag, in x-major order."""
     det = field.detS
-    values = np.stack(
-        [det.real, det.imag, field.singular_mask.astype(np.float64)], axis=-1
-    )
-    _write_csv(path, ["x", "t", "re", "im", "singular"], field.grid, values)
+    columns = [det.real, det.imag, field.singular_mask]
+    _write_csv(path, ["x", "t", "re", "im", "singular"], field.grid, columns)
 
 
 def _check_node_budget(
@@ -527,7 +530,15 @@ def _check_node_budget(
 
 
 def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]:
-    """Execute one validated scenario and return (exit code, report)."""
+    """Execute one validated scenario and return (exit code, report).
+
+    The grid and its first ``refine`` halvings are built whole by
+    ``gbdt_core.solution_field``: every requested check reads them, and
+    the CSV files are written from the first. When ``pde`` is requested at
+    ``refine`` 0 it still needs one halving; only that check reads it, so
+    ``gbdt_core.solution_samples`` builds just its u and singular mask,
+    bit-identical to solution_field's and without the matrices M.
+    """
     kind = scenario["kind"]
     requested = list(scenario.get("checks", KIND_CHECKS[kind]))
 
@@ -552,8 +563,8 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     grids = [base]
     for _ in range(deepest):
         grids.append(grids[-1].halved())
-    fields = [gbdt_core.solution_field(triple, grid) for grid in grids]
-    shallow = fields[: refine + 1]
+    shallow = [gbdt_core.solution_field(triple, grid) for grid in grids[: refine + 1]]
+    fields = shallow + [gbdt_core.solution_samples(triple, grid) for grid in grids[refine + 1:]]
 
     records = []
     for check in requested:

@@ -39,6 +39,16 @@ evidence the grid is tested against. This module builds triples, evaluates
 Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
 wave function, pointwise and on grids.
 
+A grid level has two routes through the same per-node step (M with the
+mask's threshold, then one LU per node). solution_field builds a level
+whole and keeps M, K, det S and the lower block, which every check but
+pde reads. solution_samples builds only u and the mask, for a level only
+pde reads (the halving pde adds at --refine 0): it runs the per-node
+step on tiles of x rows, so no stack of the size of M exists. K and u
+are one einsum and one product over the whole level in both routes,
+since their last bits depend on how many rows they span; the per-node
+step's do not, so both routes give identical bytes.
+
 It constructs, raising where a construction cannot go on (SpectralClash,
 the DET_FLOOR rule behind DegenerateS and SingularPoint, SpectralPole,
 Overflow) and masking grid nodes where the smallest LU pivot of M is at
@@ -649,26 +659,38 @@ class Grid:
 
 
 @dataclass
-class SolutionField:
-    """Grid samples of the constructed solution and its determinant data.
+class FieldSamples:
+    """Grid samples of the constructed solution and its singular mask.
 
-    u has shape (nx, nt, m1, m2) with NaN entries at masked points. M, shape
-    (nx, nt, n, n), is the reduced matrix with S(x, t) = E M E(-x, t)*, and
-    K, shape (nx, nt, n, m2), the right side e^{i(-2xA + 4tA^2)} theta2 of
-    its solve; K(-x, t), read as K[::-1], is e^{i(2xA + 4tA^2)} theta2.
-    detS is det S, taken from det M. lower, shape (nx, nt, m2, m1) with NaN
-    at masked points, is the lower block -2i sigma Pi2(-x, t)* S^{-1}
-    Pi1(x, t) of the transferred potential, taken from the same solve as u.
-    All are kept, so verification passes never recompute exponentials or
-    solves. The stacks u, M, K and lower are views of arrays that hold the
-    node axes last, the layout of numkit.stack_matmul and factor_solve.
+    u has shape (nx, nt, m1, m2) with NaN entries at masked points, a view
+    of an array that holds the node axes last. These are all the pde check
+    reads: solution_samples builds them alone for a level that no other
+    check reads, and SolutionField adds the determinant data to them.
     """
 
     grid: Grid
     u: np.ndarray
+    singular_mask: np.ndarray
+
+
+@dataclass
+class SolutionField(FieldSamples):
+    """Grid samples of the constructed solution and its determinant data.
+
+    M, shape (nx, nt, n, n), is the reduced matrix with
+    S(x, t) = E M E(-x, t)*, and K, shape (nx, nt, n, m2), the right side
+    e^{i(-2xA + 4tA^2)} theta2 of its solve; K(-x, t), read as K[::-1], is
+    e^{i(2xA + 4tA^2)} theta2. detS is det S, taken from det M. lower,
+    shape (nx, nt, m2, m1) with NaN at masked points, is the lower block
+    -2i sigma Pi2(-x, t)* S^{-1} Pi1(x, t) of the transferred potential,
+    taken from the same solve as u. All are kept, so verification passes
+    never recompute exponentials or solves. The stacks u, M, K and lower
+    are views of arrays that hold the node axes last, the layout of
+    numkit.stack_matmul and factor_solve.
+    """
+
     M: np.ndarray
     detS: np.ndarray
-    singular_mask: np.ndarray
     K: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
 
@@ -695,6 +717,107 @@ def _node_first(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, (0, 1), (2, 3))
 
 
+# Nodes per tile of solution_samples, in whole x rows, at least one. On
+# the 201 x 201 level of the matrix-grid data (one BLAS thread, median of
+# 15), 1024 / 2048 / 4096 / 8192 took 30 / 25 / 23 / 21 ms at n = 2,
+# 62 / 53 / 50 / 49 at n = 4 and 174 / 165 / 169 / 176 at n = 8, against
+# 38, 68 and 204 for solution_field. The tracemalloc peak at n = 8 is
+# 20.4 MB up to 2048, nearly all of it K and its einsum's temporary, 22.4
+# at 4096 and 34.2 at 8192 (96.3 for solution_field). Every tile from one
+# row to the whole grid gives identical bytes.
+_SAMPLE_TILE_NODES = 4096
+
+
+def _tables(triple: GbdtTriple, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """The tables h[k] = e^{-2i x_k A} and q[l] = e^{4i t_l A^2}, the
+    squares of e^{-ixA} and e^{2itA^2} from one stacked numkit.expm call of
+    nx + nt matrices at the argument norms of the pointwise route.
+
+    Raises Overflow when a squared table leaves double range: squaring
+    doubles the exponents, so a table in range may square beyond it.
+    """
+    a = triple.A
+    tables = numkit.expm(
+        np.concatenate(
+            [-1j * grid.x_values[:, None, None] * a, 2j * grid.t_values[:, None, None] * (a @ a)]
+        )
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, q = np.split(tables @ tables, [grid.nx])
+    if not (np.isfinite(h).all() and np.isfinite(q).all()):
+        raise Overflow("e^{-2ixA} or e^{4itA^2} leaves double range on this grid")
+    return h, q
+
+
+def _right_sides(triple: GbdtTriple, h: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """K[k, l] = h[k] q[l] theta2 at every node of the level, written into
+    the (n, m2, nx, nt) node-last ``out`` by one einsum; an entry beyond
+    double range is left for factor_solve's check."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=out, optimize=True)
+
+
+def _node_rows(
+    triple: GbdtTriple, left: np.ndarray, mid: np.ndarray, right: np.ndarray,
+    xs: np.ndarray, ts: np.ndarray, rhs: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """M, det S, the solves M^{-1} rhs and the singular mask at the nodes
+    of the x rows xs, M = Sigma1 + s left[k] mid[l] right[k]* node-first.
+
+    rhs are the node-first right sides, of any width. The mask's threshold
+    is SINGULAR_PIVOT_FACTOR (||Sigma1|| + ||M - Sigma1||) per node, M -
+    Sigma1 being the sandwich: the squares of its real and imaginary parts
+    summed over the entries, with no temporary of the stack's size. They
+    overflow only beyond 1e154, where hypot takes over. One
+    numkit.factor_solve gives det M, the smallest pivot and the solves;
+    det S = det M e^{2ix Re tr A} e^{4t Im tr A^2}, and a node is masked
+    when its pivot is at most its threshold.
+
+    Raises factor_solve's ValueError on a non-finite M or rhs, then
+    Overflow when det S leaves double range.
+    """
+    n = triple.n
+    a = triple.A
+    sigma1 = triple.origin_parts[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _sandwich(left, mid, right)
+        parts = m.reshape(n * n, -1).view(np.float64)
+        floor = np.einsum("ik,ik->k", parts, parts)
+        floor = np.sqrt(floor[0::2] + floor[1::2]).reshape(m.shape[2:])
+        huge = np.isinf(floor)
+        if huge.any():
+            floor[huge] = np.hypot.reduce(np.abs(m[:, :, huge]).reshape(n * n, -1), axis=0)
+        floor += np.linalg.norm(sigma1)
+        floor *= SINGULAR_PIVOT_FACTOR
+        if triple.kappa == 1:
+            np.subtract(sigma1[..., None, None], m, out=m)
+        else:
+            m += sigma1[..., None, None]
+    m = _node_first(m)
+
+    det, sol, pivot = numkit.factor_solve(m, rhs)
+    # det S = det E(x, t) det M conj(det E(-x, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det *= np.exp(2j * np.trace(a).real * xs)[:, None]
+        det *= np.exp(4.0 * np.trace(a @ a).imag * ts)
+    if not np.isfinite(det).all():
+        raise Overflow("det S leaves double range on this grid")
+    return m, det, sol, pivot <= floor
+
+
+def _u(triple: GbdtTriple, x2: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """u = -2i theta1* X2 from the node-first (nx, nt, n, m2) solves X2 of
+    a whole level, NaN at masked nodes: one (m1, n) @ (n, m2 nodes)
+    product, whose last bits depend on how many nodes it spans."""
+    x2 = np.moveaxis(x2, (2, 3), (0, 1))
+    n = x2.shape[0]
+    u = (np.conj(triple.theta1.T) @ x2.reshape(n, -1)).reshape(triple.m1, *x2.shape[1:])
+    u = _node_first(u)
+    u *= -2j
+    u[mask] = complex(np.nan, np.nan)
+    return u
+
+
 def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     """Assemble u, M and det S on the whole grid.
 
@@ -706,10 +829,9 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
         u = -2i theta1* M^{-1} K,   K[k, l] = h[k] q[l] theta2,
 
     since E commutes with A and E(x, t)^{-1} = E(-x, -t). The tables h and
-    q are the squares of e^{-ixA} and e^{2itA^2}, one stacked numkit.expm
-    call of nx + nt matrices at the argument norms of the pointwise route.
-    M is one sandwich of two large matrix products, and K one einsum. One LU
-    per node gives det M, its smallest pivot and the solve: a single
+    q come from one stacked numkit.expm call of nx + nt matrices. M is one
+    sandwich of two large matrix products, and K one einsum. One LU per
+    node gives det M, its smallest pivot and the solve: a single
     numkit.factor_solve of M X = [theta1 K] over the stack. Then
 
         det S = det M e^{2ix Re tr A} e^{4t Im tr A^2},
@@ -723,6 +845,12 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     never masked, and a node's flag depends on that node alone, not on how
     far the grid extends.
 
+    The per-node step, M with the mask's threshold and then the factoring,
+    is the one solution_samples takes tile by tile; here it runs once on
+    the whole grid. K and u are products over the whole level in both
+    routes, since their last bits depend on how many rows they span; the
+    per-node step's do not.
+
     Mirror samples at -x reuse the tables at the mirrored node, never a
     second exponential. Output is deterministic: the same triple and grid
     give bit-identical arrays on every run.
@@ -730,70 +858,69 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback),
     and Overflow when the squared tables or det S leave double range.
     """
-    xs = grid.x_values
-    ts = grid.t_values
-    nx, nt = xs.size, ts.size
+    nx, nt = grid.nx, grid.nt
     n, m1 = triple.n, triple.m1
-    a = triple.A
-    a2 = a @ a
-    sigma1, sigma2 = triple.origin_parts
-
-    tables = numkit.expm(
-        np.concatenate([-1j * xs[:, None, None] * a, 2j * ts[:, None, None] * a2])
-    )
-    # squaring doubles the exponents, so a table in range may square beyond
-    # it; the checks below, and factor_solve's on M and K, catch that
-    with np.errstate(over="ignore", invalid="ignore"):
-        h, q = np.split(tables @ tables, [nx])
-        if not (np.isfinite(h).all() and np.isfinite(q).all()):
-            raise Overflow(
-                "e^{-2ixA} or e^{4itA^2} leaves double range on this grid"
-            )
-
-        # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
-        m = _sandwich(h, q @ sigma2 @ _h(q), h[::-1])
-        # the mask's threshold SINGULAR_PIVOT_FACTOR (||Sigma1|| +
-        # ||M - Sigma1||) per node: the squares of the real and imaginary
-        # parts summed over the entries, with no temporary of the stack's
-        # size; they overflow only beyond 1e154, where hypot takes over
-        parts = m.reshape(n * n, -1).view(np.float64)
-        floor = np.einsum("ik,ik->k", parts, parts)
-        floor = np.sqrt(floor[0::2] + floor[1::2]).reshape(nx, nt)
-        huge = np.isinf(floor)
-        if huge.any():
-            floor[huge] = np.hypot.reduce(np.abs(m[:, :, huge]).reshape(n * n, -1), axis=0)
-        floor += np.linalg.norm(sigma1)
-        floor *= SINGULAR_PIVOT_FACTOR
-        if triple.kappa == 1:
-            np.subtract(sigma1[..., None, None], m, out=m)
-        else:
-            m += sigma1[..., None, None]
-
-        # right sides [theta1 K], K[k,l] = h[k] q[l] theta2
-        blocks = np.empty((n, triple.m, nx, nt), dtype=np.complex128)
-        blocks[:, :m1] = triple.theta1[..., None, None]
-        np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=blocks[:, m1:], optimize=True)
-    m, blocks = _node_first(m), _node_first(blocks)
+    sigma2 = triple.origin_parts[1]
+    h, q = _tables(triple, grid)
+    # right sides [theta1 K], K[k,l] = h[k] q[l] theta2
+    blocks = np.empty((n, triple.m, nx, nt), dtype=np.complex128)
+    blocks[:, :m1] = triple.theta1[..., None, None]
+    _right_sides(triple, h, q, blocks[:, m1:])
+    blocks = _node_first(blocks)
     k = blocks[..., m1:]
 
-    det, sol, pivot = numkit.factor_solve(m, blocks)
-    # det S = det E(x, t) det M conj(det E(-x, t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det *= np.exp(2j * np.trace(a).real * xs)[:, None]
-        det *= np.exp(4.0 * np.trace(a2).imag * ts)
-    if not np.isfinite(det).all():
-        raise Overflow("det S leaves double range on this grid")
-    mask = pivot <= floor
-
-    # u = -2i theta1* X2, one (m1, n) @ (n, m2 nodes) product
-    x2 = np.moveaxis(sol[..., m1:], (2, 3), (0, 1))
-    u = (np.conj(triple.theta1.T) @ x2.reshape(n, -1)).reshape(m1, *x2.shape[1:])
-    u = _node_first(u)
-    u *= -2j
+    # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
+    m, det, sol, mask = _node_rows(
+        triple, h, q @ sigma2 @ _h(q), h[::-1], grid.x_values, grid.t_values, blocks
+    )
+    u = _u(triple, sol[..., m1:], mask)
     lower = numkit.stack_matmul(_h(k[::-1]), sol[..., :m1])
     lower *= -2j * triple.sigma
-    u[mask] = lower[mask] = complex(np.nan, np.nan)
+    lower[mask] = complex(np.nan, np.nan)
 
     return SolutionField(
-        grid=grid, u=u, M=m, detS=det, singular_mask=mask, K=k, lower=lower,
+        grid=grid, u=u, singular_mask=mask, M=m, detS=det, K=k, lower=lower,
     )
+
+
+def solution_samples(triple: GbdtTriple, grid: Grid) -> FieldSamples:
+    """u and the singular mask on the whole grid, bit-identical to
+    solution_field's, with no stack of the size of M.
+
+    Built for a level only the pde check reads. K is formed by
+    solution_field's one einsum over the whole level, and u by its one
+    product over all nodes: the last bits of both depend on how many rows
+    they span (the einsum's at n = 2, the product's at n = 2, 4 and 8), so neither
+    is tiled. Between them, M, its threshold and the factoring run on
+    tiles of whole x rows, about _SAMPLE_TILE_NODES nodes each, by the
+    step solution_field takes once; each tile's solves X2 overwrite its K,
+    M and det S are dropped with the tile, and no lower block is formed.
+
+    Raises as solution_field, and the same error for the same triple and
+    grid: a tile's Overflow from det S is held until every tile is
+    factored, since solution_field factors every node before it looks at
+    det S, so that a later tile's ValueError is raised first, as there.
+    """
+    xs, ts = grid.x_values, grid.t_values
+    nx, nt = grid.nx, grid.nt
+    sigma2 = triple.origin_parts[1]
+    h, q = _tables(triple, grid)
+    mid = q @ sigma2 @ _h(q)
+    k = np.empty((triple.n, triple.m2, nx, nt), dtype=np.complex128)
+    _right_sides(triple, h, q, k)
+    k = _node_first(k)
+
+    mask = np.empty((nx, nt), dtype=bool)
+    rows = max(1, _SAMPLE_TILE_NODES // nt)
+    overflow = None
+    for lo in range(0, nx, rows):
+        tile = slice(lo, lo + rows)
+        try:
+            _, _, k[tile], mask[tile] = _node_rows(
+                triple, h[tile], mid, h[::-1][tile], xs[tile], ts, k[tile]
+            )
+        except Overflow as exc:
+            overflow = overflow or exc
+    if overflow is not None:
+        raise overflow
+    return FieldSamples(grid=grid, u=_u(triple, k, mask), singular_mask=mask)

@@ -36,7 +36,7 @@ import numpy as np
 from . import gbdt_core, numkit
 from .ag_theta import AknsConstants, NnlsConstants
 from .errors import DimensionMismatch, GridTooSmall
-from .gbdt_core import GbdtTriple, Grid, SolutionField
+from .gbdt_core import FieldSamples, GbdtTriple, Grid, SolutionField
 
 #: Bound on the finite-difference residuals of the wave function's two
 #: systems and of the stationary equations (snnls_residual, sakns_residual).
@@ -259,8 +259,9 @@ def _interior_validity(mask: np.ndarray) -> np.ndarray:
     return valid
 
 
-def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
-    """Residual of the evolution equation on the field's grid.
+def nnls_residual(field: FieldSamples, sigma: int) -> ResidualReport:
+    """Residual of the evolution equation on the field's grid, from its u
+    and singular mask alone: a SolutionField or solution_samples' level.
 
     The nonlocal cubic term couples each point to its spatial mirror, so a
     stencil is evaluated only when the five difference points and the

@@ -96,6 +96,54 @@ def test_matrix_scenario_passes(refine, tmp_path):
     assert len(header) == 2 + 2 * 2 * 2
 
 
+@pytest.mark.parametrize("name", [name for name in SHIPPED if name != "theta.json"])
+def test_refine_0_and_1_agree_on_the_outputs_and_the_pde_record(name, tmp_path):
+    """The pde check's halving is built by gbdt_core.solution_samples at
+    --refine 0 and by solution_field at --refine 1; the CSV files and the
+    pde record come out the same bytes."""
+    scenario = cli.load_scenario(SCENARIO_DIR / name)
+    pde = []
+    for refine in (0, 1):
+        _, report = cli.run_scenario(scenario, tmp_path / str(refine), refine)
+        pde.append([record for record in report["checks"] if record["name"] == "pde"])
+    assert len(pde[0]) == 1 and pde[0] == pde[1]
+    for file in ("u.csv", "detS.csv"):
+        assert (tmp_path / "0" / file).read_bytes() == (tmp_path / "1" / file).read_bytes()
+
+
+def test_pde_level_at_refine_0_holds_no_stack_of_matrices(tmp_path):
+    """n = 8, m1 = m2 = 2 on 101 x 101 at --refine 0 with the four gbdt
+    checks: the 201 x 201 pde level is built as u and the mask, in tiles
+    of x rows, and the run's tracemalloc peak stays under 80 MB. Built
+    whole, with M, K, det S and the lower block, it peaked at 113.5 MB."""
+    rng = np.random.default_rng(80)
+    n = 8
+
+    def cnormal(*shape):
+        value = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        return [[[float(v.real), float(v.imag)] for v in row] for row in value]
+
+    a = np.array(cnormal(n, n)) * 0.35 / math.sqrt(n)
+    a[..., 0] += 0.6 * np.eye(n)
+    scenario = {
+        "kind": "gbdt",
+        "parameters": {
+            "sigma": -1, "A": a.tolist(), "theta1": cnormal(n, 2),
+            "theta2": (0.3 * np.array(cnormal(n, 2))).tolist(),
+        },
+        "grid": {"x_max": 1.0, "nx": 101, "t_min": -0.25, "t_max": 0.25, "nt": 101},
+        "checks": list(cli.KIND_CHECKS["gbdt"]),
+    }
+    tracemalloc.start()
+    try:
+        code, report = cli.run_scenario(scenario, tmp_path, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and report["grid"]["levels"] == 2
+    assert peak < 80 * 2**20
+
+
 def test_report_structure(tmp_path):
     scenario = write_scenario(tmp_path, small_example1())
     code = cli.main(["run", str(scenario), "--out", str(tmp_path)])
@@ -507,7 +555,7 @@ def _assert_percent_bytes(tmp_path, doubles, nx, nt, k):
     grid = types.SimpleNamespace(x_values=doubles[:nx], t_values=doubles[nx:nx + nt])
     values = doubles[nx + nt:].reshape(nx, nt, k)
     header = ["x", "t"] + [f"v{l}" for l in range(k)]
-    cli._write_csv(tmp_path / "written.csv", header, grid, values)
+    cli._write_csv(tmp_path / "written.csv", header, grid, list(np.moveaxis(values, -1, 0)))
     _percent_csv(tmp_path / "reference.csv", header, grid, values)
     written = (tmp_path / "written.csv").read_bytes()
     assert written == (tmp_path / "reference.csv").read_bytes()
@@ -630,6 +678,24 @@ def test_write_u_csv_memory_is_bounded_by_its_blocks(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("writer", ["write_u_csv", "write_dets_csv"])
+def test_csv_writers_copy_no_whole_stack_of_a_matrix_field(tmp_path, writer):
+    """A 401 x 401 field at n = 2, m1 = m2 = 2, whose u is held node-last:
+    each block's entries come straight from the field's arrays, so each
+    writer peaks under 6 MB. A copy of u alone is 9.8 MB, and an
+    (nx, nt, 3) stack of det S and the flags 3.7 MB."""
+    triple = make_random_triple(np.random.default_rng(26), 1, n=2, m1=2, m2=2)
+    field = gbdt_core.solution_field(triple, gbdt_core.Grid.build(1.0, 401, -0.5, 0.5, 401))
+    assert not field.u.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        getattr(cli, writer)(tmp_path / "out.csv", field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_outputs_are_deterministic(tmp_path):

@@ -763,6 +763,83 @@ def test_solution_field_masks_no_node_of_a_huge_m():
     assert np.isfinite(field.u).all()
 
 
+_RANDOM_GRID = (1.0, 41, -0.25, 0.25, 21)
+
+_SAMPLE_CASES = {
+    f"n{n}": (make_random_triple(np.random.default_rng(seed), 1, n=n, m1=m1, m2=m2), _RANDOM_GRID)
+    for n, m1, m2, seed in ((1, 1, 1, 90), (2, 2, 1, 90), (4, 2, 2, 90), (8, 2, 2, 92))
+} | {
+    "example3": (
+        gbdt_core.complete_triple(
+            *oracles.Example3Params(a=1.0, b1=2.0, b2=1.0, c=1.0, kappa=0).datum()
+        ),
+        (2.0, 41, -0.4, 0.4, 21),
+    ),
+    "masked-column": (
+        gbdt_core.GbdtTriple(sigma=-1, A=[[1.0]], S0=[[0.0]], theta1=[[1.0]], theta2=[[1.0]]),
+        (1.0, 11, -0.2, 0.2, 5),
+    ),
+    "huge-m": (
+        gbdt_core.complete_triple(1, [[10 * cmath.exp(0.25j * math.pi)]], [[1.0]], [[1.0]]),
+        (0.5, 5, -0.45, 0.0, 4),
+    ),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 10**6], ids=["default", "1row", "3rows", "all"])
+@pytest.mark.parametrize("case", list(_SAMPLE_CASES))
+def test_solution_samples_equal_solution_field_bit_for_bit(case, rows, monkeypatch):
+    """u and the mask of solution_samples are solution_field's bytes, with
+    the default tile, one x row per tile, three rows (which divide none of
+    the row counts) and every row in one tile. The data cover n = 1, 2, 4,
+    8, m1 != m2 (example3), a masked column and an M whose squared entries
+    leave double range, where the mask's scale is taken by hypot."""
+    triple, grid_args = _SAMPLE_CASES[case]
+    grid = gbdt_core.Grid.build(*grid_args)
+    if rows is not None:
+        monkeypatch.setattr(gbdt_core, "_SAMPLE_TILE_NODES", rows * grid.nt)
+    field = gbdt_core.solution_field(triple, grid)
+    samples = gbdt_core.solution_samples(triple, grid)
+    assert type(samples) is gbdt_core.FieldSamples
+    assert samples.grid is grid
+    assert samples.u.shape == field.u.shape
+    assert np.ascontiguousarray(samples.u).tobytes() == np.ascontiguousarray(field.u).tobytes()
+    assert np.array_equal(samples.singular_mask, field.singular_mask)
+    assert field.singular_mask.any() == (case == "masked-column")
+    if case == "huge-m":
+        assert np.abs(field.M).max() > 1e155
+
+
+@pytest.mark.parametrize("later_value_error", [False, True])
+def test_solution_samples_hold_an_overflow_for_a_later_value_error(
+    later_value_error, monkeypatch
+):
+    """solution_field factors every node before it looks at det S, so a
+    non-finite operand anywhere raises factor_solve's ValueError before
+    any Overflow of det S. One row per tile, with the first tile's det S
+    out of range: solution_samples raises the second tile's ValueError when
+    its right sides are not finite, and else the held Overflow once every
+    tile is done."""
+    triple, grid_args = _SAMPLE_CASES["n2"]
+    grid = gbdt_core.Grid.build(*grid_args)
+    monkeypatch.setattr(gbdt_core, "_SAMPLE_TILE_NODES", 1)
+    original = gbdt_core._node_rows
+    calls = []
+
+    def step(triple, left, mid, right, xs, ts, rhs):
+        calls.append(xs.size)
+        if len(calls) == 1:
+            raise Overflow("det S leaves double range on this grid")
+        if len(calls) == 2 and later_value_error:
+            rhs = np.full_like(rhs, np.inf)
+        return original(triple, left, mid, right, xs, ts, rhs)
+
+    monkeypatch.setattr(gbdt_core, "_node_rows", step)
+    with pytest.raises(ValueError if later_value_error else Overflow):
+        gbdt_core.solution_samples(triple, grid)
+    assert calls == [1] * (2 if later_value_error else grid.nx)
+
+
 def test_solution_field_deterministic(wide_triple, small_grid):
     first = gbdt_core.solution_field(wide_triple, small_grid)
     second = gbdt_core.solution_field(wide_triple, small_grid)
