@@ -39,15 +39,14 @@ evidence the grid is tested against. This module builds triples, evaluates
 Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
 wave function, pointwise and on grids.
 
-A grid level has two routes through the same per-node step (M with the
-mask's threshold, then one LU per node). solution_field builds a level
-whole and keeps M, K, det S and the lower block, which every check but
-pde reads. solution_samples builds only u and the mask, for a level only
-pde reads (the halving pde adds at --refine 0): it runs the per-node
-step on tiles of x rows, so no stack of the size of M exists. K and u
-are one einsum and one product over the whole level in both routes,
-since their last bits depend on how many rows they span; the per-node
-step's do not, so both routes give identical bytes.
+A grid level has two routes through the same step (K, M with the mask's
+threshold, one LU per node, then u). solution_field builds a level whole
+and keeps M, K, det S and the lower block, which every check but pde
+reads. solution_samples builds only u and the mask, for a level only pde
+reads (the halving pde adds at --refine 0): it runs the step on tiles of
+x rows, so no stack of the size of M or K exists. Every product in the
+step has a fixed shape per x row or per node, so both routes give
+identical bytes.
 
 It constructs, raising where a construction cannot go on (SpectralClash,
 the DET_FLOOR rule behind DegenerateS and SingularPoint, SpectralPole,
@@ -699,14 +698,14 @@ def _sandwich(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarra
     """(n, n, nx, nt) stack, node axes last, of left[k] mid[l] right[k]*
     from stacks of nx, nt and nx matrices.
 
-    mid[l] right[k]* for every pair is one (nx n, n) @ (n, n nt) product;
-    the left factor is then a batched product per x and row of the result,
-    written straight into the node-last stack.
+    mid[l] right[k]* for every l is one (n, n) @ (n, n nt) product per x
+    row; the left factor is then one (n, n) @ (n, nt) product per x and row
+    of the result, written straight into the node-last stack.
     """
     nx, n = left.shape[:2]
     nt = mid.shape[0]
     # y[k, d, c, l] = (mid[l] right[k]*)[c, d]
-    y = np.conj(right).reshape(nx * n, n) @ mid.transpose(2, 1, 0).reshape(n, n * nt)
+    y = np.conj(right) @ mid.transpose(2, 1, 0).reshape(n, n * nt)
     out = np.empty((n, n, nx, nt), dtype=np.complex128)
     np.matmul(left[:, None], y.reshape(nx, n, n, nt), out=out.transpose(2, 1, 0, 3))
     return out
@@ -719,12 +718,12 @@ def _node_first(stack: np.ndarray) -> np.ndarray:
 
 # Nodes per tile of solution_samples, in whole x rows, at least one. On
 # the 201 x 201 level of the matrix-grid data (one BLAS thread, median of
-# 15), 1024 / 2048 / 4096 / 8192 took 30 / 25 / 23 / 21 ms at n = 2,
-# 62 / 53 / 50 / 49 at n = 4 and 174 / 165 / 169 / 176 at n = 8, against
-# 38, 68 and 204 for solution_field. The tracemalloc peak at n = 8 is
-# 20.4 MB up to 2048, nearly all of it K and its einsum's temporary, 22.4
-# at 4096 and 34.2 at 8192 (96.3 for solution_field). Every tile from one
-# row to the whole grid gives identical bytes.
+# 15), 1024 / 2048 / 4096 / 8192 took 20 / 14 / 12 / 12 ms at n = 2,
+# 42 / 33 / 31 / 30 at n = 4 and 124 / 114 / 106 / 113 at n = 8, against
+# 20, 47 and 170 for solution_field: no size is fastest at all three. The
+# tracemalloc peak at n = 8 is 8.4 / 13.4 / 17.7 / 26.1 MB (104 for
+# solution_field). Every tile from one row to the whole grid gives
+# identical bytes.
 _SAMPLE_TILE_NODES = 4096
 
 
@@ -749,12 +748,16 @@ def _tables(triple: GbdtTriple, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     return h, q
 
 
-def _right_sides(triple: GbdtTriple, h: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """K[k, l] = h[k] q[l] theta2 at every node of the level, written into
-    the (n, m2, nx, nt) node-last ``out`` by one einsum; an entry beyond
+def _right_sides(triple: GbdtTriple, h: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """K[k, l] = h[k] q[l] theta2 at the nodes of the x rows of h,
+    node-first: one (n, n) @ (n, m2 nt) product per x row. An entry beyond
     double range is left for factor_solve's check."""
+    n, m2 = triple.n, triple.m2
+    # qt[b, c, l] = (q[l] theta2)[b, c]
+    qt = (q @ triple.theta2).transpose(1, 2, 0).reshape(n, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=out, optimize=True)
+        k = (h @ qt).reshape(h.shape[0], n, m2, -1)
+    return k.transpose(0, 3, 1, 2)
 
 
 def _node_rows(
@@ -766,28 +769,19 @@ def _node_rows(
 
     rhs are the node-first right sides, of any width. The mask's threshold
     is SINGULAR_PIVOT_FACTOR (||Sigma1|| + ||M - Sigma1||) per node, M -
-    Sigma1 being the sandwich: the squares of its real and imaginary parts
-    summed over the entries, with no temporary of the stack's size. They
-    overflow only beyond 1e154, where hypot takes over. One
-    numkit.factor_solve gives det M, the smallest pivot and the solves;
+    Sigma1 being the sandwich, whose norms numkit.frobenius_norms takes.
+    One numkit.factor_solve gives det M, the smallest pivot and the solves;
     det S = det M e^{2ix Re tr A} e^{4t Im tr A^2}, and a node is masked
     when its pivot is at most its threshold.
 
     Raises factor_solve's ValueError on a non-finite M or rhs, then
     Overflow when det S leaves double range.
     """
-    n = triple.n
     a = triple.A
     sigma1 = triple.origin_parts[0]
     with np.errstate(over="ignore", invalid="ignore"):
         m = _sandwich(left, mid, right)
-        parts = m.reshape(n * n, -1).view(np.float64)
-        floor = np.einsum("ik,ik->k", parts, parts)
-        floor = np.sqrt(floor[0::2] + floor[1::2]).reshape(m.shape[2:])
-        huge = np.isinf(floor)
-        if huge.any():
-            floor[huge] = np.hypot.reduce(np.abs(m[:, :, huge]).reshape(n * n, -1), axis=0)
-        floor += np.linalg.norm(sigma1)
+        floor = numkit.frobenius_norms(m) + np.linalg.norm(sigma1)
         floor *= SINGULAR_PIVOT_FACTOR
         if triple.kappa == 1:
             np.subtract(sigma1[..., None, None], m, out=m)
@@ -806,13 +800,9 @@ def _node_rows(
 
 
 def _u(triple: GbdtTriple, x2: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """u = -2i theta1* X2 from the node-first (nx, nt, n, m2) solves X2 of
-    a whole level, NaN at masked nodes: one (m1, n) @ (n, m2 nodes)
-    product, whose last bits depend on how many nodes it spans."""
-    x2 = np.moveaxis(x2, (2, 3), (0, 1))
-    n = x2.shape[0]
-    u = (np.conj(triple.theta1.T) @ x2.reshape(n, -1)).reshape(triple.m1, *x2.shape[1:])
-    u = _node_first(u)
+    """u = -2i theta1* X2 from the node-first solves X2, NaN at masked
+    nodes: numkit.stack_matmul's multiply-adds, node by node."""
+    u = numkit.stack_matmul(_h(triple.theta1), x2)
     u *= -2j
     u[mask] = complex(np.nan, np.nan)
     return u
@@ -830,14 +820,14 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
 
     since E commutes with A and E(x, t)^{-1} = E(-x, -t). The tables h and
     q come from one stacked numkit.expm call of nx + nt matrices. M is one
-    sandwich of two large matrix products, and K one einsum. One LU per
-    node gives det M, its smallest pivot and the solve: a single
+    sandwich of matrix products per x row, and K one product per x row.
+    One LU per node gives det M, its smallest pivot and the solve: a single
     numkit.factor_solve of M X = [theta1 K] over the stack. Then
 
         det S = det M e^{2ix Re tr A} e^{4t Im tr A^2},
 
-    u = -2i theta1* X2 is one matrix product over all nodes, and the lower
-    block -2i sigma K(-x)* X1 is numkit.stack_matmul's multiply-adds.
+    and u = -2i theta1* X2 and the lower block -2i sigma K(-x)* X1 are
+    numkit.stack_matmul's multiply-adds, node by node.
     A node is masked, and set to NaN in u and the lower block, when the
     smallest pivot modulus of M's LU is at most SINGULAR_PIVOT_FACTOR times
     ||Sigma1|| + ||M - Sigma1|| (Frobenius, M - Sigma1 being the sandwich).
@@ -845,11 +835,9 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     never masked, and a node's flag depends on that node alone, not on how
     far the grid extends.
 
-    The per-node step, M with the mask's threshold and then the factoring,
-    is the one solution_samples takes tile by tile; here it runs once on
-    the whole grid. K and u are products over the whole level in both
-    routes, since their last bits depend on how many rows they span; the
-    per-node step's do not.
+    This step, K, M with the mask's threshold, the factoring and u, is the
+    one solution_samples takes tile by tile; here it runs once on the whole
+    grid. Each of its products has a fixed shape per x row or per node.
 
     Mirror samples at -x reuse the tables at the mirrored node, never a
     second exponential. Output is deterministic: the same triple and grid
@@ -863,10 +851,9 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
     sigma2 = triple.origin_parts[1]
     h, q = _tables(triple, grid)
     # right sides [theta1 K], K[k,l] = h[k] q[l] theta2
-    blocks = np.empty((n, triple.m, nx, nt), dtype=np.complex128)
-    blocks[:, :m1] = triple.theta1[..., None, None]
-    _right_sides(triple, h, q, blocks[:, m1:])
-    blocks = _node_first(blocks)
+    blocks = _node_first(np.empty((n, triple.m, nx, nt), dtype=np.complex128))
+    blocks[..., :m1] = triple.theta1
+    blocks[..., m1:] = _right_sides(triple, h, q)
     k = blocks[..., m1:]
 
     # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
@@ -885,16 +872,13 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
 
 def solution_samples(triple: GbdtTriple, grid: Grid) -> FieldSamples:
     """u and the singular mask on the whole grid, bit-identical to
-    solution_field's, with no stack of the size of M.
+    solution_field's, with no stack of the size of M or K.
 
-    Built for a level only the pde check reads. K is formed by
-    solution_field's one einsum over the whole level, and u by its one
-    product over all nodes: the last bits of both depend on how many rows
-    they span (the einsum's at n = 2, the product's at n = 2, 4 and 8), so neither
-    is tiled. Between them, M, its threshold and the factoring run on
-    tiles of whole x rows, about _SAMPLE_TILE_NODES nodes each, by the
-    step solution_field takes once; each tile's solves X2 overwrite its K,
-    M and det S are dropped with the tile, and no lower block is formed.
+    Built for a level only the pde check reads. The step solution_field
+    takes once, K, M with its threshold, the factoring and u, runs on tiles
+    of whole x rows, about _SAMPLE_TILE_NODES nodes each. Each tile's K, M,
+    det S and solves are dropped with the tile, and no lower block is
+    formed.
 
     Raises as solution_field, and the same error for the same triple and
     grid: a tile's Overflow from det S is held until every tile is
@@ -903,24 +887,23 @@ def solution_samples(triple: GbdtTriple, grid: Grid) -> FieldSamples:
     """
     xs, ts = grid.x_values, grid.t_values
     nx, nt = grid.nx, grid.nt
-    sigma2 = triple.origin_parts[1]
     h, q = _tables(triple, grid)
-    mid = q @ sigma2 @ _h(q)
-    k = np.empty((triple.n, triple.m2, nx, nt), dtype=np.complex128)
-    _right_sides(triple, h, q, k)
-    k = _node_first(k)
-
+    mid = q @ triple.origin_parts[1] @ _h(q)
+    u = _node_first(np.empty((triple.m1, triple.m2, nx, nt), dtype=np.complex128))
     mask = np.empty((nx, nt), dtype=bool)
     rows = max(1, _SAMPLE_TILE_NODES // nt)
     overflow = None
     for lo in range(0, nx, rows):
         tile = slice(lo, lo + rows)
         try:
-            _, _, k[tile], mask[tile] = _node_rows(
-                triple, h[tile], mid, h[::-1][tile], xs[tile], ts, k[tile]
+            _, _, x2, mask[tile] = _node_rows(
+                triple, h[tile], mid, h[::-1][tile], xs[tile], ts,
+                _right_sides(triple, h[tile], q),
             )
         except Overflow as exc:
             overflow = overflow or exc
+            continue
+        u[tile] = _u(triple, x2, mask[tile])
     if overflow is not None:
         raise overflow
-    return FieldSamples(grid=grid, u=_u(triple, k, mask), singular_mask=mask)
+    return FieldSamples(grid=grid, u=u, singular_mask=mask)

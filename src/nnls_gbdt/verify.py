@@ -304,17 +304,6 @@ def _node_last(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, (-2, -1), (0, 1)).reshape(r, c, -1)
 
 
-def _node_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm at each node of an (r, c, nodes...) stack, as a flat
-    array: the squares of the real and imaginary parts summed over the r c
-    matrix entries, one multiply-add per entry over the whole row of
-    nodes."""
-    rows = stack.shape[0] * stack.shape[1]
-    parts = np.ascontiguousarray(stack).reshape(rows, -1).view(np.float64)
-    squares = np.einsum("ik,ik->k", parts, parts)
-    return np.sqrt(squares[0::2] + squares[1::2])
-
-
 def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
     """Pointwise relative residual of A M + M A^* against the coupling term.
 
@@ -342,9 +331,9 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
     lhs = (a @ m.reshape(n, -1)).reshape(m.shape)
     lhs += np.conj(a) @ m
     lhs -= rhs
-    diff = _node_norms(lhs)
+    diff = numkit.frobenius_norms(lhs)
     del lhs
-    scale = 2.0 * np.linalg.norm(a) * _node_norms(m) + _node_norms(rhs)
+    scale = 2.0 * np.linalg.norm(a) * numkit.frobenius_norms(m) + numkit.frobenius_norms(rhs)
     rel = diff / np.maximum(scale, 1e-300)
     return _level(
         "identity", field.grid, float(np.max(rel)), int(rel.size),
@@ -363,7 +352,7 @@ def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
     gap = np.empty(m.shape, dtype=np.complex128)
     np.conjugate(np.swapaxes(m, 0, 1), out=gap)
     np.subtract(m[:, :, ::-1], gap, out=gap)
-    rel = _node_norms(gap) / np.maximum(_node_norms(m), 1e-300)
+    rel = numkit.frobenius_norms(gap) / np.maximum(numkit.frobenius_norms(m), 1e-300)
     return _level(
         "mirror", field.grid, float(np.max(rel)), int(rel.size),
         tolerance=DEFAULT_IDENTITY_TOL,

@@ -810,6 +810,36 @@ def test_solution_samples_equal_solution_field_bit_for_bit(case, rows, monkeypat
         assert np.abs(field.M).max() > 1e155
 
 
+@pytest.mark.parametrize("rows", [1, 3, 10**6], ids=["1row", "3rows", "all"])
+@pytest.mark.parametrize("case", list(_SAMPLE_CASES))
+def test_grid_products_of_a_tile_equal_the_whole_level_rows(case, rows):
+    """K, the sandwich and u formed for a tile of x rows are the whole
+    level's rows bit for bit, since each is a product of fixed shape per x
+    row or per node. Tiles of one row, of three rows (which divide none of
+    the row counts) and of more rows than the level has; u from random
+    solves under the field's mask."""
+    triple, grid_args = _SAMPLE_CASES[case]
+    grid = gbdt_core.Grid.build(*grid_args)
+    h, q = gbdt_core._tables(triple, grid)
+    mid = q @ triple.origin_parts[1] @ _hs(q)
+    mask = gbdt_core.solution_field(triple, grid).singular_mask
+    rng = np.random.default_rng(60)
+    shape = (grid.nx, grid.nt, triple.n, triple.m2)
+    x2 = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    k = gbdt_core._right_sides(triple, h, q)
+    m = gbdt_core._sandwich(h, mid, h[::-1])
+    u = gbdt_core._u(triple, x2, mask)
+
+    def same(a, b):
+        return np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+    for lo in range(0, grid.nx, rows):
+        tile = slice(lo, lo + rows)
+        assert same(gbdt_core._right_sides(triple, h[tile], q), k[tile])
+        assert same(gbdt_core._sandwich(h[tile], mid, h[::-1][tile]), m[:, :, tile])
+        assert same(gbdt_core._u(triple, x2[tile], mask[tile]), u[tile])
+
+
 @pytest.mark.parametrize("later_value_error", [False, True])
 def test_solution_samples_hold_an_overflow_for_a_later_value_error(
     later_value_error, monkeypatch
@@ -932,18 +962,18 @@ def _field_from_node_tables(triple, grid):
     m = np.moveaxis(m, (0, 1), (2, 3))
     blocks = np.empty((triple.n, triple.m, xs.size, ts.size), dtype=complex)
     blocks[:, : triple.m1] = triple.theta1[..., None, None]
-    np.einsum("kab,lbc->ackl", h, q @ triple.theta2, out=blocks[:, triple.m1 :], optimize=True)
+    # K[k, l] = h[k] q[l] theta2, one (n, n) @ (n, m2 nt) product per x row
+    qt = (q @ triple.theta2).transpose(1, 2, 0).reshape(triple.n, -1)
+    k = (h @ qt).reshape(xs.size, triple.n, triple.m2, ts.size)
+    blocks[:, triple.m1 :] = k.transpose(1, 2, 0, 3)
     det, sol, pivot = numkit.factor_solve(m, np.moveaxis(blocks, (0, 1), (2, 3)))
     det = det * np.exp(2j * np.trace(a).real * xs)[:, None]
     det *= np.exp(4.0 * np.trace(a2).imag * ts)
     # each node against its own scale ||Sigma1|| + ||M - Sigma1||
     scale = np.linalg.norm(sigma1) + np.linalg.norm(m - sigma1, axis=(-2, -1))
     mask = pivot <= gbdt_core.SINGULAR_PIVOT_FACTOR * scale
-    x2 = np.moveaxis(sol[..., triple.m1:], (2, 3), (0, 1))
-    u = (_h(triple.theta1) @ np.ascontiguousarray(x2).reshape(triple.n, -1)).reshape(
-        triple.m1, *x2.shape[1:]
-    )
-    u = -2j * np.moveaxis(u, (0, 1), (2, 3))
+    # u = -2i theta1* X2 by multiply-adds, node by node
+    u = -2j * numkit.stack_matmul(_h(triple.theta1), sol[..., triple.m1:])
     u[mask] = np.nan + 1j * np.nan
     return u, m, det
 

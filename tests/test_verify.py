@@ -1,7 +1,10 @@
 """Tests of the residual checks: positive cases, corrupted data, convergence."""
 
+import cmath
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +110,29 @@ def test_mirror_residual_is_relative_to_m():
     assert report.passed
     assert report.residual <= 1e-12
     assert report.points_used == field.grid.nx * field.grid.nt
+
+
+def test_identity_and_mirror_see_a_change_at_a_huge_m():
+    """|M| reaches 1.6e155 at one node, where the squares of its entries
+    leave double range. Multiplying M there by 1 + 1e-6 fails identity and
+    mirror: the node's scale is its finite norm, not inf, which would read
+    the residual as 0. Neither check warns, on the clean or the changed
+    field."""
+    triple = gbdt_core.complete_triple(1, [[10 * cmath.exp(0.25j * math.pi)]], [[1.0]], [[1.0]])
+    field = gbdt_core.solution_field(triple, gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4))
+    m = field.M.copy()
+    node = np.unravel_index(np.argmax(np.abs(m[..., 0, 0])), m.shape[:2])
+    assert abs(m[node][0, 0]) > 1e155
+    m[node] *= 1 + 1e-6
+    changed = dataclasses.replace(field, M=m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify.identity_residual(triple, field).passed
+        assert verify.hermitian_mirror_residual(field).passed
+        identity = verify.identity_residual(triple, changed)
+        mirror = verify.hermitian_mirror_residual(changed)
+    assert not identity.passed and identity.residual > 1e-7
+    assert not mirror.passed and mirror.residual > 1e-7
 
 
 def _identity_reference(triple, field):
