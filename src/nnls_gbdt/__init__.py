@@ -59,7 +59,7 @@ from .errors import (
 #: that importing errors, numkit, oracles or ag_theta alone loads neither.
 _LAZY = dict.fromkeys(
     "GbdtTriple Grid SolutionField complete_triple darboux_at pi_at s_at "
-    "s_via_integration solution_field spectral_sample u_tilde_at wave_at "
+    "s_via_integration solution_field spectral_sample spectral_samples u_tilde_at wave_at "
     "xi_tilde_at".split(),
     "gbdt_core",
 ) | {"validate_triple": "verify"}
@@ -106,6 +106,7 @@ __all__ = [
     "s_via_integration",
     "solution_field",
     "spectral_sample",
+    "spectral_samples",
     "u_tilde_at",
     "validate_triple",
     "wave_at",

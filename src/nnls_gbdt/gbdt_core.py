@@ -52,9 +52,12 @@ It constructs, raising where a construction cannot go on (SpectralClash,
 the DET_FLOOR rule behind DegenerateS and SingularPoint, SpectralPole,
 Overflow) and masking grid nodes where the smallest LU pivot of M is at
 most SINGULAR_PIVOT_FACTOR times ||Sigma1|| + ||M - Sigma1||; the verdicts
-on a triple and on what is built from it are verify's. spectral_sample
-builds the Darboux pair, the wave function and xi at one (x, t, z), and
-every pointwise consumer builds from it. One check stays here: only
+on a triple and on what is built from it are verify's. spectral_samples
+builds the Darboux pair, the wave function and xi at a stack of points
+(x, t) for one z, with one exponential call, one propagation of S and
+one solve per factor for the whole stack; spectral_sample is its one-point
+case, bit for bit, and every pointwise consumer builds from one or the
+other. One check stays here: only
 darboux_at asserts the pair's two facts (DarbouxMismatch), because the
 benchmark's pointwise Darboux operation is gated on that exception;
 verify.darboux_residual reports the same residuals without raising.
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -74,6 +77,7 @@ from .errors import (
     DarbouxMismatch,
     DegenerateS,
     DimensionMismatch,
+    InvalidRange,
     Overflow,
     RangeExceeded,
     SingularPoint,
@@ -94,9 +98,21 @@ DET_FLOOR = 1e-12
 DARBOUX_TOL = 1e-9
 
 
+# x and -x: a point's quadruple of exponentials is taken at (x, t), (-x, t)
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _h(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return np.conj(np.swapaxes(m, -1, -2))
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(k: int) -> np.ndarray:
+    """Read-only k x k complex identity."""
+    eye = np.eye(k, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def relative_det(s: np.ndarray) -> float:
@@ -253,6 +269,18 @@ class GbdtTriple:
         """Eigenvalues of A."""
         return numkit.eigenvalues(self.A)
 
+    @functools.cached_property
+    def A2(self) -> np.ndarray:
+        """Read-only A^2, the generator of the t-flow e^{-2itA^2}."""
+        a2 = self.A @ self.A
+        a2.flags.writeable = False
+        return a2
+
+    @functools.cached_property
+    def A_norm(self) -> float:
+        """Frobenius norm of A, the scale of the spectral-pole test."""
+        return float(np.linalg.norm(self.A))
+
 
 def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     """Solve the coupling identity for S0 and return the completed triple.
@@ -283,24 +311,29 @@ def complete_triple(sigma: int, A, theta1, theta2) -> GbdtTriple:
     return triple
 
 
-def _exponentials(triple: GbdtTriple, xs, t: float) -> np.ndarray:
-    """E(x, t) and its inverse E(-x, -t) for each x of xs, in that order,
-    from one stacked numkit.expm call: shape (2 len(xs), n, n)."""
+def _exponentials(triple: GbdtTriple, xs, ts) -> np.ndarray:
+    """E(x, t) and its inverse E(-x, -t), in that order, for each pair
+    (x, t) of the broadcast arrays xs and ts, from one stacked numkit.expm
+    call: shape (*broadcast shape, 2, n, n)."""
     a = triple.A
-    a2 = a @ a
-    args = [1j * (x * a - 2.0 * t * a2) for x in xs]
-    return numkit.expm(np.stack([m for arg in args for m in (arg, -arg)]))
+    xs = np.asarray(xs, dtype=np.float64)[..., None, None]
+    ts = np.asarray(ts, dtype=np.float64)[..., None, None]
+    args = 1j * (xs * a - 2.0 * ts * triple.A2)
+    pairs = np.stack([args, -args], axis=-3)
+    return numkit.expm(pairs.reshape(-1, *a.shape)).reshape(pairs.shape)
 
 
-def _pi(triple: GbdtTriple, e: np.ndarray, e_inv: np.ndarray) -> np.ndarray:
-    """Pi(x, t) = [E(x, t) theta1, E(-x, -t) theta2] from E(x, t) and its
-    inverse."""
-    return np.hstack([e @ triple.theta1, e_inv @ triple.theta2])
+def _pi(triple: GbdtTriple, e: np.ndarray) -> np.ndarray:
+    """Pi(x, t) = [E(x, t) theta1, E(-x, -t) theta2] from the pair
+    e = (E(x, t), E(-x, -t)), or from a stack of pairs (..., 2, n, n)."""
+    return np.concatenate(
+        [e[..., 0, :, :] @ triple.theta1, e[..., 1, :, :] @ triple.theta2], axis=-1
+    )
 
 
 def pi_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     """Generating matrix Pi(x, t), shape (n, m1 + m2)."""
-    return _pi(triple, *_exponentials(triple, (x,), t))
+    return _pi(triple, _exponentials(triple, x, t))
 
 
 def pi_via_blocks(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -324,12 +357,17 @@ def pi_via_blocks(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
 
 def _propagated_s(triple: GbdtTriple, e: np.ndarray) -> np.ndarray:
     """S(x, t) = E(x,t) Sigma1 E(-x,t)* + (-1)^kappa E(-x,-t) Sigma2 E(x,-t)*
-    from e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)).
+    from the quadruple e = ((E(x, t), E(-x, -t)), (E(-x, t), E(x, -t))),
+    or from a stack of quadruples (..., 2, 2, n, n). e[..., ::-1, :, :, :]
+    is the quadruple of (-x, t).
 
     Raises SpectralClash when the origin parts Sigma_k do not exist.
     """
     sigma1, sigma2 = triple.origin_parts
-    return coupling_term(triple.kappa, e[0] @ sigma1, e[1] @ sigma2, e[2], e[3])
+    return coupling_term(
+        triple.kappa, e[..., 0, 0, :, :] @ sigma1, e[..., 0, 1, :, :] @ sigma2,
+        e[..., 1, 0, :, :], e[..., 1, 1, :, :],
+    )
 
 
 def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
@@ -344,72 +382,114 @@ def s_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     return _propagated_s(triple, _exponentials(triple, (x, -x), t))
 
 
+def _outer_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left right* for stacks of n x r matrices, as the sum of the r outer
+    products of their columns: one multiply-add over the whole stack per
+    column, where a batched product of small matrices costs a call each."""
+    right = np.conj(right)
+    out = left[..., :, None, 0] * right[..., None, :, 0]
+    for c in range(1, left.shape[-1]):
+        out += left[..., :, None, c] * right[..., None, :, c]
+    return out
+
+
 def s_via_integration(triple: GbdtTriple, x: float, t: float, steps: int = 400) -> np.ndarray:
     """S(x, t) by integrating its t-rate along x=0, then its x-rate at fixed t.
 
     Independent of the Sylvester solve; error decays like steps**-4. This is
     the fallback route when A's spectrum is not disjoint from -A*'s. Both
-    legs start at 0, so their Simpson nodes are k h, and each leg's
-    exponentials come as numkit.expm_steps tables of the node spacing h.
+    legs start at 0, so with N panels (steps rounded up to even) their
+    Simpson nodes are k t/N and k x/N, and one numkit.expm_steps call
+    tabulates all four exponentials the legs take at those nodes:
+    g = e^{-2ikt/N A^2}, g^{-1}, f = e^{ikx/N A} and f^{-1}.
 
-    With s = (-1)^{kappa+1} and C_k = theta_k theta_k* A* - A theta_k theta_k*,
-    the t-rate is 2i (g C1 g* + s g^{-1} C2 g^{-*}), g = e^{-2itA^2}. A and
-    A^2 commute, so with p1 = e^{-2itA^2} theta1, p2 = e^{2itA^2} theta2 and
-    f = e^{ixA} the x-rate i Pi(x,t) j^{kappa+1} Pi(-x,t)* is
-    i (f p1 p1* f^{-*} + s f^{-1} p2 p2* f*).
+    With s = (-1)^{kappa+1} and C_k = theta_k theta_k* A* - A theta_k theta_k*
+    = theta_k (A theta_k)* - (A theta_k) theta_k*, the t-rate is
+    2i (g C1 g* + s g^{-1} C2 g^{-*}) = 2i (X - X*), X = (g theta1)
+    (g A theta1)* + s (g^{-1} theta2)(g^{-1} A theta2)*. A and A^2 commute,
+    so with p1 = e^{-2itA^2} theta1 and p2 = e^{2itA^2} theta2, read from
+    the last entries of the t-leg tables, the x-rate
+    i Pi(x,t) j^{kappa+1} Pi(-x,t)* is i ((f p1)(f^{-1} p1)* + s (f^{-1} p2)
+    (f p2)*). Each factor is a table applied to [theta, A theta] or to
+    [p1, p2] (numkit.StepTable.apply), and each rate a sum of outer
+    products of their columns.
+
+    Raises InvalidRange on a non-finite x or t and on steps < 1, before
+    any exponential is taken, and Overflow when the last exponent of a leg
+    leaves the expm operating range.
     """
-    a = triple.A
-    a2 = a @ a
-    ah = _h(a)
-    g1 = triple.theta1 @ _h(triple.theta1)
-    g2 = triple.theta2 @ _h(triple.theta2)
+    if not (np.isfinite(x) and np.isfinite(t)):
+        raise InvalidRange(f"bounds must be finite, got x={x!r}, t={t!r}")
+    if steps < 1:
+        raise InvalidRange(f"steps must be positive, got {steps}")
+    # integrate_matrix's panel count: steps rounded up to even
+    panels = int(steps)
+    panels += panels % 2
+    a, a2 = triple.A, triple.A2
+    theta1, theta2 = triple.theta1, triple.theta2
+    m1, m2 = triple.m1, triple.m2
     sgn = (-1.0) ** (triple.kappa + 1)
-
-    def t_rate(r: np.ndarray) -> np.ndarray:
-        h = r[1] - r[0]
-        gt = numkit.expm_steps(-2j * h * a2, r.size)
-        gti = numkit.expm_steps(2j * h * a2, r.size)
-        return 2j * (gt @ (g1 @ ah - a @ g1) @ _h(gt) + sgn * gti @ (g2 @ ah - a @ g2) @ _h(gti))
-
-    def x_rate(r: np.ndarray) -> np.ndarray:
-        h = r[1] - r[0]
-        fx = numkit.expm_steps(1j * h * a, r.size)
-        fxi = numkit.expm_steps(-1j * h * a, r.size)
-        p1 = numkit.expm(-2j * t * a2) @ triple.theta1
-        p2 = numkit.expm(2j * t * a2) @ triple.theta2
-        return 1j * (fx @ (p1 @ _h(p1)) @ _h(fxi) + sgn * fxi @ (p2 @ _h(p2)) @ _h(fx))
-
-    leg_t = numkit.integrate_matrix(t_rate, 0.0, t, steps)
-    leg_x = numkit.integrate_matrix(x_rate, 0.0, x, steps)
+    ht, hx = t / panels, x / panels
+    gt, gti, fx, fxi = numkit.expm_steps(
+        np.stack([-2j * ht * a2, 2j * ht * a2, 1j * hx * a, -1j * hx * a]), panels + 1
+    )
+    t1 = gt.apply(np.hstack([theta1, a @ theta1]))
+    t2 = gti.apply(np.hstack([theta2, a @ theta2]))
+    # p1 = e^{-2itA^2} theta1 and p2 = e^{2itA^2} theta2
+    p = np.hstack([t1[-1, :, :m1], t2[-1, :, :m2]])
+    fp, fip = fx.apply(p), fxi.apply(p)
+    # X, then 2i (X - X*) in place
+    t_rate = _outer_sum(
+        np.concatenate([t1[..., :m1], sgn * t2[..., :m2]], axis=-1),
+        np.concatenate([t1[..., m1:], t2[..., m2:]], axis=-1),
+    )
+    t_rate -= _h(t_rate)
+    t_rate *= 2j
+    x_rate = _outer_sum(
+        np.concatenate([fp[..., :m1], sgn * fip[..., m1:]], axis=-1),
+        np.concatenate([fip[..., :m1], fp[..., m1:]], axis=-1),
+    )
+    x_rate *= 1j
+    leg_t = numkit.integrate_matrix(lambda _: t_rate, 0.0, t, steps)
+    leg_x = numkit.integrate_matrix(lambda _: x_rate, 0.0, x, steps)
     return triple.S0 + leg_t + leg_x
 
 
-def _s_point(triple: GbdtTriple, e: np.ndarray, x: float, t: float) -> np.ndarray:
-    """S(x, t) propagated from e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)),
-    or integrated by s_via_integration when the spectra of A and -A* meet."""
+def _s_points(triple: GbdtTriple, e: np.ndarray, xs, ts) -> np.ndarray:
+    """S at each point (x, t) of xs and ts, propagated from the stack e of
+    their quadruples, or integrated by s_via_integration point by point
+    when the spectra of A and -A* meet."""
     try:
         return _propagated_s(triple, e)
     except SpectralClash:
-        return s_via_integration(triple, x, t)
+        return np.stack([s_via_integration(triple, x, t) for x, t in zip(xs, ts)])
 
 
-def _point(triple: GbdtTriple, x: float, t: float):
-    """(S(x, t), Pi(x, t), Pi(-x, t), e) at one point, each computed once.
+def _points(triple: GbdtTriple, xs, ts):
+    """(S, Pi(x, t), Pi(-x, t), e) at each point (x, t) of the equal-length
+    sequences xs and ts, stacked along a leading axis.
 
-    e = (E(x, t), E(-x, -t), E(-x, t), E(x, -t)) comes from one stacked
-    numkit.expm call, and S from _s_point. Raises SingularPoint when
-    det S(x, t) is numerically zero.
+    The quadruples e of all points come from one stacked numkit.expm call,
+    and S from _s_points. relative_det is taken of every S at once, and
+    SingularPoint is raised for the first point, in stack order, where it
+    is at most DET_FLOOR.
     """
-    e = _exponentials(triple, (x, -x), t)
-    s = _s_point(triple, e, x, t)
-    det_rel = relative_det(s)
-    if det_rel <= DET_FLOOR:
-        raise SingularPoint(
-            x, t, det_rel,
-            f"S(x, t) is singular at x={x!r}, t={t!r} "
-            f"(|det S| / max(1, ||S||)^n = {det_rel:.3e})",
-        )
-    return s, _pi(triple, e[0], e[1]), _pi(triple, e[2], e[3]), e
+    if len(xs) != len(ts):
+        raise DimensionMismatch(f"{len(xs)} x values against {len(ts)} t values")
+    x_values = np.asarray(xs, dtype=np.float64)
+    e = _exponentials(
+        triple, x_values[:, None] * _SIGNS, np.asarray(ts, dtype=np.float64)[:, None]
+    )
+    s = _s_points(triple, e, xs, ts)
+    scale = np.maximum(np.linalg.norm(s, axis=(-2, -1)), 1.0)[:, None, None]
+    for x, t, det_rel in zip(xs, ts, np.abs(np.linalg.det(s / scale)).tolist()):
+        if det_rel <= DET_FLOOR:
+            raise SingularPoint(
+                x, t, det_rel,
+                f"S(x, t) is singular at x={x!r}, t={t!r} "
+                f"(|det S| / max(1, ||S||)^n = {det_rel:.3e})",
+            )
+    return s, _pi(triple, e[:, 0]), _pi(triple, e[:, 1]), e
 
 
 def _xi(triple: GbdtTriple, left: np.ndarray, s_inv_p: np.ndarray) -> np.ndarray:
@@ -437,7 +517,7 @@ def xi_tilde_at(triple: GbdtTriple, x: float, t: float) -> np.ndarray:
     -sigma times the conjugate transpose of u at (-x, t). darboux_at
     returns the same matrix as its sample's xi.
     """
-    s, p, pm, _ = _point(triple, x, t)
+    [s], [p], [pm], _ = _points(triple, (x,), (t,))
     return _xi(triple, triple.jk @ _h(pm), np.linalg.solve(s, p))
 
 
@@ -455,44 +535,64 @@ class SpectralSample:
     xi: np.ndarray
 
 
-def _sample(triple: GbdtTriple, x: float, t: float, z: complex):
-    """(spectral_sample's sample, Pi(x, t), Pi(-x, t), e), so that the
-    mirror of darboux_gaps reuses the point's Pi and exponentials."""
+def _samples(triple: GbdtTriple, xs, ts, z: complex):
+    """(spectral_samples' samples, Pi(x, t), Pi(-x, t), e) at each point
+    (x, t) of xs and ts, so that the mirror of darboux_gaps reuses the
+    point's Pi and exponentials."""
     z = complex(z)
     a = triple.A
     eigs = triple.eigenvalues
-    scale = float(np.linalg.norm(a)) + abs(z) + 1.0
+    scale = triple.A_norm + abs(z) + 1.0
     if np.min(np.abs(eigs - z)) < 1e-9 * scale:
         raise SpectralPole(f"z = {z!r} is numerically an eigenvalue of A")
     if np.min(np.abs(eigs + np.conj(z))) < 1e-9 * scale:
         raise SpectralPole(f"-conj(z) = {-np.conj(z)!r} is numerically an eigenvalue of A")
 
-    s, p, pm, e = _point(triple, x, t)
-    eye_n = np.eye(triple.n, dtype=np.complex128)
-    eye_m = np.eye(triple.m, dtype=np.complex128)
+    s, p, pm, e = _points(triple, xs, ts)
+    eye_n = _eye(triple.n)
     m = triple.m
 
     left = triple.jk @ _h(pm)
     # S^{-1} Pi(x, t) and S^{-1} (A - zI)^{-1} Pi(x, t), from one solve
-    sol = np.linalg.solve(s, np.hstack([p, np.linalg.solve(a - z * eye_n, p)]))
-    s_inv_p = sol[:, :m]
-    wa = eye_m - left @ sol[:, m:]
-    wb = eye_m - left @ np.linalg.solve(_h(a) + z * eye_n, s_inv_p)
+    sol = np.linalg.solve(
+        s, np.concatenate([p, np.linalg.solve(a - z * eye_n, p)], axis=-1)
+    )
+    s_inv_p = sol[..., :m]
+    wa = _eye(m) - left @ sol[..., m:]
+    wb = _eye(m) - left @ np.linalg.solve(_h(a) + z * eye_n, s_inv_p)
+    xi = _xi(triple, left, s_inv_p)
 
-    phase = 1j * (z * x - 2.0 * z * z * t)
-    diag = np.concatenate(
-        [np.full(triple.m1, np.exp(-phase)), np.full(triple.m2, np.exp(phase))]
-    )
-    sample = SpectralSample(
-        x=x, t=t, z=z, wa=wa, wb=wb, wave=wa * diag[None, :],
-        xi=_xi(triple, left, s_inv_p),
-    )
-    return sample, p, pm, e
+    # the diagonal of e^{-i(zx - 2z^2 t) j}, e^{-phase} on the m1 columns
+    # and e^{phase} on the m2, per point
+    phases = [1j * (z * x - 2.0 * z * z * t) for x, t in zip(xs, ts)]
+    diag = np.exp(np.array([[-w] * triple.m1 + [w] * triple.m2 for w in phases]))
+    wave = wa * diag[:, None, :]
+    samples = [
+        SpectralSample(x=x, t=t, z=z, wa=wa[k], wb=wb[k], wave=wave[k], xi=xi[k])
+        for k, (x, t) in enumerate(zip(xs, ts))
+    ]
+    return samples, p, pm, e
+
+
+def spectral_samples(triple: GbdtTriple, xs, ts, z: complex) -> List[SpectralSample]:
+    """spectral_sample at each point (x, t) of the equal-length sequences
+    xs and ts, for one z, built as one stack.
+
+    The exponentials of all points come from one stacked numkit.expm call,
+    S is propagated (integrated point by point on a clashing spectrum) and
+    put through the determinant floor once for the stack, and each solve is
+    one stacked np.linalg.solve. Every sample is, bit for bit, the one
+    spectral_sample gives at its point. Raises SpectralPole as
+    spectral_sample, and SingularPoint for the first point of the stack
+    where S is singular.
+    """
+    return _samples(triple, xs, ts, z)[0]
 
 
 def spectral_sample(triple: GbdtTriple, x: float, t: float, z: complex) -> SpectralSample:
     """Darboux matrix w_A, its inverse w_B, the wave function and the
-    transferred potential xi at (x, t, z), constructed only.
+    transferred potential xi at (x, t, z), constructed only: the one-point
+    case of spectral_samples.
 
     w_A(x,t,z) = I - j^kappa Pi(-x,t)* S^{-1} (A - zI)^{-1} Pi(x,t),
     w_B(x,t,z) = I - j^kappa Pi(-x,t)* (A* + zI)^{-1} S^{-1} Pi(x,t), and
@@ -504,7 +604,7 @@ def spectral_sample(triple: GbdtTriple, x: float, t: float, z: complex) -> Spect
     Raises SpectralPole when z (for w_A) or -conj(z) (for w_B) meets the
     spectrum of A, and SingularPoint on singular S; never DarbouxMismatch.
     """
-    return _sample(triple, x, t, z)[0]
+    return _samples(triple, (x,), (t,), z)[0][0]
 
 
 def darboux_gaps(
@@ -519,15 +619,14 @@ def darboux_gaps(
     spectrum), never S(x, t)*, so it makes no further exponential. Raises
     as spectral_sample.
     """
-    sample, p, pm, e = _sample(triple, x, t, z)
-    eye_n = np.eye(triple.n, dtype=np.complex128)
-    eye_m = np.eye(triple.m, dtype=np.complex128)
+    [sample], [p], [pm], e = _samples(triple, (x,), (t,), z)
+    eye_m = _eye(triple.m)
     jk = triple.jk
     wa, wb = sample.wa, sample.wb
 
-    s_m = _s_point(triple, e[[2, 3, 0, 1]], -x, t)
+    [s_m] = _s_points(triple, e[:, ::-1], (-x,), (t,))
     wa_m = eye_m - jk @ _h(p) @ np.linalg.solve(
-        s_m, np.linalg.solve(triple.A + np.conj(sample.z) * eye_n, pm)
+        s_m, np.linalg.solve(triple.A + np.conj(sample.z) * _eye(triple.n), pm)
     )
     norm = np.linalg.norm
     inverse = float(norm(wa @ wb - eye_m)) / max(1.0, float(norm(wa)) * float(norm(wb)))

@@ -20,7 +20,9 @@ in one call: the origin parts from which S0 and S(x, t) are built, so its
 n^2 x n^2 system is built and solved once per triple, never node by node.
 ``expm_steps`` tabulates e^{km} on equally spaced k from about 2 sqrt(count)
 exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
-multiplied pairwise, so each entry is one product of two exponentials.
+applied to a right factor as steps first, then all strides in one product,
+so each entry carries the rounding of a fixed number of products; a stack
+of generators takes one exponential call.
 ``factor_solve`` LU-factors every matrix of a stack once and takes the
 determinant, the smallest pivot and the solve of stacked right sides from
 those factors; its loops run over pivot steps and fixed-size chunks of the
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, List
 
 import numpy as np
 
@@ -350,41 +353,93 @@ def _exp_divided_difference(d: np.ndarray) -> np.ndarray:
     return np.exp(0.5 * (d[..., 1:] + d[..., :-1])) * ratio
 
 
-def expm_steps(m, count: int) -> np.ndarray:
-    """The ``(count, n, n)`` table of ``e^{k m}`` for ``k = 0 .. count - 1``.
+@dataclass(frozen=True)
+class StepTable:
+    """The table of e^{k m} for k = 0 .. count - 1, held as its b steps
+    e^{k m} (k < b) and its strides e^{j b m} (j b <= count - 1): entry
+    j b + k is strides[j] @ steps[k]. ``apply`` multiplies every entry by
+    a right factor without forming the entries."""
 
-    With stride ``b = isqrt(count - 1) + 1``, one ``expm`` call takes the
-    small steps ``e^{k m}`` (``k < b``) and the strides ``e^{j b m}``
-    (``j b <= count - 1``); entry ``j b + k`` is the product
-    ``e^{j b m} e^{k m}``. That is about ``2 sqrt(count)`` exponentials in
-    place of ``count``, and each entry carries the rounding of one product
-    of two exponentials, so the error does not grow with k.
+    steps: np.ndarray
+    strides: np.ndarray
+    count: int
+
+    def apply(self, right) -> np.ndarray:
+        """The ``(count, n, w)`` stack of ``e^{k m} @ right`` for an
+        ``(n, w)`` right factor.
+
+        The steps are applied first, as one ``(b n, n) @ (n, w)`` product,
+        and the strides then take them side by side in one
+        ``(S n, n) @ (n, b w)`` product: entry ``j b + k`` is
+        ``strides[j] @ (steps[k] @ right)``, the rounding of two products
+        whatever k. ``apply(np.eye(n))`` gives the entries themselves.
+        """
+        b, n = self.steps.shape[:2]
+        near = (self.steps.reshape(-1, n) @ right).reshape(b, n, -1)
+        w = near.shape[-1]
+        # columns k w + c hold steps[k] @ right
+        far = self.strides.reshape(-1, n) @ near.transpose(1, 0, 2).reshape(n, -1)
+        return far.reshape(-1, n, b, w).transpose(0, 2, 1, 3).reshape(-1, n, w)[: self.count]
+
+
+def expm_steps(m, count: int) -> List[StepTable]:
+    """The tables of ``e^{k m}`` for ``k = 0 .. count - 1``, one for each
+    generator of ``m``, from one ``expm`` call.
+
+    With stride ``b = isqrt(count - 1) + 1``, the call takes, for every
+    generator at once, the small steps ``e^{k m}`` (``k < b``) and the
+    strides ``e^{j b m}`` (``j b <= count - 1``), and entry ``j b + k`` of a
+    table is ``e^{j b m} e^{k m}`` (see ``StepTable``). That is about
+    ``2 sqrt(count)`` exponentials per generator in place of ``count``, and
+    each entry carries the rounding of a fixed number of products, so the
+    error does not grow with k.
+
+    Parameters
+    ----------
+    m
+        Square complex matrix, or a stack of them with shape ``(..., n, n)``.
+    count
+        Number of entries per table.
+
+    Returns
+    -------
+    list of StepTable
+        One table per matrix of ``m``, in the order of
+        ``m.reshape(-1, n, n)``.
 
     Raises
     ------
     ValueError
-        If ``m`` is not 2-D or has non-finite entries.
+        If ``m`` has fewer than two axes or non-finite entries.
     NonSquare
-        If ``m`` is not square.
+        If the matrices of ``m`` are not square.
     InvalidRange
         If ``count < 1``.
     Overflow
-        If ``||(count - 1) m||_1``, the largest exponent the table stands
-        for, exceeds the ``expm`` operating range (700); ``expm`` itself
-        only sees the smaller strides.
+        If an entry part of ``m`` exceeds ENTRY_LIMIT, or if
+        ``||(count - 1) m||_1`` of a generator, the largest exponent its
+        table stands for, exceeds the ``expm`` operating range (700);
+        ``expm`` itself only sees the smaller strides.
     """
-    a = _square(m, "expm_steps operand")
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"expm_steps operand must have at least two axes, got shape {a.shape}")
+    n = a.shape[-1]
+    if a.shape[-2] != n:
+        raise NonSquare(f"expm_steps operand must be square, got shape {a.shape}")
+    # the generators' rows side by side: one finiteness and range check
+    as_cmatrix(a.reshape(-1, n), "expm_steps operand")
     if count < 1:
         raise InvalidRange(f"count must be positive, got {count}")
     last = count - 1
-    _check_range(float(np.abs(last * a).sum(axis=0).max()), "(count - 1) m")
+    _check_range(float(np.abs(last * a).sum(axis=-2).max()), "(count - 1) m")
     b = math.isqrt(last) + 1
     powers = np.concatenate([np.arange(b), b * np.arange(1, last // b + 1)])
-    table = expm(powers[:, None, None] * a)
-    steps = table[:b]
-    strides = np.concatenate([table[:1], table[b:]])
-    products = strides[:, None] @ steps[None, :]
-    return products.reshape(len(strides) * b, *a.shape)[:count]
+    tables = expm(powers[:, None, None] * a.reshape(-1, 1, n, n))
+    return [
+        StepTable(table[:b], np.concatenate([table[:1], table[b:]]), count)
+        for table in tables
+    ]
 
 
 def clash_threshold(a, b) -> float:

@@ -23,7 +23,7 @@ whose check records of report.json are built here, with ``json_number``
 the one rule for writing a non-finite number. The one fact gbdt_core also
 asserts is the Darboux pair's, and only in darboux_at; darboux_residual
 reports it, and wave_ode_residual builds its samples with
-gbdt_core.spectral_sample, which asserts nothing.
+gbdt_core.spectral_samples, which asserts nothing.
 """
 
 from __future__ import annotations
@@ -494,18 +494,15 @@ def darboux_residual(
 
 
 def _wave_residuals(
-    triple: GbdtTriple, x: float, t: float, z: complex, h: float,
-    centre: gbdt_core.SpectralSample,
+    triple: GbdtTriple, z: complex, h: float, centre: gbdt_core.SpectralSample,
+    east: gbdt_core.SpectralSample, west: gbdt_core.SpectralSample,
+    north: gbdt_core.SpectralSample, south: gbdt_core.SpectralSample,
 ) -> Tuple[float, float]:
     """Residuals of the x and t systems at central step h, from spectral
     samples at (x +- h, t) and (x, t +- h); the x samples also give the x
     derivative of the potential."""
     j = triple.j
     w0, xi = centre.wave, centre.xi
-    east = gbdt_core.spectral_sample(triple, x + h, t, z)
-    west = gbdt_core.spectral_sample(triple, x - h, t, z)
-    north = gbdt_core.spectral_sample(triple, x, t + h, z)
-    south = gbdt_core.spectral_sample(triple, x, t - h, z)
 
     d_w = (east.wave - west.wave) / (2.0 * h)
     g = -1j * z * j - j @ xi
@@ -527,18 +524,22 @@ def wave_ode_residual(
     fixed x; the coefficient of the t system needs the x derivative of the
     potential, taken with the same central step.  Each system is evaluated
     at steps WAVE_STEP and WAVE_STEP / 2 so the pair of reports carries
-    convergence orders. The wave function and the potential come from 9
-    gbdt_core.spectral_sample calls, one propagated S each; the Darboux
-    pair is darboux_residual's to judge, so this check never raises
+    convergence orders. The wave function and the potential come from one
+    gbdt_core.spectral_samples call on 9 points, the centre and then east,
+    west, north and south at each step, one propagated S each and one
+    stacked exponential call for all; the Darboux pair is
+    darboux_residual's to judge, so this check never raises
     DarbouxMismatch.
     """
     z = complex(z)
     h = WAVE_STEP
     # the sample at (x, t) gives the wave function and the potential for
     # both step sizes
-    centre = gbdt_core.spectral_sample(triple, x, t, z)
-    rx_h, rt_h = _wave_residuals(triple, x, t, z, h, centre)
-    rx_h2, rt_h2 = _wave_residuals(triple, x, t, z, h / 2.0, centre)
+    xs = [x] + [v for step in (h, h / 2.0) for v in (x + step, x - step, x, x)]
+    ts = [t] + [v for step in (h, h / 2.0) for v in (t, t, t + step, t - step)]
+    centre, *around = gbdt_core.spectral_samples(triple, xs, ts, z)
+    rx_h, rt_h = _wave_residuals(triple, z, h, centre, *around[:4])
+    rx_h2, rt_h2 = _wave_residuals(triple, z, h / 2.0, centre, *around[4:])
     return (
         _at_point("wave_x", rx_h, DEFAULT_PDE_TOL, hx=h, order=estimate_order(rx_h, rx_h2)),
         _at_point("wave_t", rt_h, DEFAULT_PDE_TOL, ht=h, order=estimate_order(rt_h, rt_h2)),

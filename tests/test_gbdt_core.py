@@ -14,6 +14,7 @@ from nnls_gbdt.errors import (
     DarbouxMismatch,
     DegenerateS,
     DimensionMismatch,
+    InvalidRange,
     Overflow,
     RangeExceeded,
     SingularPoint,
@@ -392,15 +393,10 @@ def test_pointwise_state_takes_four_exponentials(jordan_triple, monkeypatch, eva
     assert calls == [(4, 2, 2)]
 
 
-def test_spectral_sample_propagates_s_once_and_factors_it_twice(jordan_triple, monkeypatch):
-    """One propagated S, factored by the determinant floor and by one solve
-    of [Pi, (A - zI)^{-1} Pi]; the other solves are numkit.expm's Pade
-    solve, (A - zI)^{-1} Pi and (A* + zI)^{-1} S^{-1} Pi. darboux_at builds
-    the same sample, bit for bit."""
+def _count_sample_work(monkeypatch):
+    """Patch the propagation of S, np.linalg.det and np.linalg.solve to
+    count their calls."""
     calls = {"propagated": 0, "det": 0, "solve": 0}
-    original_s = gbdt_core._propagated_s
-    original_det = np.linalg.det
-    original_solve = np.linalg.solve
 
     def counting(name, original):
         def call(*args):
@@ -408,14 +404,105 @@ def test_spectral_sample_propagates_s_once_and_factors_it_twice(jordan_triple, m
             return original(*args)
         return call
 
-    monkeypatch.setattr(gbdt_core, "_propagated_s", counting("propagated", original_s))
-    monkeypatch.setattr(np.linalg, "det", counting("det", original_det))
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", original_solve))
+    monkeypatch.setattr(gbdt_core, "_propagated_s", counting("propagated", gbdt_core._propagated_s))
+    monkeypatch.setattr(np.linalg, "det", counting("det", np.linalg.det))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    return calls
+
+
+def test_spectral_sample_propagates_s_once_and_factors_it_twice(jordan_triple, monkeypatch):
+    """One propagated S, factored by the determinant floor and by one solve
+    of [Pi, (A - zI)^{-1} Pi]; the other solves are numkit.expm's Pade
+    solve, (A - zI)^{-1} Pi and (A* + zI)^{-1} S^{-1} Pi. darboux_at builds
+    the same sample, bit for bit."""
+    calls = _count_sample_work(monkeypatch)
     sample = gbdt_core.spectral_sample(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
     assert calls == {"propagated": 1, "det": 1, "solve": 4}
-    checked = gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j)
+    _assert_same_sample(sample, gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j))
+
+
+def test_spectral_samples_take_one_sample_s_work_for_the_stack(jordan_triple, monkeypatch):
+    """Nine points cost what one does: one propagation of S for the stack,
+    one determinant floor and four stacked solves."""
+    calls = _count_sample_work(monkeypatch)
+    xs = [0.4] + [0.1 * k for k in range(1, 9)]
+    sample = gbdt_core.spectral_samples(jordan_triple, xs, [0.1] * 9, 2.0 + 0.5j)[0]
+    assert calls == {"propagated": 1, "det": 1, "solve": 4}
+    _assert_same_sample(sample, gbdt_core.darboux_at(jordan_triple, 0.4, 0.1, 2.0 + 0.5j))
+
+
+def _assert_same_sample(sample, reference):
     for name in ("wa", "wb", "wave", "xi"):
-        assert getattr(sample, name).tobytes() == getattr(checked, name).tobytes()
+        assert getattr(sample, name).tobytes() == getattr(reference, name).tobytes()
+
+
+def _points_and_z(rng, count):
+    xs = [float(v) for v in rng.uniform(-1.5, 1.5, count)]
+    ts = [float(v) for v in rng.uniform(-0.4, 0.4, count)]
+    z = complex(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 3.5), rng.uniform(-1.0, 1.0))
+    return xs, ts, z
+
+
+def test_spectral_samples_match_single_samples():
+    """Each sample of a stack is, byte for byte, spectral_sample at its
+    point, for n = 1, 2, 4, both signs and blocks m1, m2 <= 2."""
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 4):
+        for sigma in (1, -1):
+            for m1 in (1, 2):
+                for m2 in (1, 2):
+                    triple = make_random_triple(rng, sigma, n=n, m1=m1, m2=m2)
+                    xs, ts, z = _points_and_z(rng, 7)
+                    stacked = gbdt_core.spectral_samples(triple, xs, ts, z)
+                    assert len(stacked) == 7
+                    for sample, x, t in zip(stacked, xs, ts):
+                        single = gbdt_core.spectral_sample(triple, x, t, z)
+                        assert (sample.x, sample.t, sample.z) == (x, t, z)
+                        _assert_same_sample(sample, single)
+
+
+def test_spectral_samples_raise_at_the_first_singular_point():
+    """S = i sin(2x) here, singular on x = 0: the stack raises for the
+    first singular point in its order, with that point's (x, t)."""
+    triple = gbdt_core.GbdtTriple(
+        sigma=-1, A=[[1.0]], S0=[[0.0]], theta1=[[1.0]], theta2=[[1.0]]
+    )
+    z = 2.0 + 0.5j
+    for xs, ts, first in (
+        ([0.3, 0.0, 0.0], [0.1, 0.2, -0.1], 1),
+        ([0.0, 0.3, 0.0], [-0.1, 0.1, 0.2], 0),
+    ):
+        with pytest.raises(SingularPoint) as raised:
+            gbdt_core.spectral_samples(triple, xs, ts, z)
+        assert (raised.value.x, raised.value.t) == (xs[first], ts[first])
+        assert f"x={xs[first]!r}, t={ts[first]!r}" in str(raised.value)
+    with pytest.raises(DimensionMismatch):
+        gbdt_core.spectral_samples(triple, [0.1, 0.2], [0.1], z)
+
+
+def test_spectral_samples_raise_spectral_pole(scalar_triple):
+    for z in (1.0, -1.0):
+        with pytest.raises(SpectralPole):
+            gbdt_core.spectral_samples(scalar_triple, [0.1, 0.2], [0.0, 0.1], z)
+
+
+def test_spectral_samples_integrate_s_per_point_on_spectral_clash(monkeypatch):
+    """On the clash triple every point of the stack takes S from
+    s_via_integration, once each, and matches its single sample."""
+    triple = _clash_triple()
+    xs, ts, z = [0.3, -0.2, 0.1], [0.1, 0.05, -0.02], 1.0 + 0.5j
+    calls = []
+    original = gbdt_core.s_via_integration
+
+    def integrating(triple, x, t, steps=400):
+        calls.append((x, t))
+        return original(triple, x, t, steps)
+
+    monkeypatch.setattr(gbdt_core, "s_via_integration", integrating)
+    stacked = gbdt_core.spectral_samples(triple, xs, ts, z)
+    assert calls == list(zip(xs, ts))
+    for sample, x, t in zip(stacked, xs, ts):
+        _assert_same_sample(sample, gbdt_core.spectral_sample(triple, x, t, z))
 
 
 def test_u_tilde_at_is_the_top_right_block_of_xi(jordan_triple):
@@ -490,19 +577,55 @@ def test_stacked_point_exponentials_match_single_calls(jordan_triple):
 
 
 def test_s_via_integration_takes_stacked_exponentials(jordan_triple, monkeypatch):
-    """Each leg: two exponential tables over its nodes, of 40 exponentials
-    each at 401 nodes, and the x-leg's two single ones."""
+    """One numkit.expm call for both legs: the four tables e^{-+2ik(t/N)A^2}
+    and e^{+-ik(x/N)A} over 401 nodes, 21 steps and 19 strides each."""
     calls = []
     original = numkit.expm
 
     def counting(m):
-        calls.append(m)
+        calls.append(np.shape(m))
         return original(m)
 
     monkeypatch.setattr(numkit, "expm", counting)
     gbdt_core.s_via_integration(jordan_triple, 0.7, 0.3, steps=400)
-    assert len(calls) <= 8
-    assert sum(np.asarray(m)[..., 0, 0].size for m in calls) <= 162
+    assert calls == [(4, 40, 2, 2)]
+
+
+@pytest.mark.parametrize(
+    "x, t, steps",
+    [(math.nan, 0.3, 400), (0.7, math.inf, 400), (0.7, 0.3, 0), (0.7, 0.3, -2)],
+    ids=["nan-x", "inf-t", "zero-steps", "negative-steps"],
+)
+def test_s_via_integration_refuses_before_any_exponential(jordan_triple, monkeypatch, x, t, steps):
+    calls = []
+    original = numkit.expm
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(numkit, "expm", counting)
+    with pytest.raises(InvalidRange):
+        gbdt_core.s_via_integration(jordan_triple, x, t, steps=steps)
+    assert calls == []
+
+
+def test_s_via_integration_rounds_odd_steps_up(jordan_triple):
+    for odd, even in ((399, 400), (1, 2), (7, 8)):
+        got = gbdt_core.s_via_integration(jordan_triple, 0.7, 0.3, steps=odd)
+        expected = gbdt_core.s_via_integration(jordan_triple, 0.7, 0.3, steps=even)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("x, t", [(400.0, 0.1), (0.1, 200.0)], ids=["x-leg", "t-leg"])
+def test_s_via_integration_leg_beyond_expm_range_overflows(jordan_triple, monkeypatch, x, t):
+    """A leg whose last exponent has 1-norm beyond 700 (||A||_1 = 2,
+    ||A^2||_1 = 3) is refused before its strides are exponentiated."""
+    calls = []
+    monkeypatch.setattr(numkit, "expm", lambda m: calls.append(m))
+    with pytest.raises(Overflow):
+        gbdt_core.s_via_integration(jordan_triple, x, t)
+    assert calls == []
 
 
 def _s_via_node_exponentials(triple, x, t, steps):

@@ -193,11 +193,42 @@ def test_expm_steps_matches_per_step_exponentials(n, count):
     1-norm 5, about the size of one Simpson leg's last exponent."""
     for slice_ in _expm_slices(n, np.random.default_rng(30 + n)):
         m = 5.0 * slice_ / (max(count - 1, 1) * np.linalg.norm(slice_, 1))
-        table = numkit.expm_steps(m, count)
+        [steps] = numkit.expm_steps(m, count)
+        table = steps.apply(np.eye(n))
         assert table.shape == (count, n, n)
         for k in range(count):
             expected = numkit.expm(k * m)
             assert np.linalg.norm(table[k] - expected) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_expm_steps_tabulates_a_stack_of_generators_in_one_call(monkeypatch):
+    """A stack of generators takes one expm call for all their steps and
+    strides, and each table is, bit for bit, its generator's own."""
+    rng = np.random.default_rng(33)
+    generators = 0.01 * (rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2)))
+    right = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    single = [numkit.expm_steps(g, 401)[0].apply(right) for g in generators.reshape(-1, 2, 2)]
+    calls = []
+    original = numkit.expm
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(numkit, "expm", counting)
+    tables = numkit.expm_steps(generators, 401)
+    assert calls == [(6, 40, 2, 2)]
+    assert [table.apply(right).tobytes() for table in tables] == [s.tobytes() for s in single]
+    # each entry applied to a right factor is the entry times it
+    entries = tables[0].apply(np.eye(2))
+    assert np.allclose(tables[0].apply(right), entries @ right, rtol=1e-14, atol=0)
+    # the range is checked per generator, and the entries as for one matrix
+    with pytest.raises(Overflow):
+        numkit.expm_steps(np.stack([np.eye(2), np.diag([1.7, 0.0])]), 420)
+    with pytest.raises(Overflow):
+        numkit.expm_steps(np.stack([np.eye(2), np.diag([1e101, 0.0])]), 1)
+    with pytest.raises(ValueError):
+        numkit.expm_steps(np.ones(3), 5)
 
 
 def _cnormal(rng, *shape):

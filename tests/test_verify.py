@@ -258,13 +258,15 @@ def test_wave_ode_residuals_converge(scalar_triple, jordan_triple):
 
 
 def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch):
-    """w(x, t) and xi(x, t) once per pair: 1 + 2 * 4 spectral samples over
-    the two step sizes, which carry the potential too, one propagated S
-    each, and no darboux_at, so no S(-x, t) for the pair's reduction. Each
-    sample makes 4 solves: numkit.expm's Pade solve, (A - zI)^{-1} Pi,
-    S^{-1} [Pi, (A - zI)^{-1} Pi] and (A* + zI)^{-1} S^{-1} Pi."""
+    """w(x, t) and xi(x, t) once for both step sizes: one spectral_samples
+    call on 1 + 2 * 4 points, the centre first, then east, west, north and
+    south at h and at h / 2. The stack takes one numkit.expm call of 36
+    matrices, one propagated S and 4 solves: numkit.expm's Pade solve,
+    (A - zI)^{-1} Pi, S^{-1} [Pi, (A - zI)^{-1} Pi] and
+    (A* + zI)^{-1} S^{-1} Pi. No darboux_at, so no S(-x, t) for the pair's
+    reduction."""
     counts = {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 0, "solve": 0}
-    points = []
+    stacks, exponentials = [], []
     for name in ("darboux_at", "xi_tilde_at", "_propagated_s"):
         original = getattr(gbdt_core, name)
 
@@ -273,22 +275,82 @@ def test_wave_ode_residual_evaluates_the_centre_once(jordan_triple, monkeypatch)
             return _original(*args)
 
         monkeypatch.setattr(gbdt_core, name, counting)
-    original_sample = gbdt_core.spectral_sample
+    original_samples = gbdt_core.spectral_samples
     original_solve = np.linalg.solve
+    original_expm = gbdt_core.numkit.expm
 
-    def sampling(triple, x, t, z):
-        points.append((x, t))
-        return original_sample(triple, x, t, z)
+    def sampling(triple, xs, ts, z):
+        stacks.append(list(zip(xs, ts)))
+        return original_samples(triple, xs, ts, z)
 
     def solving(a, b):
         counts["solve"] += 1
         return original_solve(a, b)
 
-    monkeypatch.setattr(gbdt_core, "spectral_sample", sampling)
+    def exponentiating(m):
+        exponentials.append(np.shape(m))
+        return original_expm(m)
+
+    monkeypatch.setattr(gbdt_core, "spectral_samples", sampling)
     monkeypatch.setattr(np.linalg, "solve", solving)
-    verify.wave_ode_residual(jordan_triple, 0.4, 0.1, 0.5 - 0.3j)
-    assert counts == {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 9, "solve": 36}
-    assert len(points) == 9 and points.count((0.4, 0.1)) == 1
+    monkeypatch.setattr(gbdt_core.numkit, "expm", exponentiating)
+    x, t, h = 0.4, 0.1, verify.WAVE_STEP
+    verify.wave_ode_residual(jordan_triple, x, t, 0.5 - 0.3j)
+    assert counts == {"darboux_at": 0, "xi_tilde_at": 0, "_propagated_s": 1, "solve": 4}
+    assert exponentials == [(36, 2, 2)]
+    assert stacks == [[
+        (x, t),
+        (x + h, t), (x - h, t), (x, t + h), (x, t - h),
+        (x + h / 2, t), (x - h / 2, t), (x, t + h / 2), (x, t - h / 2),
+    ]]
+
+
+def _wave_reports_from_single_samples(triple, x, t, z):
+    """wave_ode_residual's reports from nine single spectral_sample calls,
+    in the order the check evaluates them, as the check built them before
+    it took one stack of samples."""
+    z = complex(z)
+    j = triple.j
+
+    def residuals(h, centre):
+        east = gbdt_core.spectral_sample(triple, x + h, t, z)
+        west = gbdt_core.spectral_sample(triple, x - h, t, z)
+        north = gbdt_core.spectral_sample(triple, x, t + h, z)
+        south = gbdt_core.spectral_sample(triple, x, t - h, z)
+        w0, xi = centre.wave, centre.xi
+        d_w = (east.wave - west.wave) / (2.0 * h)
+        res_x = float(np.max(np.abs(d_w - (-1j * z * j - j @ xi) @ w0)))
+        d_w = (north.wave - south.wave) / (2.0 * h)
+        xi_x = (east.xi - west.xi) / (2.0 * h)
+        f = 2j * z**2 * j + 2.0 * z * (j @ xi) - 1j * (j @ xi @ xi - xi_x)
+        res_t = float(np.max(np.abs(d_w - f @ w0)))
+        return res_x, res_t
+
+    h = verify.WAVE_STEP
+    centre = gbdt_core.spectral_sample(triple, x, t, z)
+    rx_h, rt_h = residuals(h, centre)
+    rx_h2, rt_h2 = residuals(h / 2.0, centre)
+    return (
+        verify._at_point("wave_x", rx_h, verify.DEFAULT_PDE_TOL, hx=h,
+                         order=verify.estimate_order(rx_h, rx_h2)),
+        verify._at_point("wave_t", rt_h, verify.DEFAULT_PDE_TOL, ht=h,
+                         order=verify.estimate_order(rt_h, rt_h2)),
+    )
+
+
+def test_wave_ode_residual_matches_single_samples(scalar_triple, jordan_triple):
+    """The stacked samples give the reports nine single samples give, to
+    the last bit, on random data of orders 1, 2 and 4 and both signs."""
+    rng = np.random.default_rng(63)
+    triples = [(scalar_triple, 1.0 + 0.5j), (jordan_triple, 0.5 - 0.3j)]
+    for n in (1, 2, 4):
+        for sigma in (1, -1):
+            triple = make_random_triple(rng, sigma, n=n, m1=2, m2=1)
+            triples.append((triple, complex(rng.uniform(2.0, 3.5), rng.uniform(-1.0, 1.0))))
+    for triple, z in triples:
+        x, t = float(rng.uniform(-1.0, 1.0)), float(rng.uniform(-0.3, 0.3))
+        reports = verify.wave_ode_residual(triple, x, t, z)
+        assert reports == _wave_reports_from_single_samples(triple, x, t, z)
 
 
 def test_only_darboux_at_asserts_the_pair(jordan_triple):
