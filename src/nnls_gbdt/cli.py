@@ -38,7 +38,7 @@ import numpy as np
 
 from . import ag_theta, gbdt_core, oracles, verify
 from .errors import DegenerateS, NnlsGbdtError, RangeExceeded, SchemaError
-from .gbdt_core import FieldSamples, GbdtTriple, Grid, SolutionField
+from .gbdt_core import GbdtTriple, Grid, SolutionField
 
 #: Checks each scenario kind supports, in their default running order.
 KIND_CHECKS = {
@@ -51,12 +51,14 @@ KIND_CHECKS = {
 
 #: Largest work of one run: the n^4 entries of the Kronecker matrix of the
 #: Sylvester map, plus grid nodes summed over every level the run builds,
-#: times (n + 2 m1)(n + 2 m2) / 8. A node carries the n x n matrix M and its
-#: factors, the n x (m1 + m2) right sides and solves, and the m1 x m2
-#: blocks of u, the lower block, the pde check and the CSV row. With the pde
-#: level at --refine 0, its memory grows by 6 to 26 bytes per unit of
-#: (n + 2 m1)(n + 2 m2) from n = 1 to 8 and m1, m2 = 1 to 8 (ru_maxrss, 51^2
-#: to 201^2), so a run stays under about 1.8 GB.
+#: times (n + 2 m1)(n + 2 m2) / 8. A node's n x n matrix M, its factors and
+#: the n x (m1 + m2) right sides and solves live only while its tile does;
+#: a level keeps the m1 x m2 block of u, det S and the mask, which the pde
+#: check and the CSV rows read. With the pde level at --refine 0 and the
+#: four gbdt checks, memory grows by 6 to 201 bytes per unit of this work
+#: from n = 1 to 8 and m1, m2 = 1 to 8 (ru_maxrss, 51^2 to 201^2; most at
+#: n = 1, where u and the pde check's copies of it dominate), so a run
+#: stays under about 1.6 GB.
 NODE_BUDGET = 2**23
 
 
@@ -483,7 +485,7 @@ def _write_csv(
             handle.write(block.tobytes().translate(None, b"\0"))
 
 
-def write_u_csv(path: Path, field: FieldSamples) -> None:
+def write_u_csv(path: Path, field: SolutionField) -> None:
     """Field entries in x-major order, one row per grid point."""
     m1, m2 = field.u.shape[2:]
     header = ["x", "t"]
@@ -532,12 +534,14 @@ def _check_node_budget(
 def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]:
     """Execute one validated scenario and return (exit code, report).
 
-    The grid and its first ``refine`` halvings are built whole by
-    ``gbdt_core.solution_field``: every requested check reads them, and
-    the CSV files are written from the first. When ``pde`` is requested at
-    ``refine`` 0 it still needs one halving; only that check reads it, so
-    ``gbdt_core.solution_samples`` builds just its u and singular mask,
-    bit-identical to solution_field's and without the matrices M.
+    Every level is built by ``gbdt_core.solution_field`` in mirror-closed
+    tiles of x rows. The grid and its first ``refine`` halvings are built
+    with the requested ``verify.TILE_CHECKS`` (identity, mirror,
+    reduction), which read each tile's M, K and factors as it is built;
+    each level keeps only u, det S and the singular mask, which pde and
+    oracle read, and the CSV files are written from the first. When
+    ``pde`` is requested at ``refine`` 0 it still needs one halving, built
+    the same way with no tile checks.
     """
     kind = scenario["kind"]
     requested = list(scenario.get("checks", KIND_CHECKS[kind]))
@@ -554,7 +558,6 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
         np.shape(theta1)[1], np.shape(theta2)[1],
     )
     triple = _build_triple(datum, s0)
-    sigma = triple.sigma
     base = Grid.build(
         x_max=float(g["x_max"]), nx=int(g["nx"]),
         t_min=float(g["t_min"]), t_max=float(g["t_max"]), nt=int(g["nt"]),
@@ -563,23 +566,23 @@ def run_scenario(scenario: dict, out_dir: Path, refine: int) -> Tuple[int, dict]
     grids = [base]
     for _ in range(deepest):
         grids.append(grids[-1].halved())
-    shallow = [gbdt_core.solution_field(triple, grid) for grid in grids[: refine + 1]]
-    fields = shallow + [gbdt_core.solution_samples(triple, grid) for grid in grids[refine + 1:]]
+    tile_checks = [name for name in requested if name in verify.TILE_CHECKS]
+    # a level past refine is the pde check's alone
+    fields, tile_reports = zip(*(
+        verify.checked_level(triple, grid, tile_checks if k <= refine else ())
+        for k, grid in enumerate(grids)
+    ))
 
     records = []
     for check in requested:
         if check == "pde":
-            levels = [verify.nnls_residual(f, sigma) for f in fields]
+            levels = [verify.nnls_residual(f, triple.sigma) for f in fields]
             records.append(verify.pde_record(levels))
             continue
-        if check == "identity":
-            levels = [verify.identity_residual(triple, f) for f in shallow]
-        elif check == "mirror":
-            levels = [verify.hermitian_mirror_residual(f) for f in shallow]
-        elif check == "reduction":
-            levels = [verify.reduction_residual(f, sigma) for f in shallow]
-        elif check == "oracle":
-            levels = [verify.oracle_residual(f, oracle) for f in shallow]
+        if check == "oracle":
+            levels = [verify.oracle_residual(f, oracle) for f in fields[: refine + 1]]
+        else:
+            levels = [reports[check] for reports in tile_reports[: refine + 1]]
         records.append(verify.level_record(check, levels))
 
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -39,13 +39,11 @@ evidence the grid is tested against. This module builds triples, evaluates
 Pi, S, u, the transferred potential blocks, the Darboux matrix, and the
 wave function, pointwise and on grids.
 
-A grid level has two routes through the same step (K, M with the mask's
-threshold, one LU per node, then u). solution_field builds a level whole
-and keeps M, K, det S and the lower block, which every check but pde
-reads. solution_samples builds only u and the mask, for a level only pde
-reads (the halving pde adds at --refine 0): it runs the step on tiles of
-x rows, so no stack of the size of M or K exists. Every product in the
-step has a fixed shape per x row or per node, so both routes give
+A grid level has one route, solution_field: it runs the step (K, M with
+the mask's threshold, one LU per node, then u) on mirror-closed tiles of
+x rows, hands each tile to the checks that read M, K or the factors, and
+keeps only u, det S and the singular mask. Every product in
+the step has a fixed shape per x row or per node, so any tiling gives
 identical bytes.
 
 It constructs, raising where a construction cannot go on (SpectralClash,
@@ -66,8 +64,8 @@ verify.darboux_residual reports the same residuals without raising.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -757,40 +755,42 @@ class Grid:
 
 
 @dataclass
-class FieldSamples:
-    """Grid samples of the constructed solution and its singular mask.
-
-    u has shape (nx, nt, m1, m2) with NaN entries at masked points, a view
-    of an array that holds the node axes last. These are all the pde check
-    reads: solution_samples builds them alone for a level that no other
-    check reads, and SolutionField adds the determinant data to them.
-    """
+class SolutionField:
+    """One grid level of the constructed solution: u, shape (nx, nt, m1,
+    m2) with NaN entries at masked nodes, a view of an array that holds
+    the node axes last, the singular mask, and det S, taken from det M.
+    These are what the CSV files and the checks that read a whole level
+    (pde, oracle) need; the checks that read M, K or its factors read them
+    tile by tile while solution_field builds the level."""
 
     grid: Grid
     u: np.ndarray
     singular_mask: np.ndarray
+    detS: np.ndarray
 
 
-@dataclass
-class SolutionField(FieldSamples):
-    """Grid samples of the constructed solution and its determinant data.
+@dataclass(frozen=True)
+class FieldTile:
+    """The nodes of one mirror-closed tile of x rows, as solution_field
+    hands them to its tile checks.
 
-    M, shape (nx, nt, n, n), is the reduced matrix with
-    S(x, t) = E M E(-x, t)*, and K, shape (nx, nt, n, m2), the right side
-    e^{i(-2xA + 4tA^2)} theta2 of its solve; K(-x, t), read as K[::-1], is
-    e^{i(2xA + 4tA^2)} theta2. detS is det S, taken from det M. lower,
-    shape (nx, nt, m2, m1) with NaN at masked points, is the lower block
-    -2i sigma Pi2(-x, t)* S^{-1} Pi1(x, t) of the transferred potential,
-    taken from the same solve as u. All are kept, so verification passes
-    never recompute exponentials or solves. The stacks u, M, K and lower
-    are views of arrays that hold the node axes last, the layout of
-    numkit.stack_matmul and factor_solve.
+    rows are the tile's x rows in increasing order, closed under
+    k -> nx - 1 - k, so reversing any of the tile's stacks along its first
+    axis gives every node's mirror (-x, t). M, shape (rows, nt, n, n), is
+    the reduced matrix with S(x, t) = E M E(-x, t)*, and K, shape
+    (rows, nt, n, m2), the right side e^{i(-2xA + 4tA^2)} theta2 of its
+    solve; factors are M's LU factors (numkit.LUFactors), with which a
+    check solves for other right sides. u and the singular mask are the
+    tile's rows of the level's. The stacks are node-first views of arrays
+    that hold the node axes last.
     """
 
+    rows: np.ndarray
     M: np.ndarray
-    detS: np.ndarray
-    K: np.ndarray = field(repr=False)
-    lower: np.ndarray = field(repr=False)
+    K: np.ndarray
+    factors: numkit.LUFactors
+    u: np.ndarray
+    singular_mask: np.ndarray
 
 
 def _sandwich(left: np.ndarray, mid: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -815,15 +815,17 @@ def _node_first(stack: np.ndarray) -> np.ndarray:
     return np.moveaxis(stack, (0, 1), (2, 3))
 
 
-# Nodes per tile of solution_samples, in whole x rows, at least one. On
-# the 201 x 201 level of the matrix-grid data (one BLAS thread, median of
-# 15), 1024 / 2048 / 4096 / 8192 took 20 / 14 / 12 / 12 ms at n = 2,
-# 42 / 33 / 31 / 30 at n = 4 and 124 / 114 / 106 / 113 at n = 8, against
-# 20, 47 and 170 for solution_field: no size is fastest at all three. The
-# tracemalloc peak at n = 8 is 8.4 / 13.4 / 17.7 / 26.1 MB (104 for
-# solution_field). Every tile from one row to the whole grid gives
-# identical bytes.
-_SAMPLE_TILE_NODES = 4096
+# Nodes per tile of solution_field times the order n: a tile holds about
+# _TILE_NODES // n nodes, in whole mirror pairs of x rows, at least one.
+# Per node the LU's work grows like n^3 and a tile's stacks like n^2,
+# while numpy's cost per call is fixed, so the best tile shrinks with n.
+# On a 201 x 201 level (one BLAS thread, median of 15), tiles of 1024 /
+# 2048 / 4096 / 8192 nodes took 20 / 14 / 12 / 12 ms at n = 2, 42 / 33 /
+# 31 / 30 at n = 4 and 124 / 114 / 106 / 113 at n = 8, and at n = 1 a
+# closed-form level in tiles of 4096 nodes ran 65% slower than in one
+# tile; 2^15 / n nodes is 4096 at n = 8 and more below it. Every tile from
+# one mirror pair to the whole grid gives identical bytes.
+_TILE_NODES = 2**15
 
 
 def _tables(triple: GbdtTriple, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
@@ -850,7 +852,7 @@ def _tables(triple: GbdtTriple, grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
 def _right_sides(triple: GbdtTriple, h: np.ndarray, q: np.ndarray) -> np.ndarray:
     """K[k, l] = h[k] q[l] theta2 at the nodes of the x rows of h,
     node-first: one (n, n) @ (n, m2 nt) product per x row. An entry beyond
-    double range is left for factor_solve's check."""
+    double range is left for numkit.lu_solve's check."""
     n, m2 = triple.n, triple.m2
     # qt[b, c, l] = (q[l] theta2)[b, c]
     qt = (q @ triple.theta2).transpose(1, 2, 0).reshape(n, -1)
@@ -859,43 +861,34 @@ def _right_sides(triple: GbdtTriple, h: np.ndarray, q: np.ndarray) -> np.ndarray
     return k.transpose(0, 3, 1, 2)
 
 
-def _node_rows(
-    triple: GbdtTriple, left: np.ndarray, mid: np.ndarray, right: np.ndarray,
-    xs: np.ndarray, ts: np.ndarray, rhs: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """M, det S, the solves M^{-1} rhs and the singular mask at the nodes
-    of the x rows xs, M = Sigma1 + s left[k] mid[l] right[k]* node-first.
+def _tile(
+    triple: GbdtTriple, rows: np.ndarray, h: np.ndarray, mid: np.ndarray, q: np.ndarray
+) -> FieldTile:
+    """The tile of the x rows rows: K = h[k] q[l] theta2, M = Sigma1 +
+    s h[k] mid[l] h[-k]* with the mask's threshold, one LU per node, and u.
 
-    rhs are the node-first right sides, of any width. The mask's threshold
-    is SINGULAR_PIVOT_FACTOR (||Sigma1|| + ||M - Sigma1||) per node, M -
-    Sigma1 being the sandwich, whose norms numkit.frobenius_norms takes.
-    One numkit.factor_solve gives det M, the smallest pivot and the solves;
-    det S = det M e^{2ix Re tr A} e^{4t Im tr A^2}, and a node is masked
-    when its pivot is at most its threshold.
+    The mask's threshold is SINGULAR_PIVOT_FACTOR (||Sigma1|| +
+    ||M - Sigma1||) per node, M - Sigma1 being the sandwich, whose norms
+    numkit.frobenius_norms takes; a node is masked when the smallest pivot
+    of its LU is at most its threshold.
 
-    Raises factor_solve's ValueError on a non-finite M or rhs, then
-    Overflow when det S leaves double range.
+    Raises numkit's ValueError on a non-finite M or K.
     """
-    a = triple.A
     sigma1 = triple.origin_parts[0]
+    k = _right_sides(triple, h[rows], q)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = _sandwich(left, mid, right)
-        floor = numkit.frobenius_norms(m) + np.linalg.norm(sigma1)
-        floor *= SINGULAR_PIVOT_FACTOR
+        m = _sandwich(h[rows], mid, h[::-1][rows])
+        floor = (numkit.frobenius_norms(m) + np.linalg.norm(sigma1)) * SINGULAR_PIVOT_FACTOR
         if triple.kappa == 1:
             np.subtract(sigma1[..., None, None], m, out=m)
         else:
             m += sigma1[..., None, None]
     m = _node_first(m)
 
-    det, sol, pivot = numkit.factor_solve(m, rhs)
-    # det S = det E(x, t) det M conj(det E(-x, t))
-    with np.errstate(over="ignore", invalid="ignore"):
-        det *= np.exp(2j * np.trace(a).real * xs)[:, None]
-        det *= np.exp(4.0 * np.trace(a @ a).imag * ts)
-    if not np.isfinite(det).all():
-        raise Overflow("det S leaves double range on this grid")
-    return m, det, sol, pivot <= floor
+    factors = numkit.lu_factor(m)
+    mask = factors.pivot <= floor
+    u = _u(triple, numkit.lu_solve(factors, k), mask)
+    return FieldTile(rows=rows, M=m, K=k, factors=factors, u=u, singular_mask=mask)
 
 
 def _u(triple: GbdtTriple, x2: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -907,8 +900,11 @@ def _u(triple: GbdtTriple, x2: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return u
 
 
-def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
-    """Assemble u, M and det S on the whole grid.
+def solution_field(
+    triple: GbdtTriple, grid: Grid, checks: Sequence[Callable[[FieldTile], None]] = ()
+) -> SolutionField:
+    """Assemble u, det S and the singular mask on the grid, handing each
+    tile of the level to every callable of checks.
 
     With s = (-1)^kappa, h[k] = e^{-2i x_k A} and q[l] = e^{4i t_l A^2}, S
     factors as S = E(x, t) M E(-x, t)* with
@@ -918,91 +914,56 @@ def solution_field(triple: GbdtTriple, grid: Grid) -> SolutionField:
         u = -2i theta1* M^{-1} K,   K[k, l] = h[k] q[l] theta2,
 
     since E commutes with A and E(x, t)^{-1} = E(-x, -t). The tables h and
-    q come from one stacked numkit.expm call of nx + nt matrices. M is one
-    sandwich of matrix products per x row, and K one product per x row.
-    One LU per node gives det M, its smallest pivot and the solve: a single
-    numkit.factor_solve of M X = [theta1 K] over the stack. Then
+    q come from one stacked numkit.expm call of nx + nt matrices. The rest
+    runs on mirror-closed tiles of x rows, rows k and nx - 1 - k together,
+    about _TILE_NODES / n nodes each: per tile, K is one product per
+    x row, M one sandwich of matrix products per x row, and one LU per
+    node (numkit.lu_factor) gives det M, its smallest pivot and, by
+    numkit.lu_solve, X2 = M^{-1} K. Then
 
         det S = det M e^{2ix Re tr A} e^{4t Im tr A^2},
 
-    and u = -2i theta1* X2 and the lower block -2i sigma K(-x)* X1 are
-    numkit.stack_matmul's multiply-adds, node by node.
-    A node is masked, and set to NaN in u and the lower block, when the
-    smallest pivot modulus of M's LU is at most SINGULAR_PIVOT_FACTOR times
+    and u = -2i theta1* X2 is numkit.stack_matmul's multiply-adds, node by
+    node. A node is masked, and set to NaN in u, when the smallest pivot
+    modulus of M's LU is at most SINGULAR_PIVOT_FACTOR times
     ||Sigma1|| + ||M - Sigma1|| (Frobenius, M - Sigma1 being the sandwich).
     The pivot is at least sigma_min(M) / n, so a well-conditioned node is
     never masked, and a node's flag depends on that node alone, not on how
     far the grid extends.
 
-    This step, K, M with the mask's threshold, the factoring and u, is the
-    one solution_samples takes tile by tile; here it runs once on the whole
-    grid. Each of its products has a fixed shape per x row or per node.
-
-    Mirror samples at -x reuse the tables at the mirrored node, never a
-    second exponential. Output is deterministic: the same triple and grid
-    give bit-identical arrays on every run.
+    Each tile, a FieldTile with its M, K and factors, goes to the checks
+    and is then dropped, so no stack of the size of the level's M or K
+    exists; the level keeps u, det S and the mask. Every product has a
+    fixed shape per x row or per node, so any tiling gives identical
+    bytes. Mirror samples at -x reuse the tables at the mirrored node,
+    never a second exponential. Output is deterministic: the same triple
+    and grid give bit-identical arrays on every run.
 
     Raises SpectralClash when A's spectrum meets -A*'s (no grid fallback),
-    and Overflow when the squared tables or det S leave double range.
+    numkit's ValueError on a non-finite M or K, and Overflow when the
+    squared tables or det S leave double range; det S is formed from det M
+    once every tile is in, so a ValueError anywhere comes first.
     """
-    nx, nt = grid.nx, grid.nt
-    n, m1 = triple.n, triple.m1
-    sigma2 = triple.origin_parts[1]
-    h, q = _tables(triple, grid)
-    # right sides [theta1 K], K[k,l] = h[k] q[l] theta2
-    blocks = _node_first(np.empty((n, triple.m, nx, nt), dtype=np.complex128))
-    blocks[..., :m1] = triple.theta1
-    blocks[..., m1:] = _right_sides(triple, h, q)
-    k = blocks[..., m1:]
-
-    # M[k,l] = Sigma1 + s h[k] T[l] h[-k]*, T[l] = q[l] Sigma2 q[l]*
-    m, det, sol, mask = _node_rows(
-        triple, h, q @ sigma2 @ _h(q), h[::-1], grid.x_values, grid.t_values, blocks
-    )
-    u = _u(triple, sol[..., m1:], mask)
-    lower = numkit.stack_matmul(_h(k[::-1]), sol[..., :m1])
-    lower *= -2j * triple.sigma
-    lower[mask] = complex(np.nan, np.nan)
-
-    return SolutionField(
-        grid=grid, u=u, singular_mask=mask, M=m, detS=det, K=k, lower=lower,
-    )
-
-
-def solution_samples(triple: GbdtTriple, grid: Grid) -> FieldSamples:
-    """u and the singular mask on the whole grid, bit-identical to
-    solution_field's, with no stack of the size of M or K.
-
-    Built for a level only the pde check reads. The step solution_field
-    takes once, K, M with its threshold, the factoring and u, runs on tiles
-    of whole x rows, about _SAMPLE_TILE_NODES nodes each. Each tile's K, M,
-    det S and solves are dropped with the tile, and no lower block is
-    formed.
-
-    Raises as solution_field, and the same error for the same triple and
-    grid: a tile's Overflow from det S is held until every tile is
-    factored, since solution_field factors every node before it looks at
-    det S, so that a later tile's ValueError is raised first, as there.
-    """
-    xs, ts = grid.x_values, grid.t_values
     nx, nt = grid.nx, grid.nt
     h, q = _tables(triple, grid)
     mid = q @ triple.origin_parts[1] @ _h(q)
     u = _node_first(np.empty((triple.m1, triple.m2, nx, nt), dtype=np.complex128))
+    det = np.empty((nx, nt), dtype=np.complex128)
     mask = np.empty((nx, nt), dtype=bool)
-    rows = max(1, _SAMPLE_TILE_NODES // nt)
-    overflow = None
-    for lo in range(0, nx, rows):
-        tile = slice(lo, lo + rows)
-        try:
-            _, _, x2, mask[tile] = _node_rows(
-                triple, h[tile], mid, h[::-1][tile], xs[tile], ts,
-                _right_sides(triple, h[tile], q),
-            )
-        except Overflow as exc:
-            overflow = overflow or exc
-            continue
-        u[tile] = _u(triple, x2, mask[tile])
-    if overflow is not None:
-        raise overflow
-    return FieldSamples(grid=grid, u=u, singular_mask=mask)
+    pairs = max(1, _TILE_NODES // (2 * nt * triple.n))
+    half = (nx + 1) // 2
+    for lo in range(0, half, pairs):
+        hi = min(lo + pairs, half)
+        # rows lo .. hi - 1 and their mirrors, the centre row once
+        rows = np.r_[lo:hi, max(hi, nx - hi):nx - lo]
+        tile = _tile(triple, rows, h, mid, q)
+        u[rows], det[rows], mask[rows] = tile.u, tile.factors.det, tile.singular_mask
+        for check in checks:
+            check(tile)
+    # det S = det E(x, t) det M conj(det E(-x, t))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det *= np.exp(2j * np.trace(triple.A).real * grid.x_values)[:, None]
+        det *= np.exp(4.0 * np.trace(triple.A2).imag * grid.t_values)
+    if not np.isfinite(det).all():
+        raise Overflow("det S leaves double range on this grid")
+    return SolutionField(grid=grid, u=u, singular_mask=mask, detS=det)

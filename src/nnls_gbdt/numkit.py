@@ -23,12 +23,13 @@ exponentials: a base of small steps e^{km} and one of large strides e^{jbm},
 applied to a right factor as steps first, then all strides in one product,
 so each entry carries the rounding of a fixed number of products; a stack
 of generators takes one exponential call.
-``factor_solve`` LU-factors every matrix of a stack once and takes the
-determinant, the smallest pivot and the solve of stacked right sides from
-those factors; its loops run over pivot steps and fixed-size chunks of the
-stack, never over matrices. ``stack_matmul`` multiplies two stacks of
-small matrices pairwise by multiply-adds with the stack axes last, one
-numpy call per row of the product and term of the inner index.
+``lu_factor`` LU-factors every matrix of a stack once, with its
+determinant and smallest pivot, and ``lu_solve`` solves stacked right sides
+with those factors, as often as a caller has right sides; their loops run
+over pivot steps and fixed-size chunks of the stack, never over matrices.
+``stack_matmul`` multiplies two stacks of small matrices pairwise by
+multiply-adds with the stack axes last, one numpy call per row of the
+product and term of the inner index.
 ``frobenius_norms`` takes the norm of every matrix of a stack held matrix
 axes first, finite wherever the matrix is.
 """
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List
 
 import numpy as np
@@ -63,13 +64,13 @@ EXPM_NORM_LIMIT = 700.0
 # as numerically singular.
 SPECTRAL_CLASH_FACTOR = 1e-8
 
-# Matrices per chunk of factor_solve: enough that every numpy call of a
-# pivot step runs over a long vector of matrices, few enough that the
-# chunk's augmented stack stays in cache at the orders met here (n <= 8).
-# On the level-1 stacks of the benchmark grids, 2048 beat 1024 at every
-# n (6.6 against 7.4 ms at n = 1, 142 against 158 ms at n = 8, median of
-# 7) and 4096 lost at n = 8 (161 ms). Every chunk from 256 to 65536 gives
-# bit-identical fields.
+# Matrices per chunk of lu_factor and lu_solve: enough that every numpy
+# call of a pivot step runs over a long vector of matrices, few enough that
+# the chunk stays in cache at the orders met here (n <= 8). On the level-1
+# stacks of the benchmark grids, 2048 beat 1024 at every n (6.6 against
+# 7.4 ms at n = 1, 142 against 158 ms at n = 8, median of 7) and 4096 lost
+# at n = 8 (161 ms), for the factoring and solve in one pass that preceded
+# the split. Every chunk from 256 to 65536 gives bit-identical fields.
 _FACTOR_CHUNK = 2048
 
 # Coefficients b_k of the degree-13 Pade approximant to e^x, divided by b_0
@@ -138,6 +139,17 @@ def _square(m, name: str) -> np.ndarray:
     return a
 
 
+def _square_stack(m, name: str) -> np.ndarray:
+    """``m`` as a complex128 stack of square matrices, shape ``(..., n, n)``;
+    raises ValueError for fewer than two axes and NonSquare otherwise."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise ValueError(f"{name} operand must have at least two axes, got shape {a.shape}")
+    if a.shape[-1] != a.shape[-2]:
+        raise NonSquare(f"{name} operand must be square, got shape {a.shape}")
+    return a
+
+
 def expm(m) -> np.ndarray:
     """Matrix exponential ``e^m`` of one matrix or of each matrix in a stack.
 
@@ -170,11 +182,7 @@ def expm(m) -> np.ndarray:
         If ``||m||_1`` of any matrix exceeds the documented operating range
         (700), where entries of the result can leave double range.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2:
-        raise ValueError(f"expm operand must have at least two axes, got shape {a.shape}")
-    if a.shape[-1] != a.shape[-2]:
-        raise NonSquare(f"expm operand must be square, got shape {a.shape}")
+    a = _square_stack(m, "expm")
     if a.size == 0:
         return a.copy()
     n = a.shape[-1]
@@ -421,12 +429,8 @@ def expm_steps(m, count: int) -> List[StepTable]:
         table stands for, exceeds the ``expm`` operating range (700);
         ``expm`` itself only sees the smaller strides.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2:
-        raise ValueError(f"expm_steps operand must have at least two axes, got shape {a.shape}")
+    a = _square_stack(m, "expm_steps")
     n = a.shape[-1]
-    if a.shape[-2] != n:
-        raise NonSquare(f"expm_steps operand must be square, got shape {a.shape}")
     # the generators' rows side by side: one finiteness and range check
     as_cmatrix(a.reshape(-1, n), "expm_steps operand")
     if count < 1:
@@ -506,114 +510,129 @@ def sylvester_solver(a, b) -> Callable[[np.ndarray], np.ndarray]:
     return solve_many
 
 
-def factor_solve(s, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``det s``, ``X = s^{-1} b`` and the smallest pivot modulus for every
-    matrix of a stack, from one LU factorisation each.
+@dataclass(frozen=True)
+class LUFactors:
+    """LU factors of every matrix of an ``(..., n, n)`` stack, from
+    ``lu_factor``; ``lu_solve`` solves with them.
 
-    Parameters
-    ----------
-    s
-        Stack of square complex matrices, shape ``(..., n, n)``.
-    b
-        Right sides, shape ``(..., n, k)`` with the leading axes of ``s``.
-
-    Returns
-    -------
-    det, x, pivot
-        ``det`` of shape ``s.shape[:-2]``, the product of the pivots times
-        the sign of the row permutation, ``x`` of the shape of ``b``,
-        a view of an array with the stack axes last, and ``pivot`` of the
-        shape of ``det``, the smallest modulus of a pivot (0 for a zero
-        pivot), which is at least the smallest singular value over n.
-        Elimination with partial pivoting on ``|Re| + |Im|`` (LAPACK's
-        ``izamax`` rule, first row on ties) is applied to ``[s b]``, so all
-        three come from the same factors. A matrix with a zero pivot gives
-        det and pivot 0 and an all-NaN ``x``, with no exception and no
-        warning. The same stack gives the same bytes on every call; a
-        matrix's last bits may depend on its position in the stack.
-
-    Raises
-    ------
-    ValueError
-        If the operands have fewer than two axes, mismatched shapes or
-        non-finite entries.
-    NonSquare
-        If the matrices of ``s`` are not square.
+    ``shape`` is the stack's, and ``det`` and ``pivot`` have its leading
+    shape: the determinant, the product of the pivots times the sign of
+    the row exchanges, and the smallest pivot modulus (0 for a zero pivot),
+    which is at least the smallest singular value over n. ``chunks`` holds,
+    per chunk of ``_FACTOR_CHUNK`` matrices, ``(lu, swaps, singular)``: lu,
+    shape ``(n, n, count)`` with the chunk axis last, holds U on and above
+    the diagonal, a zero pivot read as 1, and below it each step's
+    multipliers in the rows they were formed in; ``swaps[j]`` is the offset
+    from row j of the row exchanged with it at step j, and ``singular``
+    marks the matrices with a zero pivot.
     """
-    s = np.asarray(s, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if s.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"factor_solve operands need two axes, got {s.shape} and {b.shape}")
-    if s.shape[-1] != s.shape[-2]:
-        raise NonSquare(f"factor_solve matrices must be square, got shape {s.shape}")
-    if b.shape[:-1] != s.shape[:-1]:
-        raise ValueError(f"right sides {b.shape} do not match matrices {s.shape}")
-    n, k = b.shape[-2:]
-    flat_s = s.reshape(-1, n, n)
-    flat_b = b.reshape(-1, n, k)
-    det = np.empty(flat_s.shape[0], dtype=np.complex128)
-    pivot = np.empty(det.size)
-    # the solves are held with the stack axis last, as each chunk makes them
-    x = np.empty((n, k, det.size), dtype=np.complex128)
+
+    shape: tuple
+    det: np.ndarray
+    pivot: np.ndarray
+    chunks: tuple = field(repr=False)
+
+
+def lu_factor(s) -> LUFactors:
+    """LU factors of every matrix of a stack of square complex matrices,
+    shape ``(..., n, n)``, by elimination with partial pivoting on
+    ``|Re| + |Im|`` (LAPACK's ``izamax`` rule, first row on ties).
+
+    The stack is taken in chunks of ``_FACTOR_CHUNK`` matrices, each held
+    with the matrix axis last, so each step of the elimination is a few
+    elementwise numpy calls on whole rows of the chunk. At step j only
+    columns j.. are exchanged, through flat indices since the exchanges
+    differ per matrix, so each multiplier stays in the row it was formed
+    in, where lu_solve's forward steps read it. A matrix with a zero pivot
+    gives det and pivot 0, with no exception and no warning.
+
+    Raises ValueError if ``s`` has fewer than two axes or a non-finite
+    entry, and NonSquare if its matrices are not square.
+    """
+    s = _square_stack(s, "lu_factor")
+    n = s.shape[-1]
+    stack = s.reshape(-1, n, n)
+    det = np.ones(stack.shape[0], dtype=np.complex128)
+    smallest = np.full(det.size, np.inf)
+    chunks = []
     for lo in range(0, det.size, _FACTOR_CHUNK):
-        hi = lo + _FACTOR_CHUNK
-        det[lo:hi], x[..., lo:hi], pivot[lo:hi] = _factor_solve_chunk(
-            flat_s[lo:hi], flat_b[lo:hi]
-        )
+        a = stack[lo:lo + _FACTOR_CHUNK].transpose(1, 2, 0).copy()
+        # checked per chunk, so the check needs no mask the size of the stack
+        if not np.isfinite(a).all():
+            raise ValueError("lu_factor operand has non-finite entries")
+        count = a.shape[-1]
+        flat = a.reshape(-1)
+        # flat offset of entry (0, c) of matrix i: c * count + i
+        row0 = np.arange(n)[:, None] * count + np.arange(count)
+        swaps = np.empty((n, count), dtype=np.intp)
+        singular = np.zeros(count, dtype=bool)
+        d, least = det[lo:lo + count], smallest[lo:lo + count]
+        for j in range(n):
+            col = a[j:, j]
+            p = swaps[j] = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
+            swap = p != 0
+            if swap.any():
+                at = (j + p) * (n * count) + row0[j:]
+                row = flat[at]
+                flat[at] = a[j, j:]
+                a[j, j:] = row
+                np.negative(d, out=d, where=swap)
+            pivot = a[j, j]
+            d *= pivot
+            np.minimum(least, np.abs(pivot), out=least)
+            # a zero pivot has a zero column below it: dividing by 1 leaves
+            # the rows as they are, as LAPACK does, and det stays 0
+            zero = pivot == 0
+            singular |= zero
+            pivot[zero] = 1.0
+            a[j + 1:, j] /= pivot
+            a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, None, j + 1:]
+        chunks.append((a, swaps, singular))
     lead = s.shape[:-2]
-    return det.reshape(lead), np.moveaxis(x, -1, 0).reshape(b.shape), pivot.reshape(lead)
+    return LUFactors(s.shape, det.reshape(lead), smallest.reshape(lead), tuple(chunks))
 
 
-def _factor_solve_chunk(
-    s: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """factor_solve on a ``(count, n, n)`` and ``(count, n, k)`` chunk.
+def lu_solve(factors: LUFactors, b) -> np.ndarray:
+    """``X = s^{-1} b`` for every matrix s of the stack ``factors`` holds.
 
-    The augmented matrices [s b] are held with the matrix axis last, so
-    each step of the elimination is a few numpy calls on whole rows of the
-    chunk. Row exchanges differ per matrix and go through flat indices.
+    ``b`` has shape ``(..., n, k)`` with the stack's leading axes, and
+    ``X``, of its shape, is a view of an array with the stack axes last.
+    Chunk by chunk, the row exchanges and multipliers of each step are
+    applied in the order lu_factor formed them, then U is solved back, one
+    numpy call per step over whole rows of the chunk; each column of b
+    takes the same operations whatever the others, so solving columns
+    apart or together gives the same bytes. A matrix with a zero pivot
+    gives an all-NaN X.
+
+    Raises ValueError if ``b`` does not match the stack or has a
+    non-finite entry.
     """
-    count, n = s.shape[:2]
-    width = n + b.shape[-1]
-    aug = np.empty((n, width, count), dtype=np.complex128)
-    aug[:, :n] = s.transpose(1, 2, 0)
-    aug[:, n:] = b.transpose(1, 2, 0)
-    # checked per chunk, so the check needs no mask the size of the stack
-    if not np.isfinite(aug).all():
-        raise ValueError("factor_solve operands have non-finite entries")
-    flat = aug.reshape(-1)
-    # flat offset of entry (0, c) of matrix i: c * count + i
-    row0 = np.arange(width)[:, None] * count + np.arange(count)
-    det = np.ones(count, dtype=np.complex128)
-    smallest = np.full(count, np.inf)
-    pivots = np.empty((n, count), dtype=np.complex128)
-    singular = np.zeros(count, dtype=bool)
-    for j in range(n):
-        col = aug[j:, j]
-        p = np.argmax(np.abs(col.real) + np.abs(col.imag), axis=0)
-        swap = p != 0
-        if swap.any():
-            at = (j + p) * (width * count) + row0[j:]
-            row = flat[at]
-            flat[at] = aug[j, j:]
-            aug[j, j:] = row
-            np.negative(det, out=det, where=swap)
-        pivot = aug[j, j]
-        det *= pivot
-        np.minimum(smallest, np.abs(pivot), out=smallest)
-        # a zero pivot has a zero column below it: dividing by 1 leaves the
-        # rows as they are, as LAPACK does, and det stays 0
-        zero = pivot == 0
-        singular |= zero
-        pivots[j] = np.where(zero, 1.0, pivot)
-        factors = aug[j + 1:, j] / pivots[j]
-        aug[j + 1:, j + 1:] -= factors[:, None] * aug[j, None, j + 1:]
-    x = aug[:, n:]
-    for j in range(n - 1, -1, -1):
-        x[j] -= (aug[j, j + 1:n, None] * x[j + 1:]).sum(axis=0)
-        x[j] /= pivots[j]
-    x[..., singular] = complex(np.nan, np.nan)
-    return det, x, smallest
+    b = np.asarray(b, dtype=np.complex128)
+    if b.ndim < 2 or b.shape[:-1] != factors.shape[:-1]:
+        raise ValueError(f"right sides {b.shape} do not match matrices {factors.shape}")
+    n, k = b.shape[-2:]
+    stack = b.reshape(-1, n, k)
+    out = np.empty((n, k, stack.shape[0]), dtype=np.complex128)
+    for lo, (lu, swaps, singular) in zip(range(0, out.shape[-1], _FACTOR_CHUNK), factors.chunks):
+        count = lu.shape[-1]
+        x = stack[lo:lo + count].transpose(1, 2, 0).copy()
+        if not np.isfinite(x).all():
+            raise ValueError("lu_solve right sides have non-finite entries")
+        flat = x.reshape(-1)
+        row0 = np.arange(k)[:, None] * count + np.arange(count)
+        for j in range(n):
+            if swaps[j].any():
+                at = (j + swaps[j]) * (k * count) + row0
+                row = flat[at]
+                flat[at] = x[j]
+                x[j] = row
+            x[j + 1:] -= lu[j + 1:, j, None] * x[j, None]
+        for j in range(n - 1, -1, -1):
+            x[j] -= (lu[j, j + 1:, None] * x[j + 1:]).sum(axis=0)
+            x[j] /= lu[j, j]
+        x[..., singular] = complex(np.nan, np.nan)
+        out[..., lo:lo + count] = x
+    return np.moveaxis(out, -1, 0).reshape(b.shape)
 
 
 def stack_matmul(a, b) -> np.ndarray:

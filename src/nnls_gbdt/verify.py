@@ -13,7 +13,11 @@ residuals by about four; the pde record turns its levels' residuals into
 convergence orders and decides on them. Grid checks skip the nodes
 solution_field masks, those where the smallest LU pivot of M is at most
 gbdt_core.SINGULAR_PIVOT_FACTOR times ||Sigma1|| + ||M - Sigma1||, a rule
-that reads each node alone.
+that reads each node alone. The checks that read M, K or M's factors
+(identity, mirror, reduction) are TileChecks: gbdt_core.solution_field
+hands each of them every mirror-closed tile of a level as it builds it,
+and they keep per node only what their reports need. pde and oracle read
+the level's u and mask.
 
 gbdt_core and ag_theta construct and measure; the admissibility of a
 triple (``validate_triple``), the theta data's reality constraints
@@ -36,7 +40,7 @@ import numpy as np
 from . import gbdt_core, numkit
 from .ag_theta import AknsConstants, NnlsConstants
 from .errors import DimensionMismatch, GridTooSmall
-from .gbdt_core import FieldSamples, GbdtTriple, Grid, SolutionField
+from .gbdt_core import FieldTile, GbdtTriple, Grid, SolutionField
 
 #: Bound on the finite-difference residuals of the wave function's two
 #: systems and of the stationary equations (snnls_residual, sakns_residual).
@@ -224,10 +228,11 @@ def _at_point(
     )
 
 
-def floored_relative(diff: np.ndarray, scale: np.ndarray) -> float:
+def floored_relative(diff: np.ndarray, scale: np.ndarray, fraction: float = SCALE_FLOOR) -> float:
     """Largest ``diff / scale`` over the nodes given, each scale raised to
-    at least ``SCALE_FLOOR`` times the largest of them."""
-    floor = max(SCALE_FLOOR * float(np.max(scale)), 1e-300)
+    at least 1e-300 and, for a nonzero ``fraction``, that fraction of the
+    largest of them."""
+    floor = max(fraction * float(np.max(scale)), 1e-300) if fraction else 1e-300
     return float(np.max(diff / np.maximum(scale, floor)))
 
 
@@ -259,9 +264,9 @@ def _interior_validity(mask: np.ndarray) -> np.ndarray:
     return valid
 
 
-def nnls_residual(field: FieldSamples, sigma: int) -> ResidualReport:
+def nnls_residual(field: SolutionField, sigma: int) -> ResidualReport:
     """Residual of the evolution equation on the field's grid, from its u
-    and singular mask alone: a SolutionField or solution_samples' level.
+    and singular mask alone.
 
     The nonlocal cubic term couples each point to its spatial mirror, so a
     stencil is evaluated only when the five difference points and the
@@ -298,29 +303,29 @@ def nnls_residual(field: FieldSamples, sigma: int) -> ResidualReport:
 
 def _node_last(stack: np.ndarray) -> np.ndarray:
     """(r, c, nodes) view of an (nx, nt, r, c) stack, or a copy when its
-    node axes do not merge; a field's stacks are held node-last, so for
+    node axes do not merge; a tile's stacks are held node-last, so for
     them it is a view."""
     r, c = stack.shape[-2:]
     return np.moveaxis(stack, (-2, -1), (0, 1)).reshape(r, c, -1)
 
 
-def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualReport:
-    """Pointwise relative residual of A M + M A^* against the coupling term.
+def identity_residual(triple: GbdtTriple, tile: FieldTile) -> Tuple[np.ndarray, np.ndarray]:
+    """Per node of the tile, the Frobenius norm of A M + M A^* - C and its
+    scale 2 ||A|| ||M|| + ||C||, C being the coupling term.
 
-    M = E(x, t)^{-1} S E(-x, t)^{-*} satisfies
-    A M + M A^* = theta1 theta1^* + (-1)^kappa K K(-x, t)^*. The coupling
-    term is formed here from the field's right side K, while the field
-    built M from the origin parts without it, so the check is independent
-    of the route that built M. Purely algebraic, so every grid point
-    participates regardless of the singular mask. With the node axes last,
-    A M is one matrix product over all nodes and M A^* one per row of M;
-    K K(-x, t)^* is numkit.stack_matmul's multiply-adds. The difference is
-    taken in place, so the check holds two stacks of M besides M.
+    M = E(x, t)^{-1} S E(-x, t)^{-*} satisfies A M + M A^* = C with
+    C = theta1 theta1^* + (-1)^kappa K K(-x, t)^*. C is formed here from
+    the tile's right side K, while the field built M from the origin parts
+    without it, so the check is independent of the route that built M.
+    Purely algebraic, so every node takes part regardless of the singular
+    mask. With the node axes last, A M is one matrix product over the
+    tile's nodes and M A^* one per row of M; K K(-x, t)^* is
+    numkit.stack_matmul's multiply-adds. The difference is taken in place,
+    so the check holds two stacks of the tile's M besides M.
     """
-    a = triple.A
-    n = a.shape[0]
-    m = _node_last(field.M)
-    k = field.K
+    a, n = triple.A, triple.n
+    m = _node_last(tile.M)
+    k = tile.K
     rhs = _node_last(numkit.stack_matmul(k, np.conj(np.swapaxes(k[::-1], -1, -2))))
     gram = (triple.theta1 @ np.conj(triple.theta1.T))[..., None]
     if triple.kappa == 1:
@@ -334,56 +339,91 @@ def identity_residual(triple: GbdtTriple, field: SolutionField) -> ResidualRepor
     diff = numkit.frobenius_norms(lhs)
     del lhs
     scale = 2.0 * np.linalg.norm(a) * numkit.frobenius_norms(m) + numkit.frobenius_norms(rhs)
-    rel = diff / np.maximum(scale, 1e-300)
-    return _level(
-        "identity", field.grid, float(np.max(rel)), int(rel.size),
-        tolerance=DEFAULT_IDENTITY_TOL,
-    )
+    return diff, scale
 
 
-def hermitian_mirror_residual(field: SolutionField) -> ResidualReport:
-    """Largest relative deviation of M(-x, t) from M(x, t)^* over the nodes.
+def hermitian_mirror_residual(tile: FieldTile) -> Tuple[np.ndarray, np.ndarray]:
+    """Per node of the tile, the Frobenius norm of M(-x, t) - M(x, t)^* and
+    that of M(x, t), its scale.
 
-    S(-x, t) = S(x, t)^* holds exactly when M does. At each node the
-    Frobenius norm of M(-x, t) - M(x, t)^* is divided by that of M(x, t),
-    so the bound holds whatever the magnitude of M.
+    S(-x, t) = S(x, t)^* holds exactly when M does. The tile's M(-x, t)
+    was built from the tables at -x on its own, never from M(x, t), and
+    the norm of M as the scale makes the bound hold whatever the magnitude
+    of M.
     """
-    m = np.moveaxis(field.M, (-2, -1), (0, 1))
+    m = np.moveaxis(tile.M, (-2, -1), (0, 1))
     gap = np.empty(m.shape, dtype=np.complex128)
     np.conjugate(np.swapaxes(m, 0, 1), out=gap)
     np.subtract(m[:, :, ::-1], gap, out=gap)
-    rel = numkit.frobenius_norms(gap) / np.maximum(numkit.frobenius_norms(m), 1e-300)
-    return _level(
-        "mirror", field.grid, float(np.max(rel)), int(rel.size),
-        tolerance=DEFAULT_IDENTITY_TOL,
-    )
+    return numkit.frobenius_norms(gap), numkit.frobenius_norms(m)
 
 
-def reduction_residual(field: SolutionField, sigma: int) -> ResidualReport:
-    """Relative deviation of the lower coupling block from -sigma u(-x, t)^*.
+def reduction_residual(triple: GbdtTriple, tile: FieldTile) -> Tuple[np.ndarray, np.ndarray]:
+    """At the tile's nodes where neither x nor -x is masked, the Frobenius
+    norm of the lower coupling block's deviation from -sigma u(-x, t)^*,
+    and that of u(-x, t), its scale.
 
-    The lower block is the field's stored ``lower``, taken from the same
-    solve M X = [theta1 K] as u, and is compared against the reflected
-    adjoint of the field itself on the nodes where neither x nor -x is
-    masked. Each node's Frobenius gap is divided by the norm of u(-x, t)
-    there, floored as in ``floored_relative``, so the bound holds whatever
-    the magnitude of u. Raises ValueError for a sigma other than -1 or +1.
+    The lower block -2i sigma K(-x, t)^* X1 of the transferred potential
+    takes X1 = M^{-1} theta1 from the tile's factors, the LU that gave u,
+    and is compared against the reflected adjoint of u itself.
     """
-    if sigma not in (-1, 1):
-        raise ValueError(f"sigma must be -1 or +1, got {sigma!r}")
-    mask = field.singular_mask
-    keep = ~mask & ~mask[::-1, :]
-    used = int(np.count_nonzero(keep))
-    if used == 0:
+    sigma = triple.sigma
+    theta1 = np.broadcast_to(triple.theta1, tile.K.shape[:-1] + (triple.m1,))
+    x1 = numkit.lu_solve(tile.factors, theta1)
+    lower = numkit.stack_matmul(np.conj(np.swapaxes(tile.K[::-1], -1, -2)), x1)
+    lower *= -2j * sigma
+    mask = tile.singular_mask
+    keep = ~mask & ~mask[::-1]
+    target = -sigma * np.conj(np.swapaxes(tile.u[::-1][keep], -1, -2))
+    gap = np.linalg.norm(lower[keep] - target, axis=(-2, -1))
+    return gap, np.linalg.norm(target, axis=(-2, -1))
+
+
+#: The checks that read M, K or M's factors, tile by tile (TileCheck).
+TILE_CHECKS = ("identity", "mirror", "reduction")
+
+
+class TileCheck:
+    """One of TILE_CHECKS on one grid level, which gbdt_core.solution_field
+    hands every mirror-closed tile of the level (gbdt_core.FieldTile).
+
+    Each tile's nodes are measured as the tile comes, a gap and its scale
+    per node, and the tile is then dropped. report() divides each gap by
+    its scale, floored at 1e-300 and, for reduction, at SCALE_FLOOR times
+    the level's largest scale, once every tile is in: the largest
+    quotient is the level's residual, passed at DEFAULT_IDENTITY_TOL.
+    """
+
+    def __init__(self, name: str, triple: GbdtTriple, grid: Grid):
+        self.name, self.triple, self.grid = name, triple, grid
+        self.measured = []
+
+    def __call__(self, tile: FieldTile) -> None:
+        if self.name == "identity":
+            self.measured.append(identity_residual(self.triple, tile))
+        elif self.name == "mirror":
+            self.measured.append(hermitian_mirror_residual(tile))
+        else:
+            self.measured.append(reduction_residual(self.triple, tile))
+
+    def report(self) -> ResidualReport:
+        gaps, scales = (np.concatenate(part) for part in zip(*self.measured))
         residual = float("inf")
-    else:
-        target = -sigma * np.conj(np.swapaxes(field.u[::-1][keep], -1, -2))
-        gap = np.linalg.norm(field.lower[keep] - target, axis=(-2, -1))
-        residual = floored_relative(gap, np.linalg.norm(target, axis=(-2, -1)))
-    return _level(
-        "reduction", field.grid, residual, used, int(keep.size - used),
-        DEFAULT_IDENTITY_TOL,
-    )
+        if gaps.size:
+            fraction = SCALE_FLOOR if self.name == "reduction" else 0.0
+            residual = floored_relative(gaps, scales, fraction)
+        skipped = self.grid.nx * self.grid.nt - gaps.size
+        return _level(self.name, self.grid, residual, gaps.size, skipped, DEFAULT_IDENTITY_TOL)
+
+
+def checked_level(
+    triple: GbdtTriple, grid: Grid, names: Sequence[str] = TILE_CHECKS
+) -> Tuple[SolutionField, dict]:
+    """The level gbdt_core.solution_field builds on ``grid``, with the
+    reports, by name, of a TileCheck for each of ``names`` that it fed."""
+    checks = [TileCheck(name, triple, grid) for name in names]
+    field = gbdt_core.solution_field(triple, grid, checks)
+    return field, {check.name: check.report() for check in checks}
 
 
 def oracle_residual(field: SolutionField, oracle: OracleFn) -> ResidualReport:

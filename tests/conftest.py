@@ -52,3 +52,17 @@ def make_random_triple(rng, sigma, n=None, m1=None, m2=None):
     th1 = rng.normal(size=(n, m1)) + 1j * rng.normal(size=(n, m1))
     th2 = 0.3 * (rng.normal(size=(n, m2)) + 1j * rng.normal(size=(n, m2)))
     return gbdt_core.complete_triple(sigma, a, th1, th2)
+
+
+def field_with_stacks(triple, grid):
+    """solution_field's level, and the level's M and K, node-first,
+    gathered from the tiles solution_field hands a check by their rows."""
+    nodes = (grid.nx, grid.nt)
+    m = np.empty(nodes + (triple.n, triple.n), dtype=complex)
+    k = np.empty(nodes + (triple.n, triple.m2), dtype=complex)
+
+    def gather(tile):
+        m[tile.rows] = tile.M
+        k[tile.rows] = tile.K
+
+    return gbdt_core.solution_field(triple, grid, [gather]), m, k

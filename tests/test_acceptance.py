@@ -33,7 +33,8 @@ def _h(m):
 
 
 def _draw_field(rng, sigma, grid):
-    """One random triple passing the admissibility screen for grid work.
+    """One random triple passing the admissibility screen for grid work,
+    with its base-grid field and the reports of the tile checks.
 
     The screen rejects draws whose determinant dips too close to zero
     anywhere on the grid or whose solution peaks too high: zeros of det S
@@ -45,7 +46,7 @@ def _draw_field(rng, sigma, grid):
             triple = make_random_triple(rng, sigma)
         except (SpectralClash, DegenerateS):
             continue
-        field = gbdt_core.solution_field(triple, grid)
+        field, reports = verify.checked_level(triple, grid)
         if field.singular_mask.any():
             continue
         dets = np.abs(field.detS)
@@ -53,7 +54,7 @@ def _draw_field(rng, sigma, grid):
             continue
         if np.max(np.abs(field.u)) > 3.0:
             continue
-        return triple, field
+        return triple, field, reports
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +71,7 @@ def ensemble():
 def test_criterion_01_pde_convergence(ensemble):
     grid, members = ensemble
     orders = []
-    for triple, field in members:
+    for triple, field, _ in members:
         fields = [field]
         g = grid
         for _ in range(2):
@@ -91,8 +92,7 @@ def test_criterion_01_pde_convergence(ensemble):
 def test_criterion_02_coupling_identity(ensemble):
     _, members = ensemble
     worst = max(
-        verify.identity_residual(triple, field).residual
-        for triple, field in members
+        reports["identity"].residual for _, _, reports in members
     )
     _report(2, "coupling identity on random fields", worst <= 1e-10,
             f"max residual {worst:.2e}")
@@ -101,12 +101,10 @@ def test_criterion_02_coupling_identity(ensemble):
 def test_criterion_03_mirror_and_reduction(ensemble):
     _, members = ensemble
     worst_mirror = max(
-        verify.hermitian_mirror_residual(field).residual
-        for _, field in members
+        reports["mirror"].residual for _, _, reports in members
     )
     worst_reduction = max(
-        verify.reduction_residual(field, triple.sigma).residual
-        for triple, field in members
+        reports["reduction"].residual for _, _, reports in members
     )
     ok = worst_mirror <= 1e-10 and worst_reduction <= 1e-10
     _report(3, "mirror and reduction symmetries", ok,

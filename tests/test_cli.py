@@ -98,9 +98,10 @@ def test_matrix_scenario_passes(refine, tmp_path):
 
 @pytest.mark.parametrize("name", [name for name in SHIPPED if name != "theta.json"])
 def test_refine_0_and_1_agree_on_the_outputs_and_the_pde_record(name, tmp_path):
-    """The pde check's halving is built by gbdt_core.solution_samples at
-    --refine 0 and by solution_field at --refine 1; the CSV files and the
-    pde record come out the same bytes."""
+    """The pde check's halving is built with no tile checks at --refine 0
+    and with identity, mirror and reduction at --refine 1, by the one
+    route gbdt_core.solution_field; the CSV files and the pde record come
+    out the same bytes."""
     scenario = cli.load_scenario(SCENARIO_DIR / name)
     pde = []
     for refine in (0, 1):
@@ -111,11 +112,9 @@ def test_refine_0_and_1_agree_on_the_outputs_and_the_pde_record(name, tmp_path):
         assert (tmp_path / "0" / file).read_bytes() == (tmp_path / "1" / file).read_bytes()
 
 
-def test_pde_level_at_refine_0_holds_no_stack_of_matrices(tmp_path):
-    """n = 8, m1 = m2 = 2 on 101 x 101 at --refine 0 with the four gbdt
-    checks: the 201 x 201 pde level is built as u and the mask, in tiles
-    of x rows, and the run's tracemalloc peak stays under 80 MB. Built
-    whole, with M, K, det S and the lower block, it peaked at 113.5 MB."""
+def _matrix_grid_scenario():
+    """Seeded n = 8, m1 = m2 = 2 datum on 101 x 101 with the four gbdt
+    checks."""
     rng = np.random.default_rng(80)
     n = 8
 
@@ -125,7 +124,7 @@ def test_pde_level_at_refine_0_holds_no_stack_of_matrices(tmp_path):
 
     a = np.array(cnormal(n, n)) * 0.35 / math.sqrt(n)
     a[..., 0] += 0.6 * np.eye(n)
-    scenario = {
+    return {
         "kind": "gbdt",
         "parameters": {
             "sigma": -1, "A": a.tolist(), "theta1": cnormal(n, 2),
@@ -134,14 +133,40 @@ def test_pde_level_at_refine_0_holds_no_stack_of_matrices(tmp_path):
         "grid": {"x_max": 1.0, "nx": 101, "t_min": -0.25, "t_max": 0.25, "nt": 101},
         "checks": list(cli.KIND_CHECKS["gbdt"]),
     }
+
+
+def _traced_peak(scenario, out, refine):
+    """(exit code, report, tracemalloc peak) of run_scenario."""
     tracemalloc.start()
     try:
-        code, report = cli.run_scenario(scenario, tmp_path, 0)
+        code, report = cli.run_scenario(scenario, out, refine)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return code, report, peak
+
+
+def test_pde_level_at_refine_0_holds_no_stack_of_matrices(tmp_path):
+    """n = 8, m1 = m2 = 2 on 101 x 101 at --refine 0 with the four gbdt
+    checks: every level is built in tiles of x rows and keeps u, det S and
+    the mask, and the run's tracemalloc peak stays under 80 MB. Built
+    whole, with M, K, det S and the lower block, the 201 x 201 pde level
+    alone peaked at 113.5 MB."""
+    code, report, peak = _traced_peak(_matrix_grid_scenario(), tmp_path, 0)
     assert code == 0 and report["grid"]["levels"] == 2
     assert peak < 80 * 2**20
+
+
+def test_refine_1_peaks_under_the_whole_level_refine_0_peak(tmp_path):
+    """The same run at --refine 1 checks identity, mirror and reduction on
+    both levels from their tiles, so no level keeps M, K or the lower
+    block: its tracemalloc peak (about 28 MB) stays under the 48.8 MB that
+    --refine 0 peaked at when the checked level was built whole, and far
+    under the 199.6 MB of --refine 1 then."""
+    code, report, peak = _traced_peak(_matrix_grid_scenario(), tmp_path, 1)
+    assert code == 0 and report["grid"]["levels"] == 2
+    assert all(record["passed"] for record in report["checks"])
+    assert peak < 48.8 * 2**20
 
 
 def test_report_structure(tmp_path):

@@ -21,7 +21,7 @@ from nnls_gbdt.errors import (
     SpectralClash,
     SpectralPole,
 )
-from conftest import make_random_triple
+from conftest import field_with_stacks, make_random_triple
 
 
 def _h(m):
@@ -821,10 +821,12 @@ def test_grid_refuses_extents_and_spacings_beyond_the_operating_range():
 
 
 def test_solution_field_matches_pointwise(jordan_triple, small_grid):
-    field = gbdt_core.solution_field(jordan_triple, small_grid)
+    shapes = []
+    field = gbdt_core.solution_field(
+        jordan_triple, small_grid, [lambda tile: shapes.append((tile.M.shape, tile.K.shape))]
+    )
     assert field.u.shape == (small_grid.nx, small_grid.nt, 1, 1)
-    assert field.M.shape == (small_grid.nx, small_grid.nt, 2, 2)
-    assert field.K.shape == (small_grid.nx, small_grid.nt, 2, 1)
+    assert shapes == [((small_grid.nx, small_grid.nt, 2, 2), (small_grid.nx, small_grid.nt, 2, 1))]
     rng = np.random.default_rng(50)
     for _ in range(6):
         k = int(rng.integers(0, small_grid.nx))
@@ -880,8 +882,8 @@ def test_solution_field_masks_no_node_of_a_huge_m():
     leave double range; the mask scale is still that node's norm, so no
     node is masked and u is finite."""
     triple = gbdt_core.complete_triple(1, [[10 * cmath.exp(0.25j * math.pi)]], [[1.0]], [[1.0]])
-    field = gbdt_core.solution_field(triple, gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4))
-    assert np.abs(field.M).max() > 1e155
+    field, m, _ = field_with_stacks(triple, gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4))
+    assert np.abs(m).max() > 1e155
     assert not field.singular_mask.any()
     assert np.isfinite(field.u).all()
 
@@ -909,28 +911,51 @@ _SAMPLE_CASES = {
 }
 
 
+def _tiled_level(triple, grid, pairs, monkeypatch):
+    """solution_field's level in tiles of ``pairs`` mirror pairs of x rows
+    (None: the default tile), with every tile check's report and the rows
+    of each tile it handed them."""
+    if pairs is not None:
+        monkeypatch.setattr(gbdt_core, "_TILE_NODES", pairs * 2 * grid.nt * triple.n)
+    tiles = []
+    checks = [verify.TileCheck(name, triple, grid) for name in verify.TILE_CHECKS]
+    field = gbdt_core.solution_field(triple, grid, [lambda tile: tiles.append(tile.rows)] + checks)
+    return field, [check.report() for check in checks], tiles
+
+
 @pytest.mark.parametrize("rows", [None, 1, 3, 10**6], ids=["default", "1row", "3rows", "all"])
 @pytest.mark.parametrize("case", list(_SAMPLE_CASES))
 def test_solution_samples_equal_solution_field_bit_for_bit(case, rows, monkeypatch):
-    """u and the mask of solution_samples are solution_field's bytes, with
-    the default tile, one x row per tile, three rows (which divide none of
-    the row counts) and every row in one tile. The data cover n = 1, 2, 4,
-    8, m1 != m2 (example3), a masked column and an M whose squared entries
-    leave double range, where the mask's scale is taken by hypot."""
+    """Tile invariance of the one grid route: solution_field's samples (u,
+    det S and the mask) and every tile check's report are the bytes of
+    the level built as one tile, for the default tile, tiles of one
+    mirror pair of x rows, of three pairs (which divide none of the row
+    counts) and of the whole level. Each tile is mirror-closed, rows k and
+    nx - 1 - k together, and the tiles cover every row once. The data
+    cover n = 1, 2, 4, 8, m1 != m2 (example3), a masked column and an M
+    whose squared entries leave double range, where the mask's scale is
+    taken by hypot."""
     triple, grid_args = _SAMPLE_CASES[case]
     grid = gbdt_core.Grid.build(*grid_args)
-    if rows is not None:
-        monkeypatch.setattr(gbdt_core, "_SAMPLE_TILE_NODES", rows * grid.nt)
-    field = gbdt_core.solution_field(triple, grid)
-    samples = gbdt_core.solution_samples(triple, grid)
-    assert type(samples) is gbdt_core.FieldSamples
-    assert samples.grid is grid
-    assert samples.u.shape == field.u.shape
-    assert np.ascontiguousarray(samples.u).tobytes() == np.ascontiguousarray(field.u).tobytes()
-    assert np.array_equal(samples.singular_mask, field.singular_mask)
+    whole, whole_reports, [whole_rows] = _tiled_level(triple, grid, 10**6, monkeypatch)
+    assert np.array_equal(whole_rows, np.arange(grid.nx))
+    field, reports, tiles = _tiled_level(triple, grid, rows, monkeypatch)
+    assert field.grid is grid
+    assert field.u.shape == whole.u.shape
+    for got, expected in ((field.u, whole.u), (field.detS, whole.detS)):
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert np.array_equal(field.singular_mask, whole.singular_mask)
+    assert reports == whole_reports
+    # the masked column's M is 0 at x = 0, where identity reads 1 relative
+    assert [report.passed for report in reports] == [case != "masked-column", True, True]
     assert field.singular_mask.any() == (case == "masked-column")
+    for tile in tiles:
+        assert np.array_equal(tile[::-1], grid.nx - 1 - tile)
+    assert np.array_equal(np.sort(np.concatenate(tiles)), np.arange(grid.nx))
+    if rows == 1:
+        assert len(tiles) == (grid.nx + 1) // 2
     if case == "huge-m":
-        assert np.abs(field.M).max() > 1e155
+        assert np.abs(field_with_stacks(triple, grid)[1]).max() > 1e155
 
 
 @pytest.mark.parametrize("rows", [1, 3, 10**6], ids=["1row", "3rows", "all"])
@@ -964,41 +989,50 @@ def test_grid_products_of_a_tile_equal_the_whole_level_rows(case, rows):
 
 
 @pytest.mark.parametrize("later_value_error", [False, True])
-def test_solution_samples_hold_an_overflow_for_a_later_value_error(
+def test_solution_field_holds_an_overflow_for_a_later_value_error(
     later_value_error, monkeypatch
 ):
-    """solution_field factors every node before it looks at det S, so a
-    non-finite operand anywhere raises factor_solve's ValueError before
-    any Overflow of det S. One row per tile, with the first tile's det S
-    out of range: solution_samples raises the second tile's ValueError when
-    its right sides are not finite, and else the held Overflow once every
-    tile is done."""
+    """det S is formed from det M once every tile is factored and solved,
+    so a non-finite operand in any tile raises numkit's ValueError before
+    the Overflow of an earlier tile's det S, as when the level is one
+    tile. One mirror pair per tile, with the first tile's det M out of
+    range: solution_field raises the second tile's ValueError when its
+    right sides are not finite, and else the Overflow once every tile has
+    gone to the checks."""
     triple, grid_args = _SAMPLE_CASES["n2"]
     grid = gbdt_core.Grid.build(*grid_args)
-    monkeypatch.setattr(gbdt_core, "_SAMPLE_TILE_NODES", 1)
-    original = gbdt_core._node_rows
-    calls = []
+    monkeypatch.setattr(gbdt_core, "_TILE_NODES", 1)
+    original_right_sides, original_factor = gbdt_core._right_sides, numkit.lu_factor
+    sides, calls, checked = [], [], []
 
-    def step(triple, left, mid, right, xs, ts, rhs):
-        calls.append(xs.size)
+    def right_sides(triple, h, q):
+        sides.append(h.shape[0])
+        k = original_right_sides(triple, h, q)
+        return np.full_like(k, np.inf) if len(sides) == 2 and later_value_error else k
+
+    def factor(m):
+        calls.append(m.shape[0])
+        factors = original_factor(m)
         if len(calls) == 1:
-            raise Overflow("det S leaves double range on this grid")
-        if len(calls) == 2 and later_value_error:
-            rhs = np.full_like(rhs, np.inf)
-        return original(triple, left, mid, right, xs, ts, rhs)
+            return dataclasses.replace(factors, det=np.full_like(factors.det, 1e308) * 10)
+        return factors
 
-    monkeypatch.setattr(gbdt_core, "_node_rows", step)
-    with pytest.raises(ValueError if later_value_error else Overflow):
-        gbdt_core.solution_samples(triple, grid)
-    assert calls == [1] * (2 if later_value_error else grid.nx)
+    monkeypatch.setattr(gbdt_core, "_right_sides", right_sides)
+    monkeypatch.setattr(numkit, "lu_factor", factor)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError if later_value_error else Overflow):
+            gbdt_core.solution_field(triple, grid, [lambda tile: checked.append(tile.rows)])
+    half = (grid.nx + 1) // 2
+    assert calls == ([2, 2] if later_value_error else [2] * (half - 1) + [1])
+    assert len(checked) == (1 if later_value_error else half)
 
 
 def test_solution_field_deterministic(wide_triple, small_grid):
-    first = gbdt_core.solution_field(wide_triple, small_grid)
-    second = gbdt_core.solution_field(wide_triple, small_grid)
+    first, m_first, k_first = field_with_stacks(wide_triple, small_grid)
+    second, m_second, k_second = field_with_stacks(wide_triple, small_grid)
     assert np.array_equal(first.u, second.u, equal_nan=True)
-    assert np.array_equal(first.M, second.M)
-    assert np.array_equal(first.K, second.K)
+    assert np.array_equal(m_first, m_second)
+    assert np.array_equal(k_first, k_second)
     assert np.array_equal(first.detS, second.detS)
 
 
@@ -1027,20 +1061,25 @@ def test_solution_field_takes_one_stacked_exponential(monkeypatch):
 
 
 def test_solution_field_factors_each_node_once(monkeypatch):
-    """det M and the solve come from one numkit.factor_solve call on the
-    whole stack, never from np.linalg.det or np.linalg.solve on the node
-    stack. numkit.expm's Pade solve on the (nx + nt, n, n) table stack
-    is no node operand and may call np.linalg.solve."""
+    """det M and the solve come from one numkit.lu_factor of the level's
+    one tile and one numkit.lu_solve of K, never from np.linalg.det or
+    np.linalg.solve on the node stack; with no reduction check, theta1 is
+    never solved for. numkit.expm's Pade solve on the (nx + nt, n, n)
+    table stack is no node operand and may call np.linalg.solve."""
     triple = make_random_triple(np.random.default_rng(73), -1, n=3)
     grid = gbdt_core.Grid.build(1.0, 21, -0.2, 0.2, 11)
     triple.origin_parts
     calls = []
-    original = numkit.factor_solve
+    original_factor, original_lu_solve = numkit.lu_factor, numkit.lu_solve
     original_solve = np.linalg.solve
 
-    def counting(s, b):
-        calls.append((np.shape(s), np.shape(b)))
-        return original(s, b)
+    def factoring(s):
+        calls.append(np.shape(s))
+        return original_factor(s)
+
+    def solving(factors, b):
+        calls.append((factors.shape, np.shape(b)))
+        return original_lu_solve(factors, b)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("solution_field called np.linalg")
@@ -1050,11 +1089,12 @@ def test_solution_field_factors_each_node_once(monkeypatch):
             raise AssertionError("solution_field called np.linalg.solve on the nodes")
         return original_solve(a, b)
 
-    monkeypatch.setattr(numkit, "factor_solve", counting)
+    monkeypatch.setattr(numkit, "lu_factor", factoring)
+    monkeypatch.setattr(numkit, "lu_solve", solving)
     monkeypatch.setattr(np.linalg, "det", forbidden)
     monkeypatch.setattr(np.linalg, "solve", solve_off_nodes)
-    gbdt_core.solution_field(triple, grid)
-    assert calls == [((21, 11, 3, 3), (21, 11, 3, triple.m1 + triple.m2))]
+    verify.checked_level(triple, grid, ["identity", "mirror"])
+    assert calls == [(21, 11, 3, 3), ((21, 11, 3, 3), (21, 11, 3, triple.m2))]
 
 
 def _field_from_node_tables(triple, grid):
@@ -1064,9 +1104,8 @@ def _field_from_node_tables(triple, grid):
     M comes from the same stacked sandwich as in solution_field: a loop of
     per-node products would differ from those in the last bit at n = 2 and
     3, where the BLAS kernel of the large product accumulates in another
-    order. det M and the solve come from numkit.factor_solve on the whole
-    stack for the same reason: its rounding at a node depends on where the
-    node sits in the stack, so a per-node call is no bitwise reference.
+    order. det M and the solve come from numkit.lu_factor and lu_solve
+    on the whole stack, the one tile of these small levels.
     """
     xs, ts = grid.x_values, grid.t_values
     a = triple.A
@@ -1083,20 +1122,19 @@ def _field_from_node_tables(triple, grid):
     else:
         m += sigma1[..., None, None]
     m = np.moveaxis(m, (0, 1), (2, 3))
-    blocks = np.empty((triple.n, triple.m, xs.size, ts.size), dtype=complex)
-    blocks[:, : triple.m1] = triple.theta1[..., None, None]
     # K[k, l] = h[k] q[l] theta2, one (n, n) @ (n, m2 nt) product per x row
     qt = (q @ triple.theta2).transpose(1, 2, 0).reshape(triple.n, -1)
     k = (h @ qt).reshape(xs.size, triple.n, triple.m2, ts.size)
-    blocks[:, triple.m1 :] = k.transpose(1, 2, 0, 3)
-    det, sol, pivot = numkit.factor_solve(m, np.moveaxis(blocks, (0, 1), (2, 3)))
+    factors = numkit.lu_factor(m)
+    det, pivot = factors.det, factors.pivot
+    x2 = numkit.lu_solve(factors, k.transpose(0, 3, 1, 2))
     det = det * np.exp(2j * np.trace(a).real * xs)[:, None]
     det *= np.exp(4.0 * np.trace(a2).imag * ts)
     # each node against its own scale ||Sigma1|| + ||M - Sigma1||
     scale = np.linalg.norm(sigma1) + np.linalg.norm(m - sigma1, axis=(-2, -1))
     mask = pivot <= gbdt_core.SINGULAR_PIVOT_FACTOR * scale
     # u = -2i theta1* X2 by multiply-adds, node by node
-    u = -2j * numkit.stack_matmul(_h(triple.theta1), sol[..., triple.m1:])
+    u = -2j * numkit.stack_matmul(_h(triple.theta1), x2)
     u[mask] = np.nan + 1j * np.nan
     return u, m, det
 
@@ -1114,23 +1152,22 @@ def _field_from_node_tables(triple, grid):
 )
 def test_solution_field_matches_node_by_node_tables(triple):
     grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
-    field = gbdt_core.solution_field(triple, grid)
+    field, m_field, _ = field_with_stacks(triple, grid)
     u, m, det = _field_from_node_tables(triple, grid)
     assert field.u.tobytes() == u.tobytes()
-    assert field.M.tobytes() == m.tobytes()
+    assert m_field.tobytes() == m.tobytes()
     assert field.detS.tobytes() == det.tobytes()
 
 
-def _field_by_kronecker_solves(triple, field):
+def _field_by_kronecker_solves(triple, field, k_field):
     """(u, M, det S) by one Kronecker Sylvester solve of the coupling
     right side theta1 theta1* + (-1)^kappa K K(-x, t)* per node, from the
     field's own K; det S as np.linalg.det of E(x, t) M E(-x, t)*, with the
     exponentials taken node by node."""
     a = triple.A
     a2 = a @ a
-    k_field = field.K
     nx, nt = field.grid.nx, field.grid.nt
-    m = np.empty_like(field.M)
+    m = np.empty(k_field.shape[:-1] + (triple.n,), dtype=complex)
     det = np.empty(field.detS.shape, dtype=complex)
     u = np.full_like(field.u, np.nan)
     for k in range(nx):
@@ -1178,9 +1215,9 @@ def test_solution_field_matches_kronecker_solve_per_node(triple):
     1e-13 is scaled by the worst cond M over the unmasked nodes.
     """
     grid = gbdt_core.Grid.build(1.0, 9, -0.2, 0.3, 6)
-    field = gbdt_core.solution_field(triple, grid)
-    u, m, det = _field_by_kronecker_solves(triple, field)
-    assert _relative_gap(field.M, m) <= 1e-13
+    field, m_field, k_field = field_with_stacks(triple, grid)
+    u, m, det = _field_by_kronecker_solves(triple, field, k_field)
+    assert _relative_gap(m_field, m) <= 1e-13
     keep = ~field.singular_mask
     assert np.array_equal(np.isnan(field.u), np.isnan(u))
     worst_cond = float(np.max(np.linalg.cond(m[keep])))
@@ -1205,7 +1242,7 @@ def test_grid_m_form_matches_the_pointwise_s(triple):
     the closed-form phase, is np.linalg.det of that S, both to 1e-12
     relative."""
     grid = gbdt_core.Grid.build(1.5, 21, -0.3, 0.4, 15)
-    field = gbdt_core.solution_field(triple, grid)
+    field, m_field, _ = field_with_stacks(triple, grid)
     a = triple.A
     a2 = a @ a
     rng = np.random.default_rng(120)
@@ -1214,31 +1251,39 @@ def test_grid_m_form_matches_the_pointwise_s(triple):
         s = gbdt_core.s_at(triple, x, t)
         e = numkit.expm(1j * (x * a - 2.0 * t * a2))
         e_mirror = numkit.expm(1j * (-x * a - 2.0 * t * a2))
-        assert _relative_gap(e @ field.M[k, l] @ _h(e_mirror), s) <= 1e-12
+        assert _relative_gap(e @ m_field[k, l] @ _h(e_mirror), s) <= 1e-12
         det = np.linalg.det(s)
         assert abs(field.detS[k, l] - det) <= 1e-12 * abs(det)
 
 
 @pytest.mark.parametrize("n, m1, m2", [(1, 2, 1), (2, 2, 1), (8, 2, 1), (8, 1, 3)])
 def test_field_products_match_per_node_matmul(n, m1, m2):
-    """u = -2i theta1* X2 and the lower block -2i sigma K(-x)* X1 equal
-    per-node np.matmul of the field's own solve M X = [theta1 K] to 1e-14
-    relative; factor_solve gives the same X for the same stack."""
+    """u = -2i theta1* X2 and the reduction check's lower block
+    -2i sigma K(-x)* X1 equal per-node np.matmul of the solves M X2 = K and
+    M X1 = theta1 to 1e-14 relative; the factors give the same X for the
+    same stack. The lower block is read through reduction_residual's gaps
+    against a random u, so each gap is O(1) and not rounding noise."""
     triple = make_random_triple(np.random.default_rng(130 + n), -1, n=n, m1=m1, m2=m2)
     grid = gbdt_core.Grid.build(1.0, 11, -0.2, 0.2, 7)
-    field = gbdt_core.solution_field(triple, grid)
-    theta1 = np.broadcast_to(triple.theta1, field.K.shape[:-1] + (m1,))
-    _, sol, _ = numkit.factor_solve(field.M, np.concatenate([theta1, field.K], axis=-1))
+    tiles = []
+    field = gbdt_core.solution_field(triple, grid, [tiles.append])
+    [tile] = tiles
+    x1 = numkit.lu_solve(tile.factors, np.broadcast_to(triple.theta1, tile.K.shape[:-1] + (m1,)))
+    x2 = numkit.lu_solve(tile.factors, tile.K)
     keep = ~field.singular_mask
+    rng = np.random.default_rng(131)
+    random_u = rng.normal(size=field.u.shape) + 1j * rng.normal(size=field.u.shape)
     u = np.empty_like(field.u)
-    lower = np.empty_like(field.lower)
+    gap = np.empty(keep.shape)
     for k in range(grid.nx):
         for l in range(grid.nt):
-            u[k, l] = -2j * (_h(triple.theta1) @ sol[k, l, :, m1:])
-            lower[k, l] = 2j * (_h(field.K[-1 - k, l]) @ sol[k, l, :, :m1])
-    for got, expected in ((field.u, u), (field.lower, lower)):
-        gap = np.max(np.abs(got[keep] - expected[keep]))
-        assert gap <= 1e-14 * np.max(np.abs(expected[keep]))
+            u[k, l] = -2j * (_h(triple.theta1) @ x2[k, l])
+            lower = 2j * (_h(tile.K[-1 - k, l]) @ x1[k, l])
+            gap[k, l] = np.linalg.norm(lower - _h(random_u[-1 - k, l]))
+    assert np.max(np.abs(field.u[keep] - u[keep])) <= 1e-14 * np.max(np.abs(u[keep]))
+    changed = dataclasses.replace(tile, u=random_u, singular_mask=np.zeros_like(keep))
+    got, _ = verify.reduction_residual(triple, changed)
+    assert np.max(np.abs(got - gap.ravel())) <= 1e-14 * np.max(gap)
 
 
 def test_solution_field_solves_two_right_hand_sides(monkeypatch):

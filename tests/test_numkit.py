@@ -235,6 +235,13 @@ def _cnormal(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def _factor_solve(s, b):
+    """det, X = s^{-1} b and the smallest pivot from numkit.lu_factor and
+    numkit.lu_solve: factor, then solve."""
+    factors = numkit.lu_factor(s)
+    return factors.det, numkit.lu_solve(factors, b), factors.pivot
+
+
 def _assert_matches_lapack(s, b, det, x, pivot):
     """det and x against np.linalg.det and np.linalg.solve, per matrix, to
     1e-13 relative times cond s (LU's backward error times the condition
@@ -275,7 +282,7 @@ def test_factor_solve_matches_lapack(seed, n, k, count, zero_lead):
     b = _cnormal(rng, count, n, k)
     if zero_lead and n > 1:
         s[::2, 0, 0] = 0.0
-    det, x, pivot = numkit.factor_solve(s, b)
+    det, x, pivot = _factor_solve(s, b)
     assert det.shape == pivot.shape == (count,) and x.shape == (count, n, k)
     _assert_matches_lapack(s, b, det, x, pivot)
 
@@ -288,7 +295,7 @@ def test_factor_solve_across_chunks(offset):
     rng = np.random.default_rng(40 + offset)
     s = _cnormal(rng, count, 3, 3).reshape(count, 1, 3, 3)
     b = _cnormal(rng, count, 3, 2).reshape(count, 1, 3, 2)
-    det, x, pivot = numkit.factor_solve(s, b)
+    det, x, pivot = _factor_solve(s, b)
     assert det.shape == pivot.shape == (count, 1) and x.shape == (count, 1, 3, 2)
     _assert_matches_lapack(s, b, det, x, pivot)
 
@@ -299,10 +306,10 @@ def test_factor_solve_pivots_rows():
     perm = np.eye(4)[[2, 0, 3, 1]]
     swap = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [3.0, 0.0, 1j]])
     b_perm = np.arange(8.0).reshape(4, 2)
-    det, x, pivot = numkit.factor_solve(perm, b_perm)
+    det, x, pivot = _factor_solve(perm, b_perm)
     assert det == np.linalg.det(perm) and pivot == 1.0
     assert np.array_equal(x, perm.T @ b_perm)
-    det, x, _ = numkit.factor_solve(swap, np.eye(3))
+    det, x, _ = _factor_solve(swap, np.eye(3))
     assert abs(det - np.linalg.det(swap)) <= 1e-15 * abs(det)
     assert np.allclose(x, np.linalg.inv(swap), rtol=0, atol=1e-15)
 
@@ -318,7 +325,7 @@ def test_factor_solve_singular_node_is_quiet():
     s[3] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        det, x, pivot = numkit.factor_solve(s, b)
+        det, x, pivot = _factor_solve(s, b)
     assert det[1] == 0 and det[3] == 0
     assert pivot[1] == 0 and pivot[3] == 0
     assert np.isnan(x[[1, 3]]).all()
@@ -330,23 +337,68 @@ def test_factor_solve_repeats_bytes():
     rng = np.random.default_rng(42)
     s = _cnormal(rng, 1500, 4, 4)
     b = _cnormal(rng, 1500, 4, 2)
-    first = numkit.factor_solve(s, b)
-    second = numkit.factor_solve(s, b)
+    first = _factor_solve(s, b)
+    second = _factor_solve(s, b)
     for one, two in zip(first, second, strict=True):
         assert one.tobytes() == two.tobytes()
 
 
 def test_factor_solve_reads_node_last_stacks():
-    """Stacks held with their node axes last, as solution_field holds them,
-    give the bytes of their contiguous copies."""
+    """Stacks held with their node axes last, as solution_field's tiles
+    hold them, give the bytes of their contiguous copies."""
     rng = np.random.default_rng(43)
     s = _cnormal(rng, 4, 4, 30, 40)
     b = _cnormal(rng, 4, 3, 30, 40)
     views = [np.moveaxis(a, (0, 1), (2, 3)) for a in (s, b)]
-    got = numkit.factor_solve(*views)
-    expected = numkit.factor_solve(*(np.ascontiguousarray(v) for v in views))
+    got = _factor_solve(*views)
+    expected = _factor_solve(*(np.ascontiguousarray(v) for v in views))
     for one, two in zip(got, expected, strict=True):
         assert one.tobytes() == two.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_lu_solve_gives_the_bytes_of_columns_solved_together(n):
+    """Each right side takes the same operations whatever the others: two
+    blocks of columns solved apart with one factorisation give the bytes
+    of solving them together, over more than one chunk, with zero leading
+    entries forcing row exchanges and a singular matrix among them. The
+    factors give the same bytes on a second solve."""
+    count = numkit._FACTOR_CHUNK + 5
+    rng = np.random.default_rng(44 + n)
+    s = _cnormal(rng, count, n, n)
+    if n > 1:
+        s[::3, 0, 0] = 0.0
+    s[7] = 0.0
+    b = _cnormal(rng, count, n, 4)
+    factors = numkit.lu_factor(s)
+    together = numkit.lu_solve(factors, b)
+    apart = [numkit.lu_solve(factors, b[..., :1]), numkit.lu_solve(factors, b[..., 1:])]
+    assert np.ascontiguousarray(together).tobytes() == np.ascontiguousarray(
+        np.concatenate(apart, axis=-1)
+    ).tobytes()
+    again = numkit.lu_solve(factors, b)
+    assert np.ascontiguousarray(again).tobytes() == np.ascontiguousarray(together).tobytes()
+    assert np.isnan(together[7]).all() and factors.det[7] == 0
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (3, 2)])
+def test_lu_factor_and_solve_leave_their_operands_as_they_are(n, k):
+    """A node-last stack whose chunks are contiguous once transposed, as a
+    tile's M and K are at n = 1, is read, never factored in place."""
+    rng = np.random.default_rng(45)
+    s = np.moveaxis(_cnormal(rng, n, n, 9, 7), (0, 1), (2, 3))
+    b = np.moveaxis(_cnormal(rng, n, k, 9, 7), (0, 1), (2, 3))
+    s_before, b_before = s.copy(), b.copy()
+    numkit.lu_solve(numkit.lu_factor(s), b)
+    assert np.array_equal(s, s_before) and np.array_equal(b, b_before)
+
+
+def test_lu_solve_rejects_a_non_finite_right_side():
+    factors = numkit.lu_factor(np.eye(2)[None].repeat(3, axis=0))
+    b = np.ones((3, 2, 1))
+    b[2, 1, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        numkit.lu_solve(factors, b)
 
 
 @pytest.mark.parametrize(
@@ -389,13 +441,13 @@ def test_stack_matmul_rejects_mismatched_orders():
 
 def test_factor_solve_rejects_bad_operands():
     with pytest.raises(NonSquare):
-        numkit.factor_solve(np.ones((2, 3)), np.ones((2, 1)))
+        _factor_solve(np.ones((2, 3)), np.ones((2, 1)))
     with pytest.raises(ValueError):
-        numkit.factor_solve(np.eye(2), np.ones((3, 1)))
+        _factor_solve(np.eye(2), np.ones((3, 1)))
     with pytest.raises(ValueError):
-        numkit.factor_solve(np.ones((4, 2, 2)), np.ones((3, 2, 1)))
+        _factor_solve(np.ones((4, 2, 2)), np.ones((3, 2, 1)))
     with pytest.raises(ValueError):
-        numkit.factor_solve(np.diag([np.inf, 1.0]), np.ones((2, 1)))
+        _factor_solve(np.diag([np.inf, 1.0]), np.ones((2, 1)))
 
 
 def test_solve_sylvester_scalar_cases():

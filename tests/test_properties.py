@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nnls_gbdt import gbdt_core
 from nnls_gbdt.errors import DegenerateS, SingularPoint, SpectralClash
-from conftest import make_random_triple
+from conftest import field_with_stacks, make_random_triple
 
 GRID = gbdt_core.Grid.build(1.0, 9, -0.2, 0.2, 5)
 POINTS = ((0.3, 0.1), (-0.7, -0.15))
@@ -36,9 +36,10 @@ def _completed(sigma, a, theta1, theta2):
 
 
 def _assert_same_u(base, other):
-    """Same mask and u on GRID, same u at POINTS away from singular points."""
-    field0 = gbdt_core.solution_field(base, GRID)
-    field1 = gbdt_core.solution_field(other, GRID)
+    """Same mask and u on GRID, same u at POINTS away from singular points;
+    returns each field with its M and K."""
+    field0, m0, k0 = field_with_stacks(base, GRID)
+    field1, m1, k1 = field_with_stacks(other, GRID)
     assert np.array_equal(field0.singular_mask, field1.singular_mask)
     keep = ~field0.singular_mask
     assert _close(field1.u[keep], field0.u[keep])
@@ -48,7 +49,7 @@ def _assert_same_u(base, other):
         except SingularPoint:
             continue
         assert _close(gbdt_core.u_tilde_at(other, x, t), u0)
-    return field0, field1
+    return (m0, k0), (m1, k1)
 
 
 @PROPERTY
@@ -79,9 +80,9 @@ def test_similarity_of_the_datum(seed, sigma):
     moved = _completed(
         sigma, p @ base.A @ np.linalg.inv(p), p @ base.theta1, p @ base.theta2
     )
-    field0, field1 = _assert_same_u(base, moved)
-    assert _close(field1.M, p @ field0.M @ _h(p))
-    assert _close(field1.K, p @ field0.K)
+    (m0, k0), (m1, k1) = _assert_same_u(base, moved)
+    assert _close(m1, p @ m0 @ _h(p))
+    assert _close(k1, p @ k0)
     for x, t in POINTS:
         assert _close(
             gbdt_core.s_at(moved, x, t), p @ gbdt_core.s_at(base, x, t) @ _h(p)

@@ -9,9 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from nnls_gbdt import gbdt_core, verify
+from nnls_gbdt import gbdt_core, numkit, verify
 from nnls_gbdt.errors import DarbouxMismatch, GridTooSmall
-from conftest import make_random_triple
+from conftest import field_with_stacks, make_random_triple
 
 
 @pytest.fixture(scope="module")
@@ -74,24 +74,39 @@ def test_pde_residual_needs_five_nodes(scalar_triple):
         verify.nnls_residual(field, scalar_triple.sigma)
 
 
+def _changed_report(name, triple, grid, change):
+    """The report of the tile check ``name`` on the level of ``grid``, fed
+    each tile as ``change`` returns it."""
+    check = verify.TileCheck(name, triple, grid)
+    gbdt_core.solution_field(triple, grid, [lambda tile: check(change(tile))])
+    return check.report()
+
+
 def test_identity_residual_tight(scalar_triple, scalar_field):
-    report = verify.identity_residual(scalar_triple, scalar_field)
+    report = verify.checked_level(scalar_triple, scalar_field.grid)[1]["identity"]
     assert report.passed
     assert report.residual <= 1e-12
+    assert report.points_used == scalar_field.grid.nx * scalar_field.grid.nt
 
 
 def test_identity_residual_detects_corruption(scalar_triple, scalar_field):
-    bad = dataclasses.replace(scalar_field, M=scalar_field.M + 1e-6)
-    report = verify.identity_residual(scalar_triple, bad)
+    """A corrupted tile M fails identity."""
+    report = _changed_report(
+        "identity", scalar_triple, scalar_field.grid,
+        lambda tile: dataclasses.replace(tile, M=tile.M + 1e-6),
+    )
     assert not report.passed
 
 
-def test_mirror_residual(scalar_field):
-    report = verify.hermitian_mirror_residual(scalar_field)
+def test_mirror_residual(scalar_triple, scalar_field):
+    """The mirror check passes the field and fails a corrupted tile M."""
+    report = verify.checked_level(scalar_triple, scalar_field.grid)[1]["mirror"]
     assert report.passed and report.residual <= 1e-12
-
-    swapped = dataclasses.replace(scalar_field, M=scalar_field.M + 1e-6 * 1j)
-    assert not verify.hermitian_mirror_residual(swapped).passed
+    swapped = _changed_report(
+        "mirror", scalar_triple, scalar_field.grid,
+        lambda tile: dataclasses.replace(tile, M=tile.M + 1e-6 * 1j),
+    )
+    assert not swapped.passed
 
 
 def test_mirror_residual_is_relative_to_m():
@@ -100,13 +115,10 @@ def test_mirror_residual_is_relative_to_m():
     by node, where the products h T h(-x)* that make M meet no
     cancellation."""
     triple = make_random_triple(np.random.default_rng(8), -1, n=4)
-    field = gbdt_core.solution_field(
-        triple, gbdt_core.Grid.build(4.0, 41, -1.0, 1.0, 21)
-    )
-    m = field.M
+    field, m, _ = field_with_stacks(triple, gbdt_core.Grid.build(4.0, 41, -1.0, 1.0, 21))
     absolute = np.linalg.norm(m[::-1] - np.conj(np.swapaxes(m, -1, -2)), axis=(-2, -1))
     assert np.max(np.abs(m)) > 1e5 and np.max(absolute) > verify.DEFAULT_IDENTITY_TOL
-    report = verify.hermitian_mirror_residual(field)
+    report = verify.checked_level(triple, field.grid)[1]["mirror"]
     assert report.passed
     assert report.residual <= 1e-12
     assert report.points_used == field.grid.nx * field.grid.nt
@@ -119,32 +131,36 @@ def test_identity_and_mirror_see_a_change_at_a_huge_m():
     the residual as 0. Neither check warns, on the clean or the changed
     field."""
     triple = gbdt_core.complete_triple(1, [[10 * cmath.exp(0.25j * math.pi)]], [[1.0]], [[1.0]])
-    field = gbdt_core.solution_field(triple, gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4))
-    m = field.M.copy()
+    grid = gbdt_core.Grid.build(0.5, 5, -0.45, 0.0, 4)
+    _, m, _ = field_with_stacks(triple, grid)
     node = np.unravel_index(np.argmax(np.abs(m[..., 0, 0])), m.shape[:2])
     assert abs(m[node][0, 0]) > 1e155
-    m[node] *= 1 + 1e-6
-    changed = dataclasses.replace(field, M=m)
+
+    def change(tile):
+        changed = tile.M.copy()
+        changed[list(tile.rows).index(node[0]), node[1]] *= 1 + 1e-6
+        return dataclasses.replace(tile, M=changed)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert verify.identity_residual(triple, field).passed
-        assert verify.hermitian_mirror_residual(field).passed
-        identity = verify.identity_residual(triple, changed)
-        mirror = verify.hermitian_mirror_residual(changed)
+        clean = verify.checked_level(triple, grid, ["identity", "mirror"])[1]
+        assert clean["identity"].passed and clean["mirror"].passed
+        identity = _changed_report("identity", triple, grid, change)
+        mirror = _changed_report("mirror", triple, grid, change)
     assert not identity.passed and identity.residual > 1e-7
     assert not mirror.passed and mirror.residual > 1e-7
 
 
-def _identity_reference(triple, field):
+def _identity_reference(triple, tile):
     """Largest per-node relative residual, one small matmul per node."""
     a = triple.A
     worst = 0.0
-    for k in range(field.grid.nx):
-        for l in range(field.grid.nt):
-            m = field.M[k, l]
+    for k in range(tile.M.shape[0]):
+        for l in range(tile.M.shape[1]):
+            m = tile.M[k, l]
             rhs = gbdt_core.coupling_term(
-                triple.kappa, triple.theta1, field.K[k, l],
-                triple.theta1, field.K[-1 - k, l],
+                triple.kappa, triple.theta1, tile.K[k, l],
+                triple.theta1, tile.K[-1 - k, l],
             )
             lhs = a @ m + m @ a.conj().T
             scale = 2.0 * np.linalg.norm(a) * np.linalg.norm(m) + np.linalg.norm(rhs)
@@ -158,9 +174,9 @@ _IDENTITY_CASES = {1: (2, 1, -1), 2: (1, 2, 1), 4: (2, 2, -1), 8: (3, 1, 1)}
 
 @pytest.mark.parametrize("n", sorted(_IDENTITY_CASES))
 def test_identity_residual_matches_per_node_products(n):
-    """The whole-stack products against per-node A M + M A* and
-    theta1 theta1* + (-1)^kappa K K(-x)*, on random M and K so the residual
-    is O(1) and not rounding noise."""
+    """The whole-tile products against per-node A M + M A* and
+    theta1 theta1* + (-1)^kappa K K(-x)*, on a tile of every row with
+    random M and K so the residual is O(1) and not rounding noise."""
     m1, m2, sigma = _IDENTITY_CASES[n]
     rng = np.random.default_rng(40 + n)
 
@@ -173,17 +189,16 @@ def test_identity_residual_matches_per_node_products(n):
         sigma=sigma, A=cnormal(n, n), S0=cnormal(n, n),
         theta1=cnormal(n, m1), theta2=cnormal(n, m2),
     )
-    field = gbdt_core.SolutionField(
-        grid=grid,
-        u=cnormal(*nodes, m1, m2),
-        M=cnormal(*nodes, n, n),
-        detS=cnormal(*nodes),
+    m = cnormal(*nodes, n, n)
+    tile = gbdt_core.FieldTile(
+        rows=np.arange(grid.nx), M=m, K=cnormal(*nodes, n, m2),
+        factors=numkit.lu_factor(m), u=cnormal(*nodes, m1, m2),
         singular_mask=np.zeros(nodes, dtype=bool),
-        K=cnormal(*nodes, n, m2),
-        lower=cnormal(*nodes, m2, m1),
     )
-    expected = _identity_reference(triple, field)
-    report = verify.identity_residual(triple, field)
+    expected = _identity_reference(triple, tile)
+    check = verify.TileCheck("identity", triple, grid)
+    check(tile)
+    report = check.report()
     assert expected > 1e-3
     assert abs(report.residual - expected) <= 1e-14 * expected
 
@@ -197,8 +212,7 @@ def test_pde_residual_matches_per_node_products(m1, m2):
     nodes = (grid.nx, grid.nt)
     u = rng.normal(size=(*nodes, m1, m2)) + 1j * rng.normal(size=(*nodes, m1, m2))
     field = gbdt_core.SolutionField(
-        grid=grid, u=u, M=None, detS=None,
-        singular_mask=np.zeros(nodes, dtype=bool), K=None, lower=None,
+        grid=grid, u=u, singular_mask=np.zeros(nodes, dtype=bool), detS=None,
     )
     hx, ht = grid.hx, grid.ht
     worst = 0.0
@@ -219,31 +233,34 @@ def test_reduction_residual_both_branches():
     grid = gbdt_core.Grid.build(1.2, 17, -0.25, 0.25, 9)
     for sigma in (1, -1):
         triple = make_random_triple(rng, sigma, n=2, m1=1, m2=2)
-        field = gbdt_core.solution_field(triple, grid)
-        report = verify.reduction_residual(field, sigma)
+        report = verify.checked_level(triple, grid)[1]["reduction"]
         assert report.passed
         assert report.residual <= 1e-10
 
 
 def test_reduction_residual_detects_corruption(scalar_triple, scalar_field):
-    """The stored lower block is checked against u itself: a perturbed
-    block or the other branch's sign fails."""
-    sigma = scalar_triple.sigma
-    assert verify.reduction_residual(scalar_field, sigma).residual <= 1e-12
-    bad = dataclasses.replace(scalar_field, lower=scalar_field.lower + 1e-6)
-    assert not verify.reduction_residual(bad, sigma).passed
-    assert not verify.reduction_residual(scalar_field, -sigma).passed
+    """The lower block, from the tile's own solve for theta1, is checked
+    against u itself: a corrupted u(-x), or a theta1 solve with corrupted
+    factors, fails."""
+    triple, grid = scalar_triple, scalar_field.grid
+    assert verify.checked_level(triple, grid)[1]["reduction"].residual <= 1e-12
+    changes = [
+        lambda tile: dataclasses.replace(tile, u=tile.u + 1e-6),
+        lambda tile: dataclasses.replace(tile, factors=numkit.lu_factor(tile.M + 1e-6)),
+    ]
+    for change in changes:
+        assert not _changed_report("reduction", triple, grid, change).passed
 
 
 def test_reduction_residual_is_relative(scalar_triple, scalar_field):
-    """Scaling u and the lower block together by 1e6 leaves the verdict as
-    it is and the residual at rounding level."""
-    sigma = scalar_triple.sigma
-    scaled = dataclasses.replace(
-        scalar_field, u=1e6 * scalar_field.u, lower=1e6 * scalar_field.lower
-    )
-    for field in (scalar_field, scaled):
-        report = verify.reduction_residual(field, sigma)
+    """Scaling u and K, so the lower block, together by 1e6 leaves the
+    verdict as it is and the residual at rounding level."""
+    triple, grid = scalar_triple, scalar_field.grid
+    for scale in (1.0, 1e6):
+        report = _changed_report(
+            "reduction", triple, grid,
+            lambda tile: dataclasses.replace(tile, u=scale * tile.u, K=scale * tile.K),
+        )
         assert report.passed
         assert report.residual <= 1e-12
 
